@@ -1,8 +1,9 @@
 """Finite-dimensional tracial *-algebras with exact rational arithmetic.
 
 The coefficient world for the copy constructions: group algebras, tensor
-products, subalgebras, traces, and trace-preserving conditional
-expectations.  Structure constants are exposed lazily (a callable with a
+products, subalgebras, traces, trace-preserving conditional expectations,
+and the one exact elimination kernel behind rank, positive-definiteness
+and linear solves.  Structure constants are exposed lazily (a callable with a
 cache) so large group algebras never materialize a full multiplication
 table.
 """
@@ -332,25 +333,62 @@ class SubalgebraSpec:
         return all(i in self.indices for i in x.coeffs)
 
 
-def _solve_exact(gram, rhs):
-    """Solve G c = b over the rationals (G symmetric positive definite)."""
-    n = len(gram)
-    a = [list(gram[i]) + [rhs[i]] for i in range(n)]
-    for k in range(n):
-        if a[k][k] == 0:
-            # PD matrices always admit the next pivot after partial pivoting
-            piv = next(i for i in range(k + 1, n) if a[i][k] != 0)
-            a[k], a[piv] = a[piv], a[k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            if f == 0:
-                continue
-            for j in range(k, n + 1):
-                a[i][j] -= f * a[k][j]
+def eliminate(a, ncols: int) -> tuple[list, bool]:
+    """Reduce the rows a (integers or Fractions) to echelon form in place.
+
+    Pivots are sought in the first ncols columns; any further columns (a
+    right-hand side) are carried along.  Zero entries are skipped before
+    any division by the pivot.  Returns (pivots, swapped): the pivot of
+    each echelon row in order, and whether rows were exchanged.
+    """
+    pivots = []
+    swapped = False
+    for col in range(ncols):
+        row = len(pivots)
+        piv = next((r for r in range(row, len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        if piv != row:
+            a[row], a[piv] = a[piv], a[row]
+            swapped = True
+        top = a[row]
+        for r in a[row + 1:]:
+            if r[col]:
+                f = Fraction(r[col], top[col])
+                for c in range(col, len(top)):
+                    if top[c]:
+                        r[c] -= f * top[c]
+        pivots.append(top[col])
+    return pivots, swapped
+
+
+def rank(mat) -> int:
+    """Exact rank of a rational matrix."""
+    a = [list(row) for row in mat]
+    return len(eliminate(a, len(a[0]) if a else 0)[0])
+
+
+def is_positive_definite(mat) -> bool:
+    """Exact Sylvester test of a symmetric rational matrix: elimination
+    needs no row exchange and every pivot (a ratio of leading minors) is
+    positive."""
+    a = [list(row) for row in mat]
+    pivots, swapped = eliminate(a, len(a))
+    return (not swapped and len(pivots) == len(a)
+            and all(p > 0 for p in pivots))
+
+
+def solve(mat, rhs) -> list:
+    """Solve M c = b over the rationals for a nonsingular square M."""
+    n = len(mat)
+    a = [list(mat[i]) + [rhs[i]] for i in range(n)]
+    pivots, _ = eliminate(a, n)
+    if len(pivots) != n:
+        raise ValueError("singular matrix")
     out = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
         s = a[i][n] - sum(a[i][j] * out[j] for j in range(i + 1, n) if a[i][j])
-        out[i] = s / a[i][i]
+        out[i] = Fraction(s, a[i][i])
     return out
 
 
@@ -381,7 +419,7 @@ def conditional_expectation(x: AlgebraElement,
     else:
         stars, gram = cached
     rhs = [(s * x).trace() for s in stars]
-    coeffs = _solve_exact(gram, rhs)
+    coeffs = solve(gram, rhs)
     out = {}
     for i, c in zip(basis, coeffs):
         if c:

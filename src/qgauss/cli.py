@@ -182,9 +182,6 @@ def main(argv=None) -> int:
         description="Exact moments, Wick-word algebra, dimension growth, "
                     "and stochastic checks for generalized q-gaussian "
                     "structures.")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker count (results are deterministic; the "
-                        "current implementation runs sequentially)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_m = sub.add_parser("moment", help="compute a moment from a scenario")

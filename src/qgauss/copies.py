@@ -27,6 +27,15 @@ def _complete_relabel(gamma: dict, window: int) -> dict:
     return out
 
 
+def pi_word(backend, xs, labels):
+    """The product pi_{j_1}(x_1) ... pi_{j_m}(x_m) in D, multiplied from
+    the unit left to right; labels gives the copy index j of each letter."""
+    prod = backend.one()
+    for x, j in zip(xs, labels):
+        prod = prod * backend.pi(j, x)
+    return prod
+
+
 # ---------------------------------------------------------------------
 # free Haar backend
 
@@ -454,7 +463,7 @@ def axiom_check(backend, indices: int = 3, word_len: int = 4,
     for j in range(1, indices + 1):
         for a, embedded in backend.B_pairs:
             count += 1
-            if not _equal(backend.pi(j, a), embedded):
+            if not _equal(pi_word(backend, [a], [j]), embedded):
                 ok, witness = False, f"pi({j}, b) != b for b={a!r}"
                 break
         if not ok:
@@ -469,10 +478,7 @@ def axiom_check(backend, indices: int = 3, word_len: int = 4,
         for js in _prod(range(1, indices + 1), repeat=l):
             base = None
             for rho in _perms(range(1, indices + 1)):
-                mapped = [rho[j - 1] for j in js]
-                prod = backend.one()
-                for a, j in zip(word, mapped):
-                    prod = prod * backend.pi(j, a)
+                prod = pi_word(backend, word, [rho[j - 1] for j in js])
                 val = backend.expect((), prod)
                 count += 1
                 if base is None:
@@ -502,14 +508,12 @@ def axiom_check(backend, indices: int = 3, word_len: int = 4,
             ds = [backend.one()]
             for w in _words_over(S_nontrivial, axiom3_word_len):
                 for ks in _prod(sorted(I), repeat=len(w)):
-                    el = backend.one()
-                    for a, k in zip(w, ks):
-                        el = el * backend.pi(k, a)
-                    ds.append(el)
+                    ds.append(pi_word(backend, w, ks))
             for a in S:
                 for ap in S:
                     for dmid in ds:
-                        x = backend.pi(j, a) * dmid * backend.pi(j, ap)
+                        x = (pi_word(backend, [a], [j]) * dmid
+                             * pi_word(backend, [ap], [j]))
                         count += 1
                         if not _equal(backend.expect(I, x),
                                       backend.expect(J, x)):
@@ -531,10 +535,7 @@ def axiom_check(backend, indices: int = 3, word_len: int = 4,
     gens = [(j, a) for j in range(1, indices + 1) for a in S_nontrivial]
     xs = [backend.one()]
     for w in _words_over(gens, axiom4_word_len):
-        el = backend.one()
-        for j, a in w:
-            el = el * backend.pi(j, a)
-        xs.append(el)
+        xs.append(pi_word(backend, [a for _, a in w], [j for j, _ in w]))
     for I in subsets:
         for J in subsets:
             for x in xs:

@@ -10,11 +10,12 @@ in max_m is reported as evidence, not proof.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 
+from .algebra import rank
 from .errors import WindowExceeded
-from .partitions import encoding_map, enumerate_pair_singleton
+from .moments import reduced_coefficient
+from .partitions import enumerate_pair_singleton
 
 
 @dataclass
@@ -31,40 +32,6 @@ class SpanReport:
 
     def row(self):
         return (self.k, self.dim_scalar, self.bound, self.stabilized_at_m)
-
-
-def _rank(gram) -> int:
-    """Exact rank of a rational symmetric matrix by Gaussian elimination."""
-    a = [list(row) for row in gram]
-    n = len(a)
-    rank = 0
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        pr = a[row]
-        for r in range(row + 1, n):
-            f = a[r][col] / pr[col]
-            if f:
-                for c in range(col, n):
-                    a[r][c] -= f * pr[c]
-        rank += 1
-        row += 1
-        if row == n:
-            break
-    return rank
-
-
-def _reduced_coefficient(sigma, xs, backend):
-    """F_sigma alone (no Fock data needed): the conditional expectation of
-    the encoded pi-word onto the first s copies."""
-    phi = encoding_map(sigma)
-    prod = backend.one()
-    for pos in range(1, sigma.m + 1):
-        prod = prod * backend.pi(phi[pos], xs[pos - 1])
-    return backend.expect(range(1, sigma.num_singletons + 1), prod)
 
 
 def span_Dk(backend, k: int, max_m: int, gens=None) -> SpanReport:
@@ -92,7 +59,7 @@ def span_Dk(backend, k: int, max_m: int, gens=None) -> SpanReport:
         for sigma in sigmas:
             for word in product(gens, repeat=m):
                 considered += 1
-                F = _reduced_coefficient(sigma, word, backend)
+                F = reduced_coefficient(sigma, word, backend)
                 if F.is_zero() or F in seen:
                     continue
                 seen.add(F)
@@ -103,7 +70,7 @@ def span_Dk(backend, k: int, max_m: int, gens=None) -> SpanReport:
                 row.append(backend.trace(Fs * F))
                 gram.append(row)
                 vectors.append(F)
-        dims_by_m[m] = _rank(gram)
+        dims_by_m[m] = rank(gram)
     dim = dims_by_m[max(dims_by_m)] if dims_by_m else 0
     stabilized_at = max(dims_by_m) if dims_by_m else k
     for m in sorted(dims_by_m):

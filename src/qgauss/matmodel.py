@@ -23,8 +23,11 @@ from itertools import permutations
 
 import numpy as np
 
+from . import qfock
+from .copies import FreeHaarBackend, pi_word
 from .errors import SizeGuard
-from .moments import enumerate_set_partitions, q_matrix_moment
+from .moments import (_slot_vector, _tensor_config, enumerate_set_partitions,
+                      q_matrix_moment)
 
 #: build_symmetries materializes 2^n x 2^n matrices.
 SYMMETRY_CAP = 10
@@ -196,6 +199,74 @@ def _injective_assignments(blocks, colors, n):
     yield from assignments
 
 
+def _terms(word, colors, n, backend):
+    """The terms of the finite-n trace sum that can be nonzero, in a fixed
+    order shared by the exact expectation and the Monte Carlo estimator.
+
+    For each set partition of the positions into even, color-constant
+    blocks whose pi-word trace tau is nonzero, and each copy assignment to
+    its blocks that is injective within each color, yields (tau, letters,
+    sign_pairs) with sign_pairs from word_sign_pairs(letters).  tau is 1
+    when backend is None (the pure case).
+    """
+    m = len(word)
+    if backend is not None:
+        xs = [x if x is not None else backend.A_one for x, _ in word]
+    for blocks in _even_color_partitions(m, colors):
+        block_of = {pos: bi for bi, b in enumerate(blocks) for pos in b}
+        # tau_D of the pi-word at the representative tuple; exchangeability
+        # makes it depend on the coincidence pattern only
+        tau = Fraction(1) if backend is None else backend.trace(pi_word(
+            backend, xs, [block_of[pos] + 1 for pos in range(1, m + 1)]))
+        if not tau:
+            continue
+        for assign in _injective_assignments(blocks, colors, n):
+            letters = [(assign[block_of[pos]], colors[pos - 1])
+                       for pos in range(1, m + 1)]
+            sign_pairs = word_sign_pairs(letters)
+            if sign_pairs is not None:
+                yield tau, letters, sign_pairs
+
+
+def _model_inputs(word, Qm, cfg, colors):
+    """(colors, Q, vectors, cfg) with the defaults: every letter of color
+    0, Q entries as rationals, and an orthonormal Fock configuration deep
+    enough for the word."""
+    m = len(word)
+    hs = [h for _, h in word]
+    if cfg is None:
+        cfg = qfock.FockConfig(dim_H=max(len(h) for h in hs) if m else 1,
+                               max_degree=max(1, (m + 1) // 2))
+    return ([0] * m if colors is None else list(colors),
+            [[Fraction(x) for x in row] for row in Qm], hs, cfg)
+
+
+def _limit_target(word, colors, Qm, cfg, backend) -> float:
+    """The exact large-n limit from the Q-moment engine; without a backend,
+    every coefficient is the unit of a free Haar window."""
+    if backend is None:
+        backend = FreeHaarBackend(max(1, len(word) // 2))
+        word = [(None, h) for _, h in word]
+    word = [(x if x is not None else backend.A_one, h) for x, h in word]
+    return float(q_matrix_moment(word, colors, Qm, backend, cfg))
+
+
+def _estimate(values, target, target_n, n, seed) -> MCEstimate:
+    """Mean and standard error of per-sample values, with the z-score
+    against the exact finite-n expectation target_n."""
+    samples = len(values)
+    mean = float(values.mean())
+    stderr = float(values.std(ddof=1) / math.sqrt(samples)) \
+        if samples > 1 else 0.0
+    if stderr > 0:
+        z = (mean - target_n) / stderr
+    else:
+        z = 0.0 if mean == target_n else math.inf
+    return MCEstimate(mean=mean, stderr=stderr, samples=samples,
+                      target=target, target_n=target_n,
+                      bias=target_n - target, z=z, n=n, seed=seed)
+
+
 def model_moment_exact(word, Qm, n: int, backend=None, cfg=None,
                        colors=None) -> Fraction:
     """The exact expectation of the finite-n matrix-model trace.
@@ -204,86 +275,38 @@ def model_moment_exact(word, Qm, n: int, backend=None, cfg=None,
     (product of Q entries over the exchange pairs), the gaussian moment of
     the field product (a Wick sum, evaluated as the q=1 Fock moment on
     l2_n (x) H), and the trace of the pi-word."""
-    from . import moments as _moments
-    from .qfock import FockConfig, vacuum_moment
-
     word = list(word)
     m = len(word)
-    if colors is None:
-        colors = [0] * m
-    colors = list(colors)
-    Qm = [[Fraction(x) for x in row] for row in Qm]
-    hs = [h for _, h in word]
-    if cfg is None:
-        cfg = FockConfig(dim_H=max(len(h) for h in hs) if m else 1,
-                         max_degree=max(1, (m + 1) // 2))
-    if backend is not None:
-        xs = [x if x is not None else backend.A_one for x, _ in word]
+    colors, Qm, hs, cfg = _model_inputs(word, Qm, cfg, colors)
     if m == 0:
         return Fraction(1)
     if m % 2:
         return Fraction(0)
 
-    trace_cache = {}
-
-    def pi_trace(pattern):
-        if backend is None:
-            return Fraction(1)
-        val = trace_cache.get(pattern)
-        if val is None:
-            prod = backend.one()
-            for pos in range(m):
-                prod = prod * backend.pi(pattern[pos] + 1, xs[pos])
-            val = backend.trace(prod)
-            trace_cache[pattern] = val
-        return val
-
-    gauss_cache = {}
-
     def gauss_moment(jpattern):
         # E prod_i g_{j_i}(h_i): Wick sum = the q=1 Fock moment with
         # vectors e_{j_i} (x) h_i (slots compacted)
-        val = gauss_cache.get(jpattern)
-        if val is None:
-            slots = sorted(set(jpattern))
-            slot_of = {j: s for s, j in enumerate(slots)}
-            r = len(slots)
-            big = _moments._tensor_config(r, cfg, (m + 1) // 2)
-            vecs = [_moments._slot_vector(slot_of[jpattern[i]], hs[i], r, cfg)
-                    for i in range(m)]
-            val = vacuum_moment(vecs, big).eval(1)
-            gauss_cache[jpattern] = val
-        return val
+        slots = sorted(set(jpattern))
+        slot_of = {j: s for s, j in enumerate(slots)}
+        r = len(slots)
+        big = _tensor_config(r, cfg, (m + 1) // 2)
+        vecs = [_slot_vector(slot_of[jpattern[i]], hs[i], r, cfg)
+                for i in range(m)]
+        return qfock.vacuum_moment(vecs, big).eval(1)
 
     total = Fraction(0)
-    for blocks in _even_color_partitions(m, colors):
-        pattern = tuple(
-            next(bi for bi, b in enumerate(blocks) if pos in b)
-            for pos in range(1, m + 1))
-        tau = pi_trace(pattern)
-        if not tau:
-            continue
-        block_of = {}
-        for bi, b in enumerate(blocks):
-            for pos in b:
-                block_of[pos] = bi
-        for assign in _injective_assignments(blocks, colors, n):
-            letters = [(assign[block_of[pos]], colors[pos - 1])
-                       for pos in range(1, m + 1)]
-            sign_pairs = word_sign_pairs(letters)
-            if sign_pairs is None:
-                continue
-            weight = Fraction(1)
-            for a, b in sign_pairs:
-                weight *= Qm[a[1]][b[1]]
-                if not weight:
-                    break
+    for tau, letters, sign_pairs in _terms(word, colors, n, backend):
+        weight = Fraction(1)
+        for a, b in sign_pairs:
+            weight *= Qm[a[1]][b[1]]
             if not weight:
-                continue
-            g = gauss_moment(tuple(l[0] for l in letters))
-            if not g:
-                continue
-            total += weight * g * tau
+                break
+        if not weight:
+            continue
+        g = gauss_moment(tuple(l[0] for l in letters))
+        if not g:
+            continue
+        total += weight * g * tau
     return total / Fraction(n ** (m // 2))
 
 
@@ -302,26 +325,8 @@ def mc_moment(word, Qm, n: int, samples: int, seed: int,
     m = len(word)
     if m > WORD_CAP:
         raise SizeGuard(f"word length {m} exceeds the cap {WORD_CAP}")
-    if colors is None:
-        colors = [0] * m
-    colors = list(colors)
-    Qm = [[Fraction(x) for x in row] for row in Qm]
-    hs = [h for _, h in word]
-    if cfg is None:
-        from .qfock import FockConfig
-        cfg = FockConfig(dim_H=max(len(h) for h in hs) if m else 1,
-                         max_degree=max(1, (m + 1) // 2))
-
-    # exact limit target from the Q-moment engine
-    if backend is None:
-        from .copies import FreeHaarBackend
-        tgt_backend = FreeHaarBackend(max(1, m // 2))
-        xs = [tgt_backend.A_one] * m
-    else:
-        tgt_backend = backend
-        xs = [x if x is not None else backend.A_one for x, _ in word]
-    target = float(q_matrix_moment(list(zip(xs, hs)), colors, Qm,
-                                   tgt_backend, cfg))
+    colors, Qm, hs, cfg = _model_inputs(word, Qm, cfg, colors)
+    target = _limit_target(word, colors, Qm, cfg, backend)
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
 
@@ -346,58 +351,18 @@ def mc_moment(word, Qm, n: int, samples: int, seed: int,
     else:
         eps = np.zeros((samples, 0))
 
-    trace_cache = {}
-
-    def pi_trace(pattern):
-        # tau_D of the pi-word at the representative tuple; exchangeability
-        # makes it depend on the coincidence pattern only
-        if backend is None:
-            return 1.0
-        val = trace_cache.get(pattern)
-        if val is None:
-            prod = backend.one()
-            for pos in range(m):
-                prod = prod * backend.pi(pattern[pos] + 1, xs[pos])
-            val = float(backend.trace(prod))
-            trace_cache[pattern] = val
-        return val
-
     sums = np.zeros(samples)
-    for blocks in _even_color_partitions(m, colors):
-        pattern_tau = pi_trace(tuple(
-            next(bi for bi, b in enumerate(blocks) if pos in b)
-            for pos in range(1, m + 1)))
-        if pattern_tau == 0.0:
-            continue
-        block_of = {}
-        for bi, b in enumerate(blocks):
-            for pos in b:
-                block_of[pos] = bi
-        for assign in _injective_assignments(blocks, colors, n):
-            letters = [(assign[block_of[pos]], colors[pos - 1])
-                       for pos in range(1, m + 1)]
-            sign_pairs = word_sign_pairs(letters)
-            if sign_pairs is None:
-                continue
-            term = np.full(samples, pattern_tau)
-            for a, b in sign_pairs:
-                term = term * eps[:, pair_index[(a, b)]]
-            for pos in range(1, m + 1):
-                term = term * gh[:, letters[pos - 1][0] - 1, pos - 1]
-            sums += term
+    for tau, letters, sign_pairs in _terms(word, colors, n, backend):
+        term = np.full(samples, float(tau))
+        for a, b in sign_pairs:
+            term = term * eps[:, pair_index[(a, b)]]
+        for pos in range(1, m + 1):
+            term = term * gh[:, letters[pos - 1][0] - 1, pos - 1]
+        sums += term
     estimates = sums / float(n) ** (m / 2.0)
-    mean = float(estimates.mean())
-    stderr = float(estimates.std(ddof=1) / math.sqrt(samples)) \
-        if samples > 1 else 0.0
     target_n = float(model_moment_exact(word, Qm, n, backend=backend,
                                         cfg=cfg, colors=colors))
-    if stderr > 0:
-        z = (mean - target_n) / stderr
-    else:
-        z = 0.0 if mean == target_n else math.inf
-    return MCEstimate(mean=mean, stderr=stderr, samples=samples,
-                      target=target, target_n=target_n,
-                      bias=target_n - target, z=z, n=n, seed=seed)
+    return _estimate(estimates, target, target_n, n, seed)
 
 
 def mc_moment_explicit(word, Qm, n: int, samples: int, seed: int,
@@ -406,19 +371,8 @@ def mc_moment_explicit(word, Qm, n: int, samples: int, seed: int,
     matrices and takes actual matrix traces.  Small n only."""
     word = list(word)
     m = len(word)
-    if colors is None:
-        colors = [0] * m
-    colors = list(colors)
-    Qm = [[Fraction(x) for x in row] for row in Qm]
-    hs = [h for _, h in word]
-    if cfg is None:
-        from .qfock import FockConfig
-        cfg = FockConfig(dim_H=max(len(h) for h in hs) if m else 1,
-                         max_degree=max(1, (m + 1) // 2))
-    from .copies import FreeHaarBackend
-    tgt_backend = FreeHaarBackend(max(1, m // 2))
-    target = float(q_matrix_moment(
-        [(tgt_backend.A_one, h) for h in hs], colors, Qm, tgt_backend, cfg))
+    colors, Qm, hs, cfg = _model_inputs(word, Qm, cfg, colors)
+    target = _limit_target(word, colors, Qm, cfg, None)
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     d = cfg.dim_H
@@ -443,12 +397,5 @@ def mc_moment_explicit(word, Qm, n: int, samples: int, seed: int,
                 u += g * vmat[(j, colors[pos])]
             prod = prod @ (u / math.sqrt(n))
         vals[s] = np.trace(prod) / dim
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(samples)) \
-        if samples > 1 else 0.0
     target_n = float(model_moment_exact(word, Qm, n, cfg=cfg, colors=colors))
-    z = (mean - target_n) / stderr if stderr > 0 else \
-        (0.0 if mean == target_n else math.inf)
-    return MCEstimate(mean=mean, stderr=stderr, samples=samples,
-                      target=target, target_n=target_n,
-                      bias=target_n - target, z=z, n=n, seed=seed)
+    return _estimate(vals, target, target_n, n, seed)

@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from . import qfock
+from .copies import pi_word
 from .errors import WindowExceeded
 from .partitions import (Partition12, convolution_joins, crossing_number,
                          encoding_map, enumerate_pair_partitions)
@@ -31,6 +32,19 @@ def _pair_product(sigma: Partition12, hs, cfg: FockConfig) -> Fraction:
     return out
 
 
+def _encoded_word(sigma: Partition12, xs, backend):
+    """The pi-word of xs with copy indices from the encoding map of sigma."""
+    phi = encoding_map(sigma)
+    return pi_word(backend, xs, [phi[pos] for pos in range(1, sigma.m + 1)])
+
+
+def reduced_coefficient(sigma: Partition12, xs, backend):
+    """F_sigma alone (no Fock data needed): the conditional expectation of
+    the encoded pi-word onto the first s copies."""
+    return backend.expect(range(1, sigma.num_singletons + 1),
+                          _encoded_word(sigma, xs, backend))
+
+
 def trace_of_partition_term(sigma: Partition12, xs, hs, backend,
                             cfg: FockConfig) -> QPoly:
     """tau of the single-partition component x_sigma of a word.
@@ -44,14 +58,7 @@ def trace_of_partition_term(sigma: Partition12, xs, hs, backend,
     ip = _pair_product(sigma, hs, cfg)
     if not ip:
         return QPoly.zero()
-    index_of = {}
-    for t, (l, r) in enumerate(sigma.sorted_pairs(), start=1):
-        index_of[l] = t
-        index_of[r] = t
-    prod = backend.one()
-    for pos in range(1, sigma.m + 1):
-        prod = prod * backend.pi(index_of[pos], xs[pos - 1])
-    tr = backend.trace(prod)
+    tr = backend.trace(_encoded_word(sigma, xs, backend))
     if not tr:
         return QPoly.zero()
     return QPoly.monomial(crossing_number(sigma), ip * tr)
@@ -137,10 +144,8 @@ def finite_n_moment(word, backend, n: int, cfg: FockConfig) -> QPoly:
             for pos in b:
                 block_of[pos] = t
         # trace of the pi-word at the representative tuple (1..r by block)
-        prod = backend.one()
-        for pos in range(1, m + 1):
-            prod = prod * backend.pi(block_of[pos] + 1, xs[pos - 1])
-        tr = backend.trace(prod)
+        tr = backend.trace(pi_word(
+            backend, xs, [block_of[pos] + 1 for pos in range(1, m + 1)]))
         if not tr:
             continue
         # Fock factor on l2_r (x) H with vectors e_{block} (x) h
@@ -216,22 +221,14 @@ def q_matrix_moment(word, colors, Qm, backend, cfg: FockConfig) -> Fraction:
         if not ip:
             continue
         weight = Fraction(1)
-        ps = sigma.sorted_pairs()
-        for (a, b), (c, d) in combinations(ps, 2):
+        for (a, b), (c, d) in combinations(sigma.sorted_pairs(), 2):
             if a < c < b < d:
                 weight *= Qm[colors[a - 1]][colors[c - 1]]
                 if not weight:
                     break
         if not weight:
             continue
-        index_of = {}
-        for t, (l, r) in enumerate(ps, start=1):
-            index_of[l] = t
-            index_of[r] = t
-        prod = backend.one()
-        for pos in range(1, m + 1):
-            prod = prod * backend.pi(index_of[pos], xs[pos - 1])
-        total += weight * ip * backend.trace(prod)
+        total += weight * ip * backend.trace(_encoded_word(sigma, xs, backend))
     return total
 
 
@@ -287,11 +284,7 @@ def reduce(sigma: Partition12, xs, hs, backend, cfg: FockConfig) -> WickWord:
         raise WindowExceeded(
             f"reduction needs window >= s+p = {s + p}, "
             f"backend has {backend.window}")
-    phi = encoding_map(sigma)
-    prod = backend.one()
-    for pos in range(1, sigma.m + 1):
-        prod = prod * backend.pi(phi[pos], xs[pos - 1])
-    F = backend.expect(range(1, s + 1), prod)
+    F = reduced_coefficient(sigma, xs, backend)
     f = QPoly.monomial(crossing_number(sigma), _pair_product(sigma, hs, cfg))
     return WickWord(sigma, xs, hs, backend, cfg, f_sigma=f, F_sigma=F)
 

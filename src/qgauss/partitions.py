@@ -96,12 +96,14 @@ class Partition12:
 
 
 def crossing_number(sigma: Partition12) -> int:
-    """Number of interleaved pairs (a,b),(c,d) with a < c < b < d.
+    """Number of interleaved pairs (a,b),(c,d) with a < c < b < d, plus
+    the number of (pair (l,r), singleton s) with l < s < r.
 
-    Singletons never contribute.
+    A singleton under a pair arc counts as one crossing, as in the q-Wick
+    formula; on pair partitions only the pair crossings remain.
     """
     ps = sigma.sorted_pairs()
-    n = 0
+    n = sum(1 for l, r in ps for s in sigma.singletons if l < s < r)
     for (a, b), (c, d) in combinations(ps, 2):
         # ps is sorted, so a < c always
         if a < c < b < d:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 
+from .algebra import is_positive_definite
 from .errors import SizeGuard, TruncationExceeded
 from .qpoly import QPoly
 
@@ -22,27 +23,6 @@ GRAM_GUARD = 4096
 
 def _frac_matrix(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def _leading_minors_positive(mat) -> bool:
-    """Exact Sylvester check via fraction Gaussian elimination."""
-    n = len(mat)
-    a = [list(row) for row in mat]
-    det = Fraction(1)
-    for k in range(n):
-        # pivot must be nonzero for a positive-definite matrix
-        if a[k][k] <= 0:
-            return False
-        det *= a[k][k]
-        if det <= 0:
-            return False
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            if f == 0:
-                continue
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return True
 
 
 @dataclass(frozen=True)
@@ -76,7 +56,7 @@ class FockConfig:
             for j in range(i):
                 if inner[i][j] != inner[j][i]:
                     raise ValueError("inner matrix is not symmetric")
-        if not _leading_minors_positive(inner):
+        if not is_positive_definite(inner):
             raise ValueError("inner matrix is not positive definite")
         object.__setattr__(self, "inner", inner)
 

@@ -116,8 +116,6 @@ class Scenario:
         self.Q = None
         if "Q" in data:
             self.Q = [[_frac(x) for x in row] for row in data["Q"]]
-        self.seed = int(data.get("seed", 0))
-        self.samples = int(data.get("samples", 1000))
         self.dims = data.get("dims", {})
 
     @staticmethod

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgauss.algebra import (Group, SubalgebraSpec, conditional_expectation,
-                            cyclic_group, group_algebra, symmetric_group,
-                            tensor_algebra, trivial_algebra, validate_group)
+                            cyclic_group, group_algebra, is_positive_definite,
+                            rank, solve, symmetric_group, tensor_algebra,
+                            trivial_algebra, validate_group)
 from qgauss.errors import InvalidGroup
 
 
@@ -125,3 +126,28 @@ def test_subalgebra_spec_requires_unit_and_closure(s3):
         # unit plus one transposition: not multiplicatively closed with
         # a 3-cycle thrown in
         SubalgebraSpec(s3, frozenset({s3.unit_index, 1, 2}))
+
+
+# ---------------------------------------------------------------------
+# the exact elimination kernel
+
+
+def test_rank_exact():
+    assert rank([[1, 2], [2, 4]]) == 1
+    assert rank([[1, 0], [0, 1]]) == 2
+    assert rank([[0]]) == 0
+
+
+def test_positive_definite_test():
+    assert is_positive_definite([[2, 1], [1, 2]])
+    # a row exchange would find the pivots 1, 1 here
+    assert not is_positive_definite([[0, 1], [1, 0]])
+    assert not is_positive_definite([[1, 1], [1, 1]])  # singular
+    assert not is_positive_definite([[1, 2], [2, 1]])  # second pivot -3
+
+
+def test_solve_non_orthonormal_gram():
+    gram = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+    # first column of the inverse: cofactors (3, -2, 1) over det 4
+    assert solve(gram, [1, 0, 0]) == [Fraction(3, 4), Fraction(-1, 2),
+                                       Fraction(1, 4)]

@@ -3,14 +3,7 @@
 import pytest
 
 from qgauss.copies import FreeHaarBackend, PermGroupBackend
-from qgauss.dimensions import (L2k_dimension_bound, growth_report, span_Dk,
-                               _rank)
-
-
-def test_rank_exact():
-    assert _rank([[1, 2], [2, 4]]) == 1
-    assert _rank([[1, 0], [0, 1]]) == 2
-    assert _rank([[0]]) == 0
+from qgauss.dimensions import L2k_dimension_bound, growth_report, span_Dk
 
 
 def test_span_report_shape():

@@ -148,7 +148,7 @@ def test_reduce_coefficient_and_projection(free8, cfg1):
     w = moments.reduce(sigma, [u, u, u.star(), u.star()],
                        [(Fraction(1),)] * 4, free8, cfg1)
     assert w.degree == 2
-    assert w.f_sigma == QPoly.one()  # no crossings among pairs
+    assert w.f_sigma == Q  # the singleton 3 lies under the arc (2,4)
     crossing = Partition12.make(4, [(1, 3), (2, 4)], [])
     w2 = moments.reduce(crossing, [u, u, u.star(), u.star()],
                         [(Fraction(1),)] * 4, free8, cfg1)
@@ -169,6 +169,9 @@ def test_wick_inner_product_matches_trace_pairing(free8, cfg1):
         moments.reduce(Partition12.make(4, [(1, 2)], [3, 4]),
                        [u, u.star(), u, u.star()],
                        [(Fraction(1),)] * 4, free8, cfg1),
+        # a singleton under a pair arc: <x_(1), x_(1,3)(2)> = q
+        moments.reduce(Partition12.make(3, [(1, 3)], [2]),
+                       [free8.A_one] * 3, [(Fraction(1),)] * 3, free8, cfg1),
     ]
     for w1 in words:
         for w2 in words:
