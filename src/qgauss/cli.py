@@ -18,7 +18,7 @@ from . import dimensions, matmodel, moments, qfock, semigroup
 from .copies import FreeHaarBackend, PermGroupBackend, TensorBackend, axiom_check
 from .algebra import cyclic_group, group_algebra
 from .errors import QGaussError
-from .partitions import Partition12, enumerate_pair_singleton
+from .partitions import Partition12
 from .qpoly import QPoly
 from .scenario import Scenario, ScenarioError
 
@@ -38,7 +38,11 @@ def _json(doc) -> str:
 def cmd_moment(args) -> int:
     sc = Scenario.load(args.scenario)
     if args.q:
-        sc.q_values = [Fraction(x) for x in args.q.split(",")]
+        try:
+            sc.q_values = [Fraction(x) for x in args.q.split(",")]
+        except (ValueError, ZeroDivisionError):
+            raise ScenarioError(f"--q must be comma-separated rationals, "
+                                f"got {args.q!r}") from None
     result = {"word_length": len(sc.word), "backend": sc.backend.name}
     if sc.Q is not None:
         value = moments.q_matrix_moment(sc.word, sc.colors, sc.Q,

@@ -1,5 +1,6 @@
-"""The moment engine: partition-sum moments, exact finite-n moments,
-Wick-word reduction, inner products, and convolution expansion.
+"""The moment engine: transfer-matrix limit and Q-matrix moments, exact
+finite-n moments, Wick-word reduction, inner products, and convolution
+expansion.
 
 Words are sequences of (x, h) letters: x an A-element of the chosen
 backend, h a rational coordinate vector over the Fock configuration's
@@ -12,13 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 
 from . import qfock
 from .copies import pi_word
 from .errors import WindowExceeded
 from .partitions import (Partition12, convolution_joins, crossing_number,
-                         encoding_map, enumerate_pair_partitions)
+                         encoding_map)
 from .qfock import FockConfig
 from .qpoly import QPoly
 
@@ -64,26 +65,104 @@ def trace_of_partition_term(sigma: Partition12, xs, hs, backend,
     return QPoly.monomial(crossing_number(sigma), ip * tr)
 
 
-def moment(word, backend, cfg: FockConfig) -> QPoly:
-    """tau(s(x_1,h_1)...s(x_m,h_m)) as an exact polynomial in q.
+def _arc_scan(xs, tags, backend, close) -> dict:
+    """Sum over the pair partitions sigma of the word xs of
+    weight(sigma) * tau_D(pi-word of sigma), by one left-to-right scan;
+    returned as a {power of q: Fraction} dict.
 
-    The sum over pair partitions of q^cr * prod<h_l,h_r> * tau_D(pi-word);
-    zero for odd m.
+    A state is the stack of open arcs, oldest first, and P.  Arc i carries
+    copy label i+1 and keeps only the tag of its left leg (its vector, or
+    color and vector): its letter is already in P, so states that differ
+    only in where their arcs opened merge.  P is the prefix pi-word
+    projected onto the open labels 1..k, the reduced coefficient of the
+    prefix.  States with equal (stack, P) are merged by adding weights.
+
+    At each letter a state opens an arc, P * pi_{k+1}(x), while the
+    letters left can still close every open arc, or closes arc i,
+    P * pi_{i+1}(x).  close(stack, i, tag) gives the (power of q, factor)
+    of that closing; a zero factor prunes it.  Closing then relabels i+1
+    to the top label k, shifting the labels above it down, and projects
+    onto 1..k-1.
+
+    Why this is exact: give every arc its own label and let X be the
+    prefix pi-word, P = E_open(X).  A fresh label j is outside the labels
+    used so far, so E_{open+j}(X pi_j(x)) = E_open(X) pi_j(x) by axiom 4
+    (E_I E_J = E_{I cap J}).  When label t closes, the rest R of the word
+    lies in the algebra of K = (open - t) plus fresh labels, so
+    tau(X pi_t(x) R) = tau(E_K(X pi_t(x)) R), and E_K(X pi_t(x)) =
+    E_{open-t}(P pi_t(x)) by axiom 4 and because pi_t(x) lies in A_open.
+    Exchangeability lets the open labels stay 1..k and a new arc reuse a
+    freed label.
     """
-    word = list(word)
+    m = len(xs)
+    states = {((), backend.one()): {0: Fraction(1)}}
+    for pos, (x, tag) in enumerate(zip(xs, tags)):
+        left = m - pos - 1
+        # it opens a label <= min(pos + 1, left) or closes one <= min(pos,
+        # m - pos), so labels stay within m/2 <= window
+        pi = [None] + [backend.pi(j, x)
+                       for j in range(1, min(pos + 1, m - pos) + 1)]
+        nxt = {}
+        for (stack, P), weight in states.items():
+            k = len(stack)
+            if k < left:
+                _add_state(nxt, stack + (tag,), P * pi[k + 1], weight)
+            for i in range(k):
+                power, factor = close(stack, i, tag)
+                if not factor:
+                    continue
+                R = P * pi[i + 1]
+                if i < k - 1:
+                    shift = {j: j - 1 for j in range(i + 2, k + 1)}
+                    R = backend.relabel({i + 1: k, **shift}, R)
+                R = backend.expect(range(1, k), R)
+                _add_state(nxt, stack[:i] + stack[i + 1:], R,
+                           {p + power: c * factor for p, c in weight.items()})
+        states = nxt
+    total = {}
+    for (_, P), weight in states.items():
+        tr = backend.trace(P)
+        for p, c in weight.items():
+            total[p] = total.get(p, Fraction(0)) + c * tr
+    return total
+
+
+def _add_state(states, stack, P, weight):
+    if P.is_zero():
+        return
+    acc = states.setdefault((stack, P), {})
+    for p, c in weight.items():
+        acc[p] = acc.get(p, Fraction(0)) + c
+
+
+def _check_window(word, backend):
     m = len(word)
-    if m % 2:
-        return QPoly.zero()
     if backend.window < m // 2:
         raise WindowExceeded(
             f"word of length {m} needs window >= {m // 2}, "
             f"backend has {backend.window}")
-    xs = [x for x, _ in word]
-    hs = [h for _, h in word]
-    total = QPoly.zero()
-    for sigma in enumerate_pair_partitions(m):
-        total = total + trace_of_partition_term(sigma, xs, hs, backend, cfg)
-    return total
+
+
+def moment(word, backend, cfg: FockConfig) -> QPoly:
+    """tau(s(x_1,h_1)...s(x_m,h_m)) as an exact polynomial in q.
+
+    The sum over pair partitions of q^cr * prod<h_l,h_r> * tau_D(pi-word),
+    zero for odd m, computed by a transfer-matrix scan over the reduced
+    coefficients (see _arc_scan): closing arc i of k open arcs crosses the
+    k-1-i arcs opened after it and still open, and pairs the vectors of
+    its two legs.
+    """
+    word = list(word)
+    if len(word) % 2:
+        return QPoly.zero()
+    _check_window(word, backend)
+
+    def close(stack, i, h):
+        return len(stack) - 1 - i, cfg.ip(stack[i], h)
+
+    total = _arc_scan([x for x, _ in word], [tuple(h) for _, h in word],
+                      backend, close)
+    return QPoly([total.get(p, 0) for p in range(max(total, default=-1) + 1)])
 
 
 # ---------------------------------------------------------------------
@@ -188,7 +267,13 @@ def q_matrix_moment(word, colors, Qm, backend, cfg: FockConfig) -> Fraction:
     have covariance zero, as the sign-matrix model realizes); partitions
     pairing distinct colors contribute nothing.  For monochromatic words
     with constant Qm = q0 this reduces to moment() evaluated at q0.
-    Exact when Qm is rational."""
+    Exact when Qm is rational.
+
+    Computed by the same scan as moment() (see _arc_scan, which says why
+    projecting each closed arc away is exact): closing arc i weighs in
+    Q[t_i][t_j] for every arc j opened after it and still open, and is
+    pruned when its legs differ in color.
+    """
     word = list(word)
     m = len(word)
     colors = list(colors)
@@ -208,28 +293,20 @@ def q_matrix_moment(word, colors, Qm, backend, cfg: FockConfig) -> Fraction:
         raise ValueError("color out of range for the Q matrix")
     if m % 2:
         return Fraction(0)
-    if backend.window < m // 2:
-        raise WindowExceeded(
-            f"word of length {m} needs window >= {m // 2}")
-    xs = [x for x, _ in word]
-    hs = [h for _, h in word]
-    total = Fraction(0)
-    for sigma in enumerate_pair_partitions(m):
-        if any(colors[l - 1] != colors[r - 1] for l, r in sigma.pairs):
-            continue
-        ip = _pair_product(sigma, hs, cfg)
-        if not ip:
-            continue
-        weight = Fraction(1)
-        for (a, b), (c, d) in combinations(sigma.sorted_pairs(), 2):
-            if a < c < b < d:
-                weight *= Qm[colors[a - 1]][colors[c - 1]]
-                if not weight:
-                    break
-        if not weight:
-            continue
-        total += weight * ip * backend.trace(_encoded_word(sigma, xs, backend))
-    return total
+    _check_window(word, backend)
+
+    def close(stack, i, tag):
+        color, h = tag
+        if stack[i][0] != color:
+            return 0, 0
+        weight = cfg.ip(stack[i][1], h)
+        for above, _ in stack[i + 1:]:
+            weight *= Qm[color][above]
+        return 0, weight
+
+    tags = [(c, tuple(h)) for c, (_, h) in zip(colors, word)]
+    return _arc_scan([x for x, _ in word], tags, backend,
+                     close).get(0, Fraction(0))
 
 
 # ---------------------------------------------------------------------

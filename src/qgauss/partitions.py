@@ -14,13 +14,23 @@ from itertools import combinations, permutations
 
 from .errors import CapExceeded
 
-#: Hard default on the ground-set size; |P_2(12)| = 10395 already and the
-#: downstream moment costs multiply.  Override with QGAUSS_ENUM_CAP.
+#: Hard default on the ground-set size of the enumerators below, which
+#: trace_pairing (convolution joins) and the span dimensions (pair-singleton
+#: partitions) walk; |P_2(12)| = 10395 already and the downstream costs
+#: multiply.  Limit and Q-matrix moments enumerate nothing: the window
+#: bounds them instead.  Override with QGAUSS_ENUM_CAP.
 DEFAULT_CAP = 12
 
 
 def enumeration_cap() -> int:
-    return int(os.environ.get("QGAUSS_ENUM_CAP", DEFAULT_CAP))
+    raw = os.environ.get("QGAUSS_ENUM_CAP")
+    if raw is None:
+        return DEFAULT_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise CapExceeded(
+            f"QGAUSS_ENUM_CAP must be an integer, got {raw!r}") from None
 
 
 def _check_cap(m: int, cap: int | None):

@@ -1,0 +1,45 @@
+"""The pair-partition sums that the transfer-matrix scan replaced, kept as
+its test oracle: one term per pair partition of the word, (m-1)!! terms
+in all, so only short words are affordable."""
+
+from fractions import Fraction
+from itertools import combinations
+
+from qgauss import moments
+from qgauss.copies import pi_word
+from qgauss.partitions import encoding_map, enumerate_pair_partitions
+from qgauss.qpoly import QPoly
+
+
+def pairing_moment(word, backend, cfg) -> QPoly:
+    """The sum over pair partitions sigma of trace_of_partition_term."""
+    xs = [x for x, _ in word]
+    hs = [h for _, h in word]
+    total = QPoly.zero()
+    for sigma in enumerate_pair_partitions(len(word)):
+        total = total + moments.trace_of_partition_term(sigma, xs, hs,
+                                                        backend, cfg)
+    return total
+
+
+def pairing_q_matrix_moment(word, colors, Qm, backend, cfg) -> Fraction:
+    """The sum over colour-matched pair partitions of the product of
+    Q[t_a][t_c] over crossings a < c < b < d, the inner products of the
+    paired vectors, and the trace of the encoded pi-word."""
+    xs = [x for x, _ in word]
+    hs = [h for _, h in word]
+    total = Fraction(0)
+    for sigma in enumerate_pair_partitions(len(word)):
+        pairs = sigma.sorted_pairs()
+        if any(colors[l - 1] != colors[r - 1] for l, r in pairs):
+            continue
+        weight = Fraction(1)
+        for l, r in pairs:
+            weight *= cfg.ip(hs[l - 1], hs[r - 1])
+        for (a, b), (c, d) in combinations(pairs, 2):
+            if a < c < b < d:
+                weight *= Fraction(Qm[colors[a - 1]][colors[c - 1]])
+        phi = encoding_map(sigma)
+        labels = [phi[pos] for pos in range(1, len(word) + 1)]
+        total += weight * backend.trace(pi_word(backend, xs, labels))
+    return total

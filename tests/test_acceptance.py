@@ -9,6 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from pairing_oracle import pairing_moment
 from qgauss import matmodel, moments, qfock, semigroup
 from qgauss.algebra import conditional_expectation, cyclic_group, group_algebra
 from qgauss.copies import (FreeHaarBackend, PermGroupBackend, TensorBackend,
@@ -29,7 +30,8 @@ def report(num, ok, detail):
 
 
 def test_criterion_1_moment_engine_equals_fock_oracle():
-    """Every field-operator word, m <= 6, dim_H <= 3, exact equality."""
+    """Every field-operator word, m <= 6, dim_H <= 3, exact equality with
+    the Fock oracle and with the pair-partition sum."""
     t0 = time.monotonic()
     backend = FreeHaarBackend(3)
     inner3 = [[Fraction(1), Fraction(1, 2), Fraction(0)],
@@ -46,12 +48,15 @@ def test_criterion_1_moment_engine_equals_fock_oracle():
         for m in range(1, 7):
             for vecs in product(basis, repeat=m):
                 word = [(backend.A_one, h) for h in vecs]
-                if moments.moment(word, backend, cfg) != \
-                        qfock.vacuum_moment(list(vecs), cfg):
-                    report(1, False, f"mismatch at {vecs}")
+                value = moments.moment(word, backend, cfg)
+                if value != qfock.vacuum_moment(list(vecs), cfg):
+                    report(1, False, f"Fock oracle mismatch at {vecs}")
+                if value != pairing_moment(word, backend, cfg):
+                    report(1, False, f"pairing oracle mismatch at {vecs}")
                 checked += 1
     dt = time.monotonic() - t0
-    report(1, dt < 60, f"{checked} words identical, {dt:.1f}s < 60s")
+    report(1, dt < 60, f"{checked} words identical to both oracles, "
+                       f"{dt:.1f}s < 60s")
 
 
 def test_criterion_2_single_variable_even_moments():

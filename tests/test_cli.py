@@ -130,3 +130,22 @@ def test_vector_dimension_mismatch(tmp_path, capsys):
 def test_missing_scenario_file(capsys):
     code, _ = run(capsys, "moment", "--scenario", "/nonexistent.json")
     assert code == 2
+
+
+def test_non_rational_q_override_exit_code(tmp_path, capsys):
+    path = write_scenario(tmp_path, BASE)
+    for bad in ("abc", "1/0"):
+        code = main(["moment", "--scenario", path, f"--q={bad}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--q" in captured.err and not captured.out
+
+
+def test_non_integer_enumeration_cap_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QGAUSS_ENUM_CAP", "x")
+    doc = dict(BASE, dims={"k_max": 1, "max_m_offset": 1})
+    path = write_scenario(tmp_path, doc)
+    code = main(["dims", "--scenario", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "QGAUSS_ENUM_CAP" in captured.err and "'x'" in captured.err

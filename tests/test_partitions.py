@@ -121,3 +121,9 @@ def test_enumeration_cap_enforced(monkeypatch):
     with pytest.raises(CapExceeded):
         enumerate_pair_partitions(6)
     assert len(enumerate_pair_partitions(6, cap=6)) == 15
+
+
+def test_non_integer_enumeration_cap_is_refused(monkeypatch):
+    monkeypatch.setenv("QGAUSS_ENUM_CAP", "x")
+    with pytest.raises(CapExceeded, match="QGAUSS_ENUM_CAP.*'x'"):
+        enumerate_pair_partitions(4)
