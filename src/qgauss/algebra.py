@@ -1,11 +1,12 @@
 """Finite-dimensional tracial *-algebras with exact rational arithmetic.
 
-The coefficient world for the copy constructions: group algebras, tensor
-products, subalgebras, traces, trace-preserving conditional expectations,
-and the one exact elimination kernel behind rank, positive-definiteness
-and linear solves.  Structure constants are exposed lazily (a callable with a
-cache) so large group algebras never materialize a full multiplication
-table.
+The coefficient world for the copy constructions: group algebras (a tensor
+product is the group algebra of the direct product), subalgebras, traces,
+trace-preserving conditional expectations, and the one exact elimination
+kernel behind rank, positive-definiteness and linear solves.  A basis
+element is keyed by its group element, so a product costs one group
+multiplication per pair of terms and a group is enumerated only where a
+computation asks for its elements.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from math import factorial, prod
 
 from .errors import InvalidGroup, SizeGuard
 
@@ -26,77 +28,47 @@ _EXHAUSTIVE_TRIPLES = 20000
 
 
 class FiniteTracialAlgebra:
-    """A *-algebra with a tracial state, given by lazy structure constants.
-
-    mul_basis(i, j) and star_basis(i) return sparse {index: Fraction}
-    combinations; both are cached internally.  trace_vector[i] = tau(b_i).
+    """The group *-algebra L(G): u_g u_h = u_{gh}, u_g* = u_{g^{-1}} and
+    tau(u_g) = [g = e].  Basis elements are keyed by the group elements
+    themselves; dim is the group order and no element table is built.
     """
 
-    def __init__(self, labels, mul_basis, star_basis, unit_index,
-                 trace_vector, name=""):
-        self.labels = list(labels)
-        self.dim = len(self.labels)
-        self.index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self.index) != self.dim:
-            raise ValueError("duplicate basis labels")
-        self._mul_basis = mul_basis
-        self._star_basis = star_basis
-        self.unit_index = unit_index
-        self.trace_vector = [Fraction(t) for t in trace_vector]
+    def __init__(self, group: Group, name=""):
+        self.group = group
+        self.dim = group.order
+        self.unit = group.identity
         self.name = name
-        self._mul_cache = {}
-        self._star_cache = {}
-        if self.trace_vector[unit_index] != 1:
-            raise ValueError("trace of the unit must be 1")
         self._projection_cache = {}
-
-    def mul_basis(self, i: int, j: int) -> dict:
-        out = self._mul_cache.get((i, j))
-        if out is None:
-            out = {k: Fraction(c) for k, c in self._mul_basis(i, j).items() if c}
-            self._mul_cache[(i, j)] = out
-        return out
-
-    def star_basis(self, i: int) -> dict:
-        out = self._star_cache.get(i)
-        if out is None:
-            out = {k: Fraction(c) for k, c in self._star_basis(i).items() if c}
-            self._star_cache[i] = out
-        return out
 
     # -- element constructors -----------------------------------------
 
     @property
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, {self.unit_index: Fraction(1)})
+        return AlgebraElement(self, {self.unit: Fraction(1)})
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, {})
 
-    def basis_element(self, i: int) -> "AlgebraElement":
-        return AlgebraElement(self, {i: Fraction(1)})
+    def basis_element(self, g) -> "AlgebraElement":
+        return AlgebraElement(self, {g: Fraction(1)})
 
     def element(self, coeffs: dict) -> "AlgebraElement":
-        """Build an element from a {label: rational} mapping."""
-        out = {}
-        for lab, c in coeffs.items():
-            c = Fraction(c)
-            if c:
-                out[self.index[lab]] = out.get(self.index[lab], Fraction(0)) + c
-        return AlgebraElement(self, {i: c for i, c in out.items() if c})
+        """Build an element from a {group element: rational} mapping."""
+        return AlgebraElement(self, {g: Fraction(c)
+                                     for g, c in coeffs.items() if c})
 
     def __repr__(self):
         return f"FiniteTracialAlgebra({self.name or 'dim=%d' % self.dim})"
 
 
 class AlgebraElement:
-    """Sparse rational combination of basis elements of a parent algebra."""
+    """Sparse rational combination of the basis of a group algebra."""
 
     __slots__ = ("parent", "coeffs")
 
     def __init__(self, parent: FiniteTracialAlgebra, coeffs: dict):
         self.parent = parent
-        self.coeffs = coeffs  # {basis index: nonzero Fraction}
+        self.coeffs = coeffs  # {group element: nonzero Fraction}
 
     def _check(self, other):
         if self.parent is not other.parent:
@@ -105,12 +77,12 @@ class AlgebraElement:
     def __add__(self, other):
         self._check(other)
         out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            nc = out.get(i, Fraction(0)) + c
+        for g, c in other.coeffs.items():
+            nc = out.get(g, Fraction(0)) + c
             if nc:
-                out[i] = nc
+                out[g] = nc
             else:
-                out.pop(i, None)
+                out.pop(g, None)
         return AlgebraElement(self.parent, out)
 
     def __sub__(self, other):
@@ -119,38 +91,31 @@ class AlgebraElement:
     def __mul__(self, other):
         self._check(other)
         out = {}
-        mul = self.parent.mul_basis
-        for i, ci in self.coeffs.items():
-            for j, cj in other.coeffs.items():
-                c = ci * cj
-                for k, ck in mul(i, j).items():
-                    nc = out.get(k, Fraction(0)) + c * ck
-                    if nc:
-                        out[k] = nc
-                    else:
-                        out.pop(k, None)
+        mul = self.parent.group.mul
+        for g, cg in self.coeffs.items():
+            for h, ch in other.coeffs.items():
+                k = mul(g, h)
+                c = cg * ch
+                if k in out:
+                    c += out[k]
+                    if not c:
+                        del out[k]
+                        continue
+                out[k] = c
         return AlgebraElement(self.parent, out)
 
     def scale(self, c) -> "AlgebraElement":
         c = Fraction(c)
         if not c:
             return AlgebraElement(self.parent, {})
-        return AlgebraElement(self.parent, {i: c * x for i, x in self.coeffs.items()})
+        return AlgebraElement(self.parent, {g: c * x for g, x in self.coeffs.items()})
 
     def star(self) -> "AlgebraElement":
-        out = {}
-        for i, ci in self.coeffs.items():
-            for k, ck in self.parent.star_basis(i).items():
-                nc = out.get(k, Fraction(0)) + ci * ck
-                if nc:
-                    out[k] = nc
-                else:
-                    out.pop(k, None)
-        return AlgebraElement(self.parent, out)
+        inv = self.parent.group.inv
+        return AlgebraElement(self.parent, {inv(g): c for g, c in self.coeffs.items()})
 
     def trace(self) -> Fraction:
-        tv = self.parent.trace_vector
-        return sum((c * tv[i] for i, c in self.coeffs.items()), Fraction(0))
+        return self.coeffs.get(self.parent.unit, Fraction(0))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -164,8 +129,7 @@ class AlgebraElement:
         return hash((id(self.parent), frozenset(self.coeffs.items())))
 
     def __repr__(self):
-        terms = [f"{c}*[{self.parent.labels[i]}]"
-                 for i, c in sorted(self.coeffs.items())]
+        terms = [f"{c}*[{g}]" for g, c in sorted(self.coeffs.items())]
         return "AlgebraElement(" + (" + ".join(terms) or "0") + ")"
 
 
@@ -173,21 +137,40 @@ class AlgebraElement:
 # groups and group algebras
 
 
+class Elements:
+    """The elements of a group, generated afresh on each iteration and
+    never stored, with the group order alongside."""
+
+    def __init__(self, order: int, generate):
+        self.order = order
+        self._generate = generate
+
+    def __iter__(self):
+        return iter(self._generate())
+
+
 @dataclass(frozen=True)
 class Group:
     """A finite group presented by element set, product, and inverse."""
 
-    elements: tuple
+    elements: object  # a sized iterable, or Elements
     mul: object  # callable (g, h) -> g*h
     inv: object  # callable g -> g^{-1}
     identity: object
+
+    @property
+    def order(self) -> int:
+        """|G|, without enumerating lazily generated elements."""
+        if isinstance(self.elements, Elements):
+            return self.elements.order
+        return len(self.elements)
 
 
 def validate_group(group: Group):
     """Check the group axioms; exhaustively for small groups, sampled above
     the triple budget.  Raises InvalidGroup with a witness on failure.
     """
-    els = group.elements
+    els = tuple(group.elements)
     eset = set(els)
     e = group.identity
     if e not in eset:
@@ -217,19 +200,7 @@ def group_algebra(group: Group, validate: bool = True) -> FiniteTracialAlgebra:
     """The group *-algebra with tau(u_g) = [g = e] and u_g* = u_{g^{-1}}."""
     if validate:
         validate_group(group)
-    labels = list(group.elements)
-    index = {g: i for i, g in enumerate(labels)}
-
-    def mul_basis(i, j):
-        return {index[group.mul(labels[i], labels[j])]: Fraction(1)}
-
-    def star_basis(i):
-        return {index[group.inv(labels[i])]: Fraction(1)}
-
-    trace = [Fraction(int(g == group.identity)) for g in labels]
-    return FiniteTracialAlgebra(labels, mul_basis, star_basis,
-                                index[group.identity], trace,
-                                name=f"L(G), |G|={len(labels)}")
+    return FiniteTracialAlgebra(group, name=f"L(G), |G|={group.order}")
 
 
 def symmetric_group(points) -> Group:
@@ -238,14 +209,11 @@ def symmetric_group(points) -> Group:
     A permutation is stored as a tuple p with p[i] = position of the image
     of the i-th point (points taken in their given order).
     """
-    points = tuple(points)
-    n = len(points)
-    els = tuple(permutations(range(n)))
-    identity = tuple(range(n))
+    n = len(tuple(points))
 
     def mul(p, r):
         # (p o r): apply r first
-        return tuple(p[r[i]] for i in range(n))
+        return tuple(map(p.__getitem__, r))
 
     def inv(p):
         out = [0] * n
@@ -253,55 +221,45 @@ def symmetric_group(points) -> Group:
             out[pi] = i
         return tuple(out)
 
-    return Group(els, mul, inv, identity)
+    return Group(Elements(factorial(n), lambda: permutations(range(n))),
+                 mul, inv, tuple(range(n)))
 
 
 def cyclic_group(n: int) -> Group:
-    return Group(tuple(range(n)), lambda a, b: (a + b) % n,
-                 lambda a: (-a) % n, 0)
+    return Group(range(n), lambda a, b: (a + b) % n, lambda a: (-a) % n, 0)
+
+
+def direct_product(*groups) -> Group:
+    """G_1 x ... x G_n with componentwise operations on element tuples."""
+    muls = [g.mul for g in groups]
+    invs = [g.inv for g in groups]
+
+    def mul(a, b):
+        return tuple([f(x, y) for f, x, y in zip(muls, a, b)])
+
+    def inv(a):
+        return tuple([f(x) for f, x in zip(invs, a)])
+
+    return Group(Elements(prod(g.order for g in groups),
+                          lambda: product(*(g.elements for g in groups))),
+                 mul, inv, tuple(g.identity for g in groups))
 
 
 # ---------------------------------------------------------------------
 # tensor products
 
 
-def tensor_algebra(a: FiniteTracialAlgebra,
-                   b: FiniteTracialAlgebra) -> FiniteTracialAlgebra:
-    """A (x) B with componentwise product, product trace, componentwise *."""
-    labels = [(la, lb) for la in a.labels for lb in b.labels]
-
-    def split(i):
-        return divmod(i, b.dim)
-
-    def mul_basis(i, j):
-        ia, ib = split(i)
-        ja, jb = split(j)
-        out = {}
-        for ka, ca in a.mul_basis(ia, ja).items():
-            for kb, cb in b.mul_basis(ib, jb).items():
-                out[ka * b.dim + kb] = ca * cb
-        return out
-
-    def star_basis(i):
-        ia, ib = split(i)
-        out = {}
-        for ka, ca in a.star_basis(ia).items():
-            for kb, cb in b.star_basis(ib).items():
-                out[ka * b.dim + kb] = ca * cb
-        return out
-
-    trace = [a.trace_vector[i] * b.trace_vector[j]
-             for i in range(a.dim) for j in range(b.dim)]
-    unit = a.unit_index * b.dim + b.unit_index
-    return FiniteTracialAlgebra(labels, mul_basis, star_basis, unit, trace,
-                                name=f"({a.name})x({b.name})")
+def tensor_algebra(*factors: FiniteTracialAlgebra) -> FiniteTracialAlgebra:
+    """A_1 (x) ... (x) A_n: the group algebra of the direct product, keyed
+    by tuples of factor keys, with the product trace."""
+    return FiniteTracialAlgebra(
+        direct_product(*(f.group for f in factors)),
+        name="x".join(f"({f.name})" for f in factors))
 
 
 def trivial_algebra() -> FiniteTracialAlgebra:
     """The scalars as a one-dimensional algebra."""
-    return FiniteTracialAlgebra(
-        ["1"], lambda i, j: {0: Fraction(1)}, lambda i: {0: Fraction(1)},
-        0, [Fraction(1)], name="C")
+    return FiniteTracialAlgebra(cyclic_group(1), name="C")
 
 
 # ---------------------------------------------------------------------
@@ -310,27 +268,33 @@ def trivial_algebra() -> FiniteTracialAlgebra:
 
 @dataclass(frozen=True)
 class SubalgebraSpec:
-    """A unital *-closed span of basis elements, given by their indices."""
+    """A unital *-closed span of basis elements, given by their group
+    elements; the algebra's own lazy element set stands for the whole."""
 
     algebra: FiniteTracialAlgebra
-    indices: frozenset
+    indices: object  # a frozenset of group elements, or algebra.group.elements
 
     def __post_init__(self):
-        alg, idx = self.algebra, self.indices
-        if len(idx) == alg.dim:
+        if self.whole:
             return  # the whole algebra, nothing to verify
-        if alg.unit_index not in idx:
+        group, idx = self.algebra.group, self.indices
+        if group.identity not in idx:
             raise ValueError("subalgebra must contain the unit")
-        for i in idx:
-            if any(k not in idx for k in alg.star_basis(i)):
-                raise ValueError(f"not *-closed at basis {i}")
-        for i in idx:
-            for j in idx:
-                if any(k not in idx for k in alg.mul_basis(i, j)):
-                    raise ValueError(f"not closed under product at ({i},{j})")
+        for g in idx:
+            if group.inv(g) not in idx:
+                raise ValueError(f"not *-closed at basis {g}")
+        for g in idx:
+            for h in idx:
+                if group.mul(g, h) not in idx:
+                    raise ValueError(f"not closed under product at ({g},{h})")
+
+    @property
+    def whole(self) -> bool:
+        idx = self.indices
+        return idx is self.algebra.group.elements or len(idx) == self.algebra.dim
 
     def contains(self, x: AlgebraElement) -> bool:
-        return all(i in self.indices for i in x.coeffs)
+        return all(g in self.indices for g in x.coeffs)
 
 
 def eliminate(a, ncols: int) -> tuple[list, bool]:
@@ -403,25 +367,24 @@ def conditional_expectation(x: AlgebraElement,
     alg = sub.algebra
     if x.parent is not alg:
         raise ValueError("element not in the subalgebra's parent")
-    if len(sub.indices) == alg.dim:
+    if sub.whole:
         return x
     if len(sub.indices) > PROJECTION_GUARD:
         raise SizeGuard(
             f"generic projection over {len(sub.indices)} basis elements "
             f"exceeds the guard {PROJECTION_GUARD}")
-    basis = sorted(sub.indices)
     cached = alg._projection_cache.get(sub.indices)
     if cached is None:
-        stars = [alg.basis_element(i).star() for i in basis]
+        basis = sorted(sub.indices)
+        stars = [alg.basis_element(g).star() for g in basis]
         gram = [[(stars[r] * alg.basis_element(basis[c])).trace()
                  for c in range(len(basis))] for r in range(len(basis))]
-        alg._projection_cache[sub.indices] = (stars, gram)
-    else:
-        stars, gram = cached
+        cached = alg._projection_cache[sub.indices] = (basis, stars, gram)
+    basis, stars, gram = cached
     rhs = [(s * x).trace() for s in stars]
     coeffs = solve(gram, rhs)
     out = {}
-    for i, c in zip(basis, coeffs):
+    for g, c in zip(basis, coeffs):
         if c:
-            out[i] = c
+            out[g] = c
     return AlgebraElement(alg, out)

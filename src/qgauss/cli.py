@@ -68,9 +68,8 @@ def cmd_moment(args) -> int:
 
 def cmd_dims(args) -> int:
     sc = Scenario.load(args.scenario)
-    k_max = int(sc.dims.get("k_max", 2))
-    offset = int(sc.dims.get("max_m_offset", 4))
-    report = dimensions.growth_report(sc.backend, k_max, max_m_offset=offset)
+    report = dimensions.growth_report(sc.backend, sc.k_max,
+                                      max_m_offset=sc.max_m_offset)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -122,8 +121,11 @@ def _suite_axioms():
     for name, backend in backends:
         report = axiom_check(backend, word_len=3)
         for ax in ("axiom1", "axiom2", "axiom3", "axiom4", "axiom5"):
-            checks.append({"check": f"{name}:{ax}", "ok": report[ax]["ok"],
-                           "witness": report[ax]["witness"]})
+            check = {"check": f"{name}:{ax}", "ok": report[ax]["ok"],
+                     "witness": report[ax]["witness"]}
+            if report[ax].get("by_construction"):
+                check["by_construction"] = True
+            checks.append(check)
     return checks
 
 

@@ -21,84 +21,150 @@ class ScenarioError(QGaussError):
     """A scenario violated a module precondition; the message names it."""
 
 
-def _frac(x) -> Fraction:
+def _frac(x, path: str) -> Fraction:
     try:
         return Fraction(x)
     except (ValueError, TypeError, ZeroDivisionError) as e:
-        raise ScenarioError(f"not a rational number: {x!r}") from e
+        raise ScenarioError(f"{path}: not a rational number: {x!r}") from e
 
 
-def build_algebra(spec: dict):
+def _int(spec: dict, key: str, path: str, default=None) -> int:
+    """spec[key] as an integer (an int, an integral float, or a string of
+    digits); missing is allowed only with a default."""
+    where = f"{path}.{key}" if path else key
+    if key not in spec:
+        if default is None:
+            raise ScenarioError(f"{where}: missing")
+        return default
+    v = spec[key]
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, str):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    raise ScenarioError(f"{where}: not an integer: {v!r}")
+
+
+def _object(spec, path: str) -> dict:
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{path}: expected a JSON object, got {spec!r}")
+    return spec
+
+
+def _list(spec, path: str) -> list:
+    if not isinstance(spec, list):
+        raise ScenarioError(f"{path}: expected a JSON list, got {spec!r}")
+    return spec
+
+
+def _matrix(spec, path: str) -> list:
+    return [[_frac(x, f"{path}[{i}][{j}]")
+             for j, x in enumerate(_list(row, f"{path}[{i}]"))]
+            for i, row in enumerate(_list(spec, path))]
+
+
+def build_algebra(spec, path: str):
+    spec = _object(spec, path)
     kind = spec.get("kind")
     if kind == "trivial":
         return trivial_algebra()
     if kind == "cyclic":
-        return group_algebra(cyclic_group(int(spec["n"])))
+        return group_algebra(cyclic_group(_int(spec, "n", path)))
     if kind == "symmetric":
-        return group_algebra(symmetric_group(range(int(spec["n"]))))
-    raise ScenarioError(f"unknown algebra kind {kind!r} "
+        return group_algebra(symmetric_group(range(_int(spec, "n", path))))
+    raise ScenarioError(f"{path}.kind: unknown algebra kind {kind!r} "
                         "(expected trivial, cyclic, or symmetric)")
 
 
-def build_backend(spec: dict):
+def build_backend(spec):
+    spec = _object(spec, "backend")
     kind = spec.get("kind")
-    window = int(spec.get("window", 4))
-    if kind == "free_haar":
-        return copies.FreeHaarBackend(window)
-    if kind == "perm_group":
-        return copies.PermGroupBackend(int(spec.get("d", 1)), window)
-    if kind == "tensor":
-        B = build_algebra(spec.get("B", {"kind": "trivial"}))
-        C = build_algebra(spec.get("C", {"kind": "cyclic", "n": 2}))
-        return copies.TensorBackend(B, C, window)
-    raise ScenarioError(f"unknown backend kind {kind!r} "
+    window = _int(spec, "window", "backend", 4)
+    try:
+        if kind == "free_haar":
+            return copies.FreeHaarBackend(window)
+        if kind == "perm_group":
+            return copies.PermGroupBackend(_int(spec, "d", "backend", 1), window)
+        if kind == "tensor":
+            B = build_algebra(spec.get("B", {"kind": "trivial"}), "backend.B")
+            C = build_algebra(spec.get("C", {"kind": "cyclic", "n": 2}),
+                              "backend.C")
+            return copies.TensorBackend(B, C, window)
+    except ValueError as e:
+        raise ScenarioError(f"backend: {e}") from e
+    raise ScenarioError(f"backend.kind: unknown backend kind {kind!r} "
                         "(expected free_haar, perm_group, or tensor)")
 
 
-def build_cfg(spec: dict) -> FockConfig:
-    dim_H = int(spec.get("dim_H", 1))
+def build_cfg(spec) -> FockConfig:
+    spec = _object(spec, "fock")
+    dim_H = _int(spec, "dim_H", "fock", 1)
     inner = spec.get("inner")
     if inner is not None:
-        inner = tuple(tuple(_frac(x) for x in row) for row in inner)
+        inner = tuple(map(tuple, _matrix(inner, "fock.inner")))
     try:
-        return FockConfig(dim_H, inner, int(spec.get("max_degree", 6)))
+        return FockConfig(dim_H, inner, _int(spec, "max_degree", "fock", 6))
     except ValueError as e:
         raise ScenarioError(f"invalid Fock configuration: {e}") from e
 
 
-def _coefficient(spec, backend):
+def _coefficient(spec, backend, path: str):
     if isinstance(spec, str):
         try:
             return backend.S[spec]
         except KeyError:
             raise ScenarioError(
-                f"unknown generator {spec!r}; backend offers "
+                f"{path}: unknown generator {spec!r}; backend offers "
                 f"{sorted(backend.S)}") from None
     if isinstance(spec, dict):
         out = None
         for name, c in spec.items():
-            term = _coefficient(name, backend).scale(_frac(c))
+            term = _coefficient(name, backend, path).scale(
+                _frac(c, f"{path}.{name}"))
             out = term if out is None else out + term
         if out is None:
-            raise ScenarioError("empty coefficient combination")
+            raise ScenarioError(f"{path}: empty coefficient combination")
         return out
-    raise ScenarioError(f"bad coefficient spec {spec!r}")
+    raise ScenarioError(f"{path}: bad coefficient spec {spec!r}")
 
 
 def build_word(word_spec, backend, cfg: FockConfig):
     """Returns (word, colors): word a list of (x, h) letters."""
     word = []
     colors = []
-    for i, letter in enumerate(word_spec):
-        x = _coefficient(letter.get("coeff", "1"), backend)
-        h = tuple(_frac(v) for v in letter["vector"])
+    for i, letter in enumerate(_list(word_spec, "word")):
+        path = f"word[{i}]"
+        letter = _object(letter, path)
+        x = _coefficient(letter.get("coeff", "1"), backend, f"{path}.coeff")
+        if "vector" not in letter:
+            raise ScenarioError(f"{path}.vector: missing")
+        h = tuple(_frac(v, f"{path}.vector[{j}]")
+                  for j, v in enumerate(_list(letter["vector"], f"{path}.vector")))
         if len(h) != cfg.dim_H:
             raise ScenarioError(
-                f"letter {i}: vector has {len(h)} coordinates, "
+                f"{path}.vector: has {len(h)} coordinates, "
                 f"dim_H is {cfg.dim_H}")
         word.append((x, h))
-        colors.append(int(letter.get("color", 0)))
+        colors.append(_int(letter, "color", path, 0))
     return word, colors
+
+
+def _q_matrix(spec) -> list:
+    """A square symmetric rational matrix with entries in [-1, 1]."""
+    Q = _matrix(spec, "Q")
+    for i, row in enumerate(Q):
+        if len(row) != len(Q):
+            raise ScenarioError(f"Q[{i}]: has {len(row)} entries, Q has "
+                                f"{len(Q)} rows")
+        for j, x in enumerate(row):
+            if x != Q[j][i] or abs(x) > 1:
+                raise ScenarioError(f"Q[{i}][{j}]: {x} breaks symmetry "
+                                    "or lies outside [-1, 1]")
+    return Q
 
 
 class Scenario:
@@ -111,12 +177,20 @@ class Scenario:
         self.cfg = build_cfg(data.get("fock", {}))
         self.word, self.colors = build_word(data.get("word", []),
                                             self.backend, self.cfg)
-        self.q_values = [_frac(x) for x in data.get("q_values", [])]
-        self.n = int(data["n"]) if "n" in data else None
+        self.q_values = [_frac(x, f"q_values[{i}]") for i, x in
+                         enumerate(_list(data.get("q_values", []), "q_values"))]
+        self.n = _int(data, "n", "") if "n" in data else None
         self.Q = None
         if "Q" in data:
-            self.Q = [[_frac(x) for x in row] for row in data["Q"]]
-        self.dims = data.get("dims", {})
+            self.Q = _q_matrix(data["Q"])
+            for i, c in enumerate(self.colors):
+                if not 0 <= c < len(self.Q):
+                    raise ScenarioError(
+                        f"word[{i}].color: {c} is outside the "
+                        f"{len(self.Q)}x{len(self.Q)} Q matrix")
+        dims = _object(data.get("dims", {}), "dims")
+        self.k_max = _int(dims, "k_max", "dims", 2)
+        self.max_m_offset = _int(dims, "max_m_offset", "dims", 4)
 
     @staticmethod
     def load(path: str) -> "Scenario":

@@ -149,3 +149,29 @@ def test_non_integer_enumeration_cap_exit_code(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2
     assert "QGAUSS_ENUM_CAP" in captured.err and "'x'" in captured.err
+
+
+def _perm_backend(**fields):
+    return {"kind": "perm_group", "d": 1, "window": 4, **fields}
+
+
+def _tensor_backend(C):
+    return {"kind": "tensor", "window": 4, "C": C}
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"word": [{"coeff": "1"}]}, "word[0].vector"),
+    ({"backend": _tensor_backend({"kind": "cyclic"})}, "backend.C.n"),
+    ({"backend": _tensor_backend({"kind": "cyclic", "n": "x"})}, "backend.C.n"),
+    ({"Q": [["1/2"]], "word": [{"vector": ["1"], "color": 0},
+                               {"vector": ["1"], "color": 1}]}, "word[1].color"),
+    ({"word": ["u"]}, "word[0]"),
+    ({"backend": _perm_backend(d="x")}, "backend.d"),
+    ({"backend": _perm_backend(window=2.5)}, "backend.window"),
+])
+def test_malformed_scenario_names_the_field(tmp_path, capsys, change, field):
+    path = write_scenario(tmp_path, dict(BASE, **change))
+    code = main(["moment", "--scenario", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {field}:") and not captured.out

@@ -1,13 +1,21 @@
 """The three backends realizing symmetric independent copies, and the
 exhaustive axiom checker that certifies them at small window sizes."""
 
+import math
 from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 
-from qgauss.algebra import cyclic_group, group_algebra
+from qgauss import moments
+from qgauss.algebra import (PROJECTION_GUARD, conditional_expectation,
+                            cyclic_group, group_algebra)
 from qgauss.copies import (FreeHaarBackend, FreeWordElement, PermGroupBackend,
-                           TensorBackend, axiom_check)
+                           TensorBackend, axiom_check, pi_word)
+from qgauss.errors import SizeGuard
+from qgauss.qfock import FockConfig
+
+H1 = (Fraction(1),)
 
 
 @pytest.fixture(scope="module")
@@ -138,9 +146,141 @@ def test_axioms_hold(name, free3, perm3, tensor3):
     assert report["passed"]
     assert report["axiom2"]["checked"] > 0
     assert report["axiom3"]["checked"] > 0
+    assert report["axiom5"]["by_construction"] is True
+    assert report["axiom5"]["checked"] == 0
 
 
 def test_dim_bounds(free3, perm3, tensor3):
     assert [free3.dim_bound(k) for k in (1, 2, 3)] == [4, 16, 64]
     assert [perm3.dim_bound(k) for k in (1, 2, 3)] == [2, 4, 8]
     assert tensor3.dim_bound(2) == 4  # |C| = 2 per slot
+
+
+# ---------------------------------------------------------------------
+# lazy group algebras against an enumerated reference
+
+
+def _subsets(items):
+    return [frozenset(c) for r in range(len(items) + 1)
+            for c in combinations(items, r)]
+
+
+class EnumeratedPerm:
+    """The permutation backend with all of S_{d+J+1} listed up front and
+    each element named by its position in that list."""
+
+    def __init__(self, d, window):
+        self.d, self.window = d, window
+        self.n = d + 1 + window
+        self.labels = list(permutations(range(self.n)))
+        self.index = {g: i for i, g in enumerate(self.labels)}
+
+    def mul(self, p, r):
+        return tuple(p[r[i]] for i in range(self.n))
+
+    def inverse(self, p):
+        return tuple(sorted(range(self.n), key=lambda i: p[i]))
+
+    def conjugate(self, phi, x):
+        """{index: c} -> {index: c} under g -> phi g phi^-1."""
+        inv = self.inverse(phi)
+        return {self.index[self.mul(phi, self.mul(self.labels[i], inv))]: c
+                for i, c in x.items()}
+
+    def times(self, x, y):
+        out = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                k = self.index[self.mul(self.labels[i], self.labels[j])]
+                out[k] = out.get(k, 0) + a * b
+        return {k: c for k, c in out.items() if c}
+
+    def swap(self, j):
+        t = list(range(self.n))
+        t[self.d + 1], t[self.d + j] = t[self.d + j], t[self.d + 1]
+        return tuple(t)
+
+    def support(self, I):
+        fixed = [self.d + p for p in range(1, self.window + 1) if p not in I]
+        return frozenset(i for i, g in enumerate(self.labels)
+                         if all(g[p] == p for p in fixed))
+
+    def pi_word(self, xs, labels):
+        prod = {self.index[tuple(range(self.n))]: Fraction(1)}
+        for x, j in zip(xs, labels):
+            prod = self.times(prod, self.conjugate(self.swap(j), x))
+        return prod
+
+    def expect(self, I, x):
+        keep = self.support(I)
+        return {i: c for i, c in x.items() if i in keep}
+
+    def relabel(self, gamma, x):
+        phi = list(range(self.n))
+        for j, jg in gamma.items():
+            phi[self.d + j] = self.d + jg
+        return self.conjugate(tuple(phi), x)
+
+    def trace(self, x):
+        return x.get(self.index[tuple(range(self.n))], 0)
+
+
+@pytest.mark.parametrize("d, J", [(1, 3), (2, 3)])
+def test_lazy_perm_backend_equals_enumerated_group(d, J):
+    backend = PermGroupBackend(d, J)
+    ref = EnumeratedPerm(d, J)
+
+    def as_index(x):
+        return {ref.index[g]: c for g, c in x.coeffs.items()}
+
+    for I in _subsets(range(1, J + 1)):
+        spec = backend.subalgebra_spec(I)
+        assert {ref.index[g] for g in spec.indices} == ref.support(I)
+    letters = {"1": backend.A_one, "u01": backend.S["u01"]}
+    ref_letters = {name: as_index(x) for name, x in letters.items()}
+    relabelings = [{1: 2, 2: 3, 3: 1}, {1: 3, 3: 1}]
+    for m in (1, 2, 3):
+        for names in product(letters, repeat=m):
+            for labels in product(range(1, J + 1), repeat=m):
+                x = pi_word(backend, [letters[n] for n in names], labels)
+                want = ref.pi_word([ref_letters[n] for n in names], labels)
+                assert as_index(x) == want
+                assert backend.trace(x) == ref.trace(want)
+                for I in _subsets(range(1, J + 1)):
+                    assert as_index(backend.expect(I, x)) == ref.expect(I, want)
+                for gamma in relabelings:
+                    assert as_index(backend.relabel(gamma, x)) == \
+                        ref.relabel(gamma, want)
+
+
+def test_perm_backend_never_builds_D():
+    backend = PermGroupBackend(2, 10)
+    assert backend.D.dim == math.factorial(13)
+    cfg = FockConfig(1, max_degree=8)
+    word = [(backend.S["u01"], H1)] * 16
+    assert moments.moment(word, backend, cfg).coeffs == (1430,)  # Catalan(8)
+
+
+def test_tensor_backend_at_window_12():
+    z2, z3 = group_algebra(cyclic_group(2)), group_algebra(cyclic_group(3))
+    backend = TensorBackend(z2, z3, 12)
+    assert backend.D.dim == 2 * 3 ** 12
+    g = backend.S["g"]
+    word = [(g if i % 2 == 0 else g.star(), H1) for i in range(16)]
+    poly = moments.moment(word, backend, FockConfig(1, max_degree=8))
+    assert poly.eval(0) == 1430  # Catalan(8)
+    assert poly.eval(1) == math.factorial(8)
+
+
+def test_subalgebra_specs_are_cached_and_guarded():
+    backend = PermGroupBackend(2, 6)
+    assert backend.subalgebra_spec([1, 2]) is backend.subalgebra_spec((2, 1))
+    assert len(backend.subalgebra_spec([1, 2]).indices) == math.factorial(5)
+    # |I| = 4 gives (d+1+|I|)! = 7! basis elements, over the guard
+    assert math.factorial(7) > PROJECTION_GUARD
+    with pytest.raises(SizeGuard, match="5040"):
+        backend.subalgebra_spec(range(1, 5))
+    # the whole window is all of D, listed by nobody
+    whole = backend.subalgebra_spec(range(1, 7))
+    x = pi_word(backend, [backend.S["u01"]] * 2, [3, 6])
+    assert conditional_expectation(x, whole) is x
