@@ -117,6 +117,21 @@ class AlgebraElement:
     def trace(self) -> Fraction:
         return self.coeffs.get(self.parent.unit, Fraction(0))
 
+    def trace_with(self, other: "AlgebraElement") -> Fraction:
+        """tau(self * other) = sum_g self_g other_{g^-1}, since
+        tau(u_g u_h) = [gh = e]; the product is never formed."""
+        self._check(other)
+        a, b = self.coeffs, other.coeffs
+        if len(b) < len(a):
+            a, b = b, a
+        inv = self.parent.group.inv
+        total = Fraction(0)
+        for g, c in a.items():
+            d = b.get(inv(g))
+            if d:
+                total += c * d
+        return total
+
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -342,18 +357,39 @@ def is_positive_definite(mat) -> bool:
             and all(p > 0 for p in pivots))
 
 
-def solve(mat, rhs) -> list:
-    """Solve M c = b over the rationals for a nonsingular square M."""
+def factor(mat) -> list:
+    """Factor a nonsingular square rational matrix M for repeated solves.
+
+    One elimination of [M | I] gives echelon rows U and a carried block E
+    with E M = U (row exchanges included).  Row i is kept as (U_ii, the
+    nonzero U_ij with j > i, the nonzero E_ik); solving M c = b is then
+    the two sparse substitutions of _substitute.
+    """
     n = len(mat)
-    a = [list(mat[i]) + [rhs[i]] for i in range(n)]
+    a = [list(row) + [int(i == k) for k in range(n)]
+         for i, row in enumerate(mat)]
     pivots, _ = eliminate(a, n)
     if len(pivots) != n:
         raise ValueError("singular matrix")
-    out = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = a[i][n] - sum(a[i][j] * out[j] for j in range(i + 1, n) if a[i][j])
-        out[i] = Fraction(s, a[i][i])
+    return [(row[i], [(j, row[j]) for j in range(i + 1, n) if row[j]],
+             [(k, row[n + k]) for k in range(n) if row[n + k]])
+            for i, row in enumerate(a)]
+
+
+def _substitute(factors, rhs) -> list:
+    """Solve U c = E b back to front, for factors from factor()."""
+    out = [Fraction(0)] * len(factors)
+    for i in range(len(factors) - 1, -1, -1):
+        pivot, upper, carried = factors[i]
+        s = (sum(e * rhs[k] for k, e in carried if rhs[k])
+             - sum(u * out[j] for j, u in upper if out[j]))
+        out[i] = Fraction(s, pivot)
     return out
+
+
+def solve(mat, rhs) -> list:
+    """Solve M c = b over the rationals for a nonsingular square M."""
+    return _substitute(factor(mat), rhs)
 
 
 def conditional_expectation(x: AlgebraElement,
@@ -361,8 +397,9 @@ def conditional_expectation(x: AlgebraElement,
     """Trace-preserving conditional expectation onto the subalgebra.
 
     Computed as the tau-orthogonal projection onto the sub-basis span:
-    solve the sub-basis Gram system G c = (tau(b_i* x))_i exactly.  The
-    identity shortcut applies when sub is the whole algebra.
+    solve the sub-basis Gram system G c = (tau(b_i* x))_i exactly, with G
+    factored once per subalgebra.  The identity shortcut applies when sub
+    is the whole algebra.
     """
     alg = sub.algebra
     if x.parent is not alg:
@@ -377,14 +414,10 @@ def conditional_expectation(x: AlgebraElement,
     if cached is None:
         basis = sorted(sub.indices)
         stars = [alg.basis_element(g).star() for g in basis]
-        gram = [[(stars[r] * alg.basis_element(basis[c])).trace()
-                 for c in range(len(basis))] for r in range(len(basis))]
-        cached = alg._projection_cache[sub.indices] = (basis, stars, gram)
-    basis, stars, gram = cached
-    rhs = [(s * x).trace() for s in stars]
-    coeffs = solve(gram, rhs)
-    out = {}
-    for g, c in zip(basis, coeffs):
-        if c:
-            out[g] = c
-    return AlgebraElement(alg, out)
+        gram = [[s.trace_with(alg.basis_element(g)) for g in basis]
+                for s in stars]
+        cached = alg._projection_cache[sub.indices] = (basis, stars,
+                                                       factor(gram))
+    basis, stars, factors = cached
+    coeffs = _substitute(factors, [s.trace_with(x) for s in stars])
+    return AlgebraElement(alg, {g: c for g, c in zip(basis, coeffs) if c})

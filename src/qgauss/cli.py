@@ -182,6 +182,14 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------
 
 
+def _sample_count(text: str) -> int:
+    """A Monte Carlo sample count: a standard error needs at least two."""
+    if not text.isdigit() or int(text) < 2:
+        raise argparse.ArgumentTypeError(
+            f"needs an integer of at least 2, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="qgauss",
@@ -206,7 +214,7 @@ def main(argv=None) -> int:
     p_v.add_argument("suite", choices=("oracle", "axioms", "semigroup",
                                        "matmodel", "all"))
     p_v.add_argument("--seed", type=int, default=42)
-    p_v.add_argument("--samples", type=int, default=2000)
+    p_v.add_argument("--samples", type=_sample_count, default=2000)
     p_v.add_argument("--out")
     p_v.set_defaults(func=cmd_verify)
 

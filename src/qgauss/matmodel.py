@@ -35,6 +35,9 @@ SYMMETRY_CAP = 10
 #: Longest word the Monte Carlo estimator accepts.
 WORD_CAP = 8
 
+#: Bytes the Monte Carlo estimator may hold in its per-sample float arrays.
+SAMPLE_BYTES_CAP = 2 ** 30
+
 
 @dataclass
 class SignMatrix:
@@ -326,6 +329,14 @@ def mc_moment(word, Qm, n: int, samples: int, seed: int,
     if m > WORD_CAP:
         raise SizeGuard(f"word length {m} exceeds the cap {WORD_CAP}")
     colors, Qm, hs, cfg = _model_inputs(word, Qm, cfg, colors)
+    # float64 arrays below: gamma (n x d), g_j(h_i) (n x m) and the signs
+    # (one per pair of letters), each per sample
+    letters = n * len(set(colors))
+    nbytes = 8 * samples * (n * cfg.dim_H + n * m + math.comb(letters, 2))
+    if nbytes > SAMPLE_BYTES_CAP:
+        raise SizeGuard(
+            f"{samples} samples at n={n} need about {nbytes:,} bytes of "
+            f"Monte Carlo arrays, over the cap {SAMPLE_BYTES_CAP:,}")
     target = _limit_target(word, colors, Qm, cfg, backend)
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))

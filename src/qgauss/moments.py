@@ -17,9 +17,9 @@ from itertools import permutations
 
 from . import qfock
 from .copies import pi_word
-from .errors import WindowExceeded
+from .errors import CapExceeded, WindowExceeded
 from .partitions import (Partition12, convolution_joins, crossing_number,
-                         encoding_map)
+                         encoding_map, enumeration_cap)
 from .qfock import FockConfig
 from .qpoly import QPoly
 
@@ -169,8 +169,30 @@ def moment(word, backend, cfg: FockConfig) -> QPoly:
 # finite-n generators
 
 
+def bell_number(m: int) -> int:
+    """The number of set partitions of m points, by the Bell triangle."""
+    row = [1]
+    for _ in range(m):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
 def enumerate_set_partitions(m: int):
-    """All set partitions of {1..m} as sorted tuples of sorted blocks."""
+    """All set partitions of {1..m} as sorted tuples of sorted blocks.
+
+    There are Bell(m) of them, so m is held to the enumeration cap
+    (CapExceeded names the count) before the first one is made.
+    """
+    cap = enumeration_cap()
+    if m > cap:
+        # the triangle costs O(m^2) additions; Bell(100) > 10^115
+        count = f"{bell_number(m):,}" if m <= 100 else "over 10^115"
+        raise CapExceeded(
+            f"ground set size {m} exceeds the enumeration cap {cap}: "
+            f"Bell({m}) = {count} set partitions")
     if m == 0:
         yield ()
         return

@@ -24,7 +24,7 @@ class ScenarioError(QGaussError):
 def _frac(x, path: str) -> Fraction:
     try:
         return Fraction(x)
-    except (ValueError, TypeError, ZeroDivisionError) as e:
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as e:
         raise ScenarioError(f"{path}: not a rational number: {x!r}") from e
 
 
@@ -75,7 +75,9 @@ def build_algebra(spec, path: str):
     if kind == "cyclic":
         return group_algebra(cyclic_group(_int(spec, "n", path)))
     if kind == "symmetric":
-        return group_algebra(symmetric_group(range(_int(spec, "n", path))))
+        # a group by construction; validation would list all n! elements
+        return group_algebra(symmetric_group(range(_int(spec, "n", path))),
+                             validate=False)
     raise ScenarioError(f"{path}.kind: unknown algebra kind {kind!r} "
                         "(expected trivial, cyclic, or symmetric)")
 
@@ -160,6 +162,7 @@ def _q_matrix(spec) -> list:
         if len(row) != len(Q):
             raise ScenarioError(f"Q[{i}]: has {len(row)} entries, Q has "
                                 f"{len(Q)} rows")
+    for i, row in enumerate(Q):
         for j, x in enumerate(row):
             if x != Q[j][i] or abs(x) > 1:
                 raise ScenarioError(f"Q[{i}][{j}]: {x} breaks symmetry "

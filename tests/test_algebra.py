@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qgauss import algebra
 from qgauss.algebra import (Group, SubalgebraSpec, conditional_expectation,
                             cyclic_group, group_algebra, is_positive_definite,
                             rank, solve, symmetric_group, tensor_algebra,
@@ -106,6 +107,36 @@ def test_conditional_expectation_module_property(cs, c):
         assert rhs == conditional_expectation(x, sub) * a
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_trace_with_is_trace_of_product(data):
+    for alg in (group_algebra(symmetric_group(range(3)), validate=False),
+                tensor_algebra(group_algebra(cyclic_group(2)),
+                               group_algebra(cyclic_group(3)))):
+        # sparse elements, so that the two supports differ in size
+        x, y = (alg.element(data.draw(st.dictionaries(
+            st.sampled_from(sorted(alg.group.elements)),
+            st.fractions(min_value=-3, max_value=3, max_denominator=3),
+            max_size=6))) for _ in range(2))
+        assert x.trace_with(y) == (x * y).trace()
+        assert y.trace_with(x) == x.trace_with(y)
+
+
+def test_projection_factors_each_subalgebra_once(monkeypatch):
+    calls = []
+    eliminate = algebra.eliminate
+    monkeypatch.setattr(algebra, "eliminate",
+                        lambda a, ncols: calls.append(ncols)
+                        or eliminate(a, ncols))
+    alg = group_algebra(symmetric_group(range(4)), validate=False)
+    sub = SubalgebraSpec(alg, frozenset(g for g in alg.group.elements
+                                        if g[3] == 3))
+    for g in sorted(alg.group.elements)[::5]:
+        x = alg.basis_element(g) + alg.basis_element(alg.group.inv(g))
+        conditional_expectation(x, sub)
+    assert calls == [6]
+
+
 def test_conditional_expectation_onto_scalars(s3):
     sub = SubalgebraSpec(s3, frozenset({s3.unit}))
     x = s3.element({(0, 1, 2): Fraction(3), (1, 0, 2): Fraction(5)})
@@ -151,3 +182,23 @@ def test_solve_non_orthonormal_gram():
     # first column of the inverse: cofactors (3, -2, 1) over det 4
     assert solve(gram, [1, 0, 0]) == [Fraction(3, 4), Fraction(-1, 2),
                                        Fraction(1, 4)]
+
+
+@pytest.mark.parametrize("mat", [
+    [[0, 1], [1, 0]],  # exchange at the first column
+    [[0, 2, 1], [1, 1, 0], [3, 0, 1]],
+    [[1, 1, 0], [1, 1, 1], [0, 1, 1]],  # exchange after one elimination
+])
+def test_solve_with_row_exchange(mat):
+    n = len(mat)
+    for b in ([1] + [0] * (n - 1), list(range(2, n + 2)),
+              [Fraction(-1, 3)] * n):
+        c = solve(mat, b)
+        assert [sum(m * x for m, x in zip(row, c)) for row in mat] == b
+
+
+def test_solve_singular_matrix_raises():
+    for mat in ([[1, 2], [2, 4]], [[0, 0], [0, 1]],
+                [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
+        with pytest.raises(ValueError, match="singular matrix"):
+            solve(mat, [1] * len(mat))

@@ -1,9 +1,13 @@
 """End-to-end runs of the command-line interface on scenario files."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qgauss import algebra
 from qgauss.cli import main
 
 
@@ -168,6 +172,8 @@ def _tensor_backend(C):
     ({"word": ["u"]}, "word[0]"),
     ({"backend": _perm_backend(d="x")}, "backend.d"),
     ({"backend": _perm_backend(window=2.5)}, "backend.window"),
+    ({"Q": [["0", "0"], []]}, "Q[1]"),
+    ({"word": [{"vector": [float("inf")]}]}, "word[0].vector[0]"),
 ])
 def test_malformed_scenario_names_the_field(tmp_path, capsys, change, field):
     path = write_scenario(tmp_path, dict(BASE, **change))
@@ -175,3 +181,99 @@ def test_malformed_scenario_names_the_field(tmp_path, capsys, change, field):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith(f"error: {field}:") and not captured.out
+
+
+def test_symmetric_algebra_is_not_validated(tmp_path, capsys, monkeypatch):
+    # S_10 is a group by construction; validating it would list 10! elements
+    validated = []
+    monkeypatch.setattr(algebra, "validate_group", validated.append)
+    for C, count in (({"kind": "symmetric", "n": 10}, 0),
+                     ({"kind": "cyclic", "n": 3}, 1)):
+        word = [{"coeff": "g", "vector": ["1"]}] * 2
+        path = write_scenario(tmp_path, dict(BASE, backend=_tensor_backend(C),
+                                             word=word))
+        code, _ = run(capsys, "moment", "--scenario", path)
+        assert code == 0
+        assert len(validated) == count
+        validated.clear()
+
+
+def test_size_guards_name_the_estimate(tmp_path, capsys):
+    word = [{"vector": ["1"]}] * 14
+    path = write_scenario(tmp_path, dict(BASE, word=word, n=2))
+    assert main(["moment", "--scenario", path]) == 2
+    assert "Bell(14) = 190,899,322 set partitions" in capsys.readouterr().err
+    # 8 bytes x 10^12 samples x (8 gaussians + 32 field values + 28 signs),
+    # refused before anything is allocated
+    assert main(["verify", "matmodel", "--samples", str(10 ** 12)]) == 2
+    assert "544,000,000,000,000 bytes" in capsys.readouterr().err
+
+
+def test_too_few_samples_exit_code(capsys):
+    for samples in ("1", "-3", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "matmodel", "--samples", samples])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------
+# the scenario boundary under random input
+
+_junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 8),
+                  st.floats(allow_nan=True, allow_infinity=True),
+                  st.text(max_size=4), st.lists(st.integers(-2, 3), max_size=3),
+                  st.dictionaries(st.text(max_size=3), st.integers(-2, 3),
+                                  max_size=2))
+
+
+def _or_junk(strategy):
+    return st.one_of(strategy, _junk)
+
+
+_rational = st.one_of(st.integers(-2, 2),
+                      st.floats(allow_nan=True, allow_infinity=True),
+                      st.sampled_from(["1/2", "-1/3", "0", "x", "1/0"]))
+_algebra = st.fixed_dictionaries(
+    {"kind": _or_junk(st.sampled_from(["trivial", "cyclic", "symmetric"]))},
+    optional={"n": _or_junk(st.integers(-1, 4))})
+_backend = st.fixed_dictionaries(
+    {"kind": _or_junk(st.sampled_from(["free_haar", "perm_group", "tensor"]))},
+    optional={"window": _or_junk(st.integers(-1, 5)),
+              "d": _or_junk(st.integers(-1, 2)),
+              "B": _or_junk(_algebra), "C": _or_junk(_algebra)})
+_coeff = st.one_of(
+    st.sampled_from(["1", "u", "u*", "g", "u01", "v"]),
+    st.dictionaries(st.sampled_from(["1", "u", "g", "u01", "v"]), _rational,
+                    max_size=2))
+_letter = st.fixed_dictionaries({}, optional={
+    "coeff": _or_junk(_coeff),
+    "vector": _or_junk(st.lists(_rational, max_size=3)),
+    "color": _or_junk(st.integers(-1, 2))})
+_matrix = st.lists(st.lists(_rational, max_size=3), max_size=3)
+_scenario = st.fixed_dictionaries({}, optional={
+    "backend": _or_junk(_backend),
+    "fock": _or_junk(st.fixed_dictionaries({}, optional={
+        "dim_H": _or_junk(st.integers(-1, 3)),
+        "inner": _or_junk(_matrix),
+        "max_degree": _or_junk(st.integers(-1, 6))})),
+    "word": _or_junk(st.lists(_or_junk(_letter), max_size=6)),
+    "q_values": _or_junk(st.lists(_rational, max_size=2)),
+    "n": _or_junk(st.integers(-1, 4)),
+    "Q": _or_junk(_matrix)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=st.one_of(_scenario, _junk),
+       q=st.one_of(st.none(), st.text("0123456789/-,.x", max_size=6)))
+def test_random_scenarios_exit_0_or_2(tmp_path_factory, doc, q):
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    path.write_text(json.dumps(doc))
+    argv = ["moment", "--scenario", str(path)] + ([] if q is None
+                                                  else [f"--q={q}"])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    assert (code == 2) == err.getvalue().startswith("error: ")
