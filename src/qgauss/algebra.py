@@ -2,11 +2,12 @@
 
 The coefficient world for the copy constructions: group algebras (a tensor
 product is the group algebra of the direct product), subalgebras, traces,
-trace-preserving conditional expectations, and the one exact elimination
-kernel behind rank, positive-definiteness and linear solves.  A basis
-element is keyed by its group element, so a product costs one group
-multiplication per pair of terms and a group is enumerated only where a
-computation asks for its elements.
+trace-preserving conditional expectations, the one exact elimination
+kernel behind rank, positive-definiteness and linear solves, and an
+echelon basis for spans of sparse elements.  A basis element is keyed by
+its group element, so a product costs one group multiplication per pair
+of terms and a group is enumerated only where a computation asks for its
+elements.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import permutations, product
 from math import factorial, prod
 
@@ -390,6 +392,49 @@ def _substitute(factors, rhs) -> list:
 def solve(mat, rhs) -> list:
     """Solve M c = b over the rationals for a nonsingular square M."""
     return _substitute(factor(mat), rhs)
+
+
+class EchelonBasis:
+    """An exact basis of a growing span of sparse elements (anything with
+    a .coeffs dict, scale, + and is_zero), in echelon form: each element
+    has coefficient 1 at its pivot key, which no earlier element holds.
+
+    eliminate works on a whole matrix with indexed columns; here elements
+    arrive one at a time over keys never listed in advance, and adding one
+    costs a lookup per term of it and of each element subtracted.
+    """
+
+    def __init__(self):
+        self.vectors = []
+        self._pivots = []
+        self._index = {}  # pivot key -> position in vectors
+
+    def _positions(self, x) -> list:
+        return [self._index[key] for key in x.coeffs if key in self._index]
+
+    def add(self, x) -> bool:
+        """Keep what is left of x after reduction, if anything; returns
+        whether the span grew."""
+        # by increasing position: element i holds no earlier pivot, so
+        # subtracting it brings back none that was cleared
+        todo = self._positions(x)
+        heapify(todo)
+        while todo:
+            i = heappop(todo)
+            c = x.coeffs.get(self._pivots[i])
+            if c:
+                b = self.vectors[i]
+                x = x + b.scale(-c)
+                for j in self._positions(b):
+                    if j > i:
+                        heappush(todo, j)
+        if x.is_zero():
+            return False
+        key, c = next(iter(x.coeffs.items()))
+        self._index[key] = len(self.vectors)
+        self._pivots.append(key)
+        self.vectors.append(x if c == 1 else x.scale(1 / c))
+        return True
 
 
 def conditional_expectation(x: AlgebraElement,

@@ -19,6 +19,19 @@ from .algebra import (PROJECTION_GUARD, AlgebraElement, FiniteTracialAlgebra,
 from .errors import SizeGuard, WindowExceeded
 
 
+#: Most copies a window may hold, and most extra points d of perm_group:
+#: keys, relabelings and expectations walk every one of them.
+WINDOW_GUARD = 1024
+
+
+def _check_size(name: str, value: int):
+    """Refuse an index count over the window guard, before it is used;
+    the message starts with the parameter's name."""
+    if value > WINDOW_GUARD:
+        raise SizeGuard(f"{name}: {value} exceeds the window guard "
+                        f"{WINDOW_GUARD}")
+
+
 def _complete_relabel(gamma: dict, window: int) -> dict:
     """Extend an injective partial map on {1..window} by the identity and
     verify the result is a permutation."""
@@ -50,18 +63,18 @@ class FreeWordElement:
     adjacent cancelling pair.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("coeffs",)
 
-    def __init__(self, terms: dict | None = None):
-        self.terms = terms or {}
+    def __init__(self, coeffs: dict | None = None):
+        self.coeffs = coeffs or {}  # {reduced word: nonzero Fraction}
 
     @staticmethod
     def from_word(word) -> "FreeWordElement":
         return FreeWordElement({_reduce_word(tuple(word)): Fraction(1)})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
+        out = dict(self.coeffs)
+        for w, c in other.coeffs.items():
             nc = out.get(w, Fraction(0)) + c
             if nc:
                 out[w] = nc
@@ -74,8 +87,8 @@ class FreeWordElement:
 
     def __mul__(self, other):
         out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
+        for w1, c1 in self.coeffs.items():
+            for w2, c2 in other.coeffs.items():
                 w = _reduce_word(w1 + w2)
                 nc = out.get(w, Fraction(0)) + c1 * c2
                 if nc:
@@ -88,38 +101,38 @@ class FreeWordElement:
         c = Fraction(c)
         if not c:
             return FreeWordElement()
-        return FreeWordElement({w: c * x for w, x in self.terms.items()})
+        return FreeWordElement({w: c * x for w, x in self.coeffs.items()})
 
     def star(self) -> "FreeWordElement":
         return FreeWordElement({tuple((l, -e) for l, e in reversed(w)): c
-                                for w, c in self.terms.items()})
+                                for w, c in self.coeffs.items()})
 
     def trace(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+        return self.coeffs.get((), Fraction(0))
 
     def substitute(self, mapping: dict) -> "FreeWordElement":
         out = {}
-        for w, c in self.terms.items():
+        for w, c in self.coeffs.items():
             nw = _reduce_word(tuple((mapping.get(l, l), e) for l, e in w))
             out[nw] = out.get(nw, Fraction(0)) + c
         return FreeWordElement({w: c for w, c in out.items() if c})
 
     def letters(self):
-        return {l for w in self.terms for l, _ in w}
+        return {l for w in self.coeffs for l, _ in w}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def __eq__(self, other):
         if not isinstance(other, FreeWordElement):
             return NotImplemented
-        return self.terms == other.terms
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self.coeffs.items()))
 
     def __repr__(self):
-        return f"FreeWordElement({self.terms!r})"
+        return f"FreeWordElement({self.coeffs!r})"
 
 
 def _reduce_word(word: tuple) -> tuple:
@@ -140,6 +153,7 @@ class FreeHaarBackend:
     def __init__(self, window: int):
         if window < 1:
             raise ValueError("window must be >= 1")
+        _check_size("window", window)
         self.window = window
         one = FreeWordElement({(): Fraction(1)})
         u = FreeWordElement.from_word(((1, 1),))
@@ -159,7 +173,7 @@ class FreeHaarBackend:
 
     def expect(self, I, x: FreeWordElement) -> FreeWordElement:
         allowed = set(I)
-        return FreeWordElement({w: c for w, c in x.terms.items()
+        return FreeWordElement({w: c for w, c in x.coeffs.items()
                                 if {l for l, _ in w} <= allowed})
 
     def trace(self, x: FreeWordElement) -> Fraction:
@@ -212,6 +226,7 @@ class TensorBackend:
                  window: int, gens: dict | None = None):
         if window < 1:
             raise ValueError("window must be >= 1")
+        _check_size("window", window)
         self.window = window
         self.B = B
         self.C = C
@@ -227,10 +242,14 @@ class TensorBackend:
                     break
         self.S = dict(gens)
         self.A_one = self.A.one
-        units = (C.unit,) * window
-        self.B_pairs = [(self.A.basis_element((b, C.unit)),
-                         self.D.basis_element((b,) + units))
-                        for b in B.group.elements]
+
+    @property
+    def B_pairs(self):
+        """(b in A, b in D) for each basis element b of B, listed on demand
+        from the spec of A_() = B, which holds the projection guard."""
+        return [(self.A.basis_element((key[0], self.C.unit)),
+                 self.D.basis_element(key))
+                for key in sorted(self.subalgebra_spec(()).indices)]
 
     def one(self) -> AlgebraElement:
         return self.D.one
@@ -307,6 +326,8 @@ class PermGroupBackend:
             raise ValueError("d must be >= 0")
         if window < 1:
             raise ValueError("window must be >= 1")
+        _check_size("window", window)
+        _check_size("d", d)
         self.d = d
         self.window = window
         self.points = list(range(-d, window + 1))  # position p <-> point p-d
@@ -315,8 +336,13 @@ class PermGroupBackend:
         u01 = self._transposition(0, 1)
         self.S = {"1": self.D.one, "u01": self.D.basis_element(u01)}
         self.A_one = self.D.one
-        self.B_pairs = [(self.D.basis_element(b), self.D.basis_element(b))
-                        for b in sorted(self._supported(()))]
+
+    @property
+    def B_pairs(self):
+        """(b, b) for each basis element b of B, listed on demand from the
+        spec of A_() = B, which holds the projection guard."""
+        return [(self.D.basis_element(b),) * 2
+                for b in sorted(self.subalgebra_spec(()).indices)]
 
     def _pos(self, point: int) -> int:
         return point + self.d

@@ -1,21 +1,49 @@
-"""Spanning sets of reduced coefficients and their exact scalar dimensions.
+"""Spanning sets of reduced coefficients and their exact dimensions.
 
 D_k(S) is the span of the reduced coefficients F_sigma over all words from
-the generator set and all partitions with exactly k singletons.  Dimension
-is measured as the exact rational rank of the tau-Gram matrix of the
-collected vectors; the word-length cap max_m is explicit and stabilization
-in max_m is reported as evidence, not proof.
+the generator set and all partitions with exactly k singletons.  span_Dk
+computes it for the words of length <= max_m by one left-to-right scan,
+the span-valued form of the moment scan (moments._arc_scan).
+
+A state is (t, j): t singletons placed and j pair arcs open.  Its value is
+a subspace of D, held as an exact echelon basis: the span of the prefix
+pi-words, each projected onto its open labels.  The t-th singleton takes
+label t and never closes; the open arcs take labels k+1..k+j in stack
+order.  At each letter x, which ranges over the generators, a basis
+element P of a state
+  - places the next singleton, P * pi_{t+1}(x), while t < k;
+  - opens an arc, P * pi_{k+j+1}(x), while the letters left up to max_m
+    can still place the missing singletons and close every arc;
+  - or closes arc i by moments.close_arc(backend, P, pi_{k+i+1}(x),
+    k+i+1, k+j), which projects its label away and keeps the open labels
+    1..k+j-1.
+After m letters the basis of state (k, 0) joins a cumulative basis, whose
+size is dims_by_m[m].  A state entered tight, where every letter left
+must close an arc or place a singleton, is not stored: it is the widest
+of the scan, and its images pass straight through the next letter (see
+_step).
+
+Why this is exact: a word of length m with a partition of k singletons
+is one path of moves from (0, 0) to (k, 0), and the pruning drops only
+paths that cannot reach (k, 0) within max_m letters.  Along a path, a
+singleton's label and a new arc's label are fresh, and close_arc shows
+each closing exact for E_{1..k}, its relabeling fixing the singleton
+labels; so the path ends at the F_sigma of its word and partition.  Every
+transition is linear in P, so the images of a basis span the images of
+the whole state, and the value at (k, 0) after m letters is the span of
+F_sigma over the words of length m.  tau is faithful on these algebras
+and the coefficients are rational, so this linear dimension equals the
+rank of the tau-Gram matrix.  The word-length cap max_m is explicit, and
+stabilization in max_m is reported as evidence, not proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
-from .algebra import rank
+from .algebra import EchelonBasis
 from .errors import WindowExceeded
-from .moments import reduced_coefficient
-from .partitions import enumerate_pair_singleton
+from .moments import close_arc
 
 
 @dataclass
@@ -35,8 +63,10 @@ class SpanReport:
 
 
 def span_Dk(backend, k: int, max_m: int, gens=None) -> SpanReport:
-    """Collect F_sigma over words of length <= max_m and compute the exact
-    scalar rank of their span."""
+    """D_k over the words of length <= max_m, by the scan of the module
+    docstring.  vectors is an echelon basis of D_k, dim_scalar its size,
+    and generators_considered the number of transitions tried: one product
+    per basis element, letter and move."""
     if k < 0 or max_m < k:
         raise ValueError("need 0 <= k <= max_m")
     if gens is None:
@@ -46,31 +76,23 @@ def span_Dk(backend, k: int, max_m: int, gens=None) -> SpanReport:
         raise WindowExceeded(
             f"span up to m={max_m} with k={k} needs window >= {needed}, "
             f"backend has {backend.window}")
-    vectors = []
-    seen = set()
+    # labels stay within k + j <= needed, since k - t + j <= max_m - m
+    pis = [[None] + [backend.pi(j, x) for j in range(1, needed + 1)]
+           for x in gens]
+    states = {(0, 0): [backend.one()]}
+    ahead = {}
+    span = EchelonBasis()
     considered = 0
     dims_by_m = {}
-    gram = []  # grows with vectors; entries tau(F_j* F_i)
-    for m in range(k, max_m + 1):
-        if (m - k) % 2:
-            continue
-        sigmas = [s for s in enumerate_pair_singleton(m)
-                  if s.num_singletons == k]
-        for sigma in sigmas:
-            for word in product(gens, repeat=m):
-                considered += 1
-                F = reduced_coefficient(sigma, word, backend)
-                if F.is_zero() or F in seen:
-                    continue
-                seen.add(F)
-                Fs = F.star()
-                row = [backend.trace(Fs * v) for v in vectors]
-                for i, val in enumerate(row):
-                    gram[i].append(val)
-                row.append(backend.trace(Fs * F))
-                gram.append(row)
-                vectors.append(F)
-        dims_by_m[m] = rank(gram)
+    for m in range(max_m + 1):
+        if m:
+            states, ahead, tried = _step(backend, k, max_m - m, states,
+                                         ahead, pis)
+            considered += tried
+        if m >= k and (m - k) % 2 == 0:
+            for F in states.get((k, 0), ()):
+                span.add(F)
+            dims_by_m[m] = len(span.vectors)
     dim = dims_by_m[max(dims_by_m)] if dims_by_m else 0
     stabilized_at = max(dims_by_m) if dims_by_m else k
     for m in sorted(dims_by_m):
@@ -79,9 +101,56 @@ def span_Dk(backend, k: int, max_m: int, gens=None) -> SpanReport:
             break
     return SpanReport(
         backend_id=backend.name, k=k, max_m=max_m,
-        generators_considered=considered, vectors=vectors,
+        generators_considered=considered, vectors=span.vectors,
         dim_scalar=dim, bound=backend.dim_bound(k),
         stabilized_at_m=stabilized_at, dims_by_m=dims_by_m)
+
+
+def _images(backend, k: int, left: int, t: int, j: int, P, pis: list):
+    """The images of a basis element P of state (t, j) under one letter,
+    as (state, image) pairs, with left letters after that one."""
+    for pi in pis:
+        if t < k:
+            yield (t + 1, j), P * pi[t + 1]
+        if k - t + j + 1 <= left:
+            yield (t, j + 1), P * pi[k + j + 1]
+        for i in range(j):
+            yield (t, j - 1), close_arc(backend, P, pi[k + i + 1], k + i + 1,
+                                        k + j)
+
+
+def _step(backend, k: int, left: int, states: dict, ahead: dict,
+          pis: list):
+    """One letter of the span scan, with left letters after it.
+
+    Returns the states after it, as {(t, j): basis}; the images one letter
+    further on, as {(t, j): EchelonBasis}, which the next call takes as
+    ahead and adds to; and the number of transitions tried.
+
+    A state is tight when every letter left must close an arc or place a
+    singleton (k - t + j == left).  The first tight state of a scan is its
+    widest, so a tight state entered from a loose one is not kept: each
+    image passes at once through the next letter into the bases ahead,
+    which by linearity span the same.  states is emptied as it goes, so
+    that each basis element is freed once its images are taken.
+    """
+    nxt, after = ahead, {}
+    tried = 0
+    while states:
+        (t, j), basis = states.popitem()
+        loose = k - t + j <= left
+        while basis:
+            for (t2, j2), R in _images(backend, k, left, t, j, basis.pop(),
+                                       pis):
+                tried += 1
+                if loose and k - t2 + j2 == left:
+                    for s, R2 in _images(backend, k, left - 1, t2, j2, R,
+                                         pis):
+                        tried += 1
+                        after.setdefault(s, EchelonBasis()).add(R2)
+                else:
+                    nxt.setdefault((t2, j2), EchelonBasis()).add(R)
+    return {s: b.vectors for s, b in nxt.items() if b.vectors}, after, tried
 
 
 def growth_report(backend, k_max: int, max_m_offset: int = 4,

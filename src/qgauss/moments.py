@@ -78,21 +78,10 @@ def _arc_scan(xs, tags, backend, close) -> dict:
     prefix.  States with equal (stack, P) are merged by adding weights.
 
     At each letter a state opens an arc, P * pi_{k+1}(x), while the
-    letters left can still close every open arc, or closes arc i,
-    P * pi_{i+1}(x).  close(stack, i, tag) gives the (power of q, factor)
-    of that closing; a zero factor prunes it.  Closing then relabels i+1
-    to the top label k, shifting the labels above it down, and projects
-    onto 1..k-1.
-
-    Why this is exact: give every arc its own label and let X be the
-    prefix pi-word, P = E_open(X).  A fresh label j is outside the labels
-    used so far, so E_{open+j}(X pi_j(x)) = E_open(X) pi_j(x) by axiom 4
-    (E_I E_J = E_{I cap J}).  When label t closes, the rest R of the word
-    lies in the algebra of K = (open - t) plus fresh labels, so
-    tau(X pi_t(x) R) = tau(E_K(X pi_t(x)) R), and E_K(X pi_t(x)) =
-    E_{open-t}(P pi_t(x)) by axiom 4 and because pi_t(x) lies in A_open.
-    Exchangeability lets the open labels stay 1..k and a new arc reuse a
-    freed label.
+    letters left can still close every open arc, or closes arc i by
+    close_arc(backend, P, pi_{i+1}(x), i+1, k), which says why this is
+    exact.  close(stack, i, tag) gives the (power of q, factor) of that
+    closing; a zero factor prunes it.
     """
     m = len(xs)
     states = {((), backend.one()): {0: Fraction(1)}}
@@ -111,11 +100,7 @@ def _arc_scan(xs, tags, backend, close) -> dict:
                 power, factor = close(stack, i, tag)
                 if not factor:
                     continue
-                R = P * pi[i + 1]
-                if i < k - 1:
-                    shift = {j: j - 1 for j in range(i + 2, k + 1)}
-                    R = backend.relabel({i + 1: k, **shift}, R)
-                R = backend.expect(range(1, k), R)
+                R = close_arc(backend, P, pi[i + 1], i + 1, k)
                 _add_state(nxt, stack[:i] + stack[i + 1:], R,
                            {p + power: c * factor for p, c in weight.items()})
         states = nxt
@@ -125,6 +110,34 @@ def _arc_scan(xs, tags, backend, close) -> dict:
         for p, c in weight.items():
             total[p] = total.get(p, Fraction(0)) + c * tr
     return total
+
+
+def close_arc(backend, P, pi_x, label, top):
+    """P * pi_label(x) with the arc at label closed: the product projected
+    onto the open labels 1..top but label, then relabeled onto 1..top-1
+    by shifting the labels above label down.  Projecting first leaves
+    fewer terms to relabel.
+
+    Give every arc its own label and let X be the prefix pi-word; then
+    P = E_L(X), where L = 1..top are the labels still open (a span scan's
+    singleton labels 1..s among them, which never close).  A letter on a
+    fresh label j, outside those X uses, keeps this form: E_{L+j}(X
+    pi_j(x)) = E_L(X) pi_j(x) by axiom 4 (E_I E_J = E_{I cap J}).
+
+    Why closing label t is exact: the rest R of the word lies in A_K, K =
+    (L - t) plus fresh labels.  For I = () (a trace) or I = 1..s (a
+    reduced coefficient), I lies in K, so E_I(X pi_t(x) R) =
+    E_I(E_K(X pi_t(x)) R), and E_K(X pi_t(x)) = E_{L-t}(P pi_t(x)) by
+    axiom 4 and because pi_t(x) lies in A_L.  The relabeling fixes 1..s,
+    so by exchangeability it leaves E_I unchanged while the open labels
+    stay 1..top-1 and a new arc reuses the freed label.
+    """
+    R = backend.expect([j for j in range(1, top + 1) if j != label],
+                       P * pi_x)
+    if label < top and not R.is_zero():
+        shift = {j: j - 1 for j in range(label + 1, top + 1)}
+        R = backend.relabel({label: top, **shift}, R)
+    return R
 
 
 def _add_state(states, stack, P, weight):
@@ -160,9 +173,8 @@ def moment(word, backend, cfg: FockConfig) -> QPoly:
     def close(stack, i, h):
         return len(stack) - 1 - i, cfg.ip(stack[i], h)
 
-    total = _arc_scan([x for x, _ in word], [tuple(h) for _, h in word],
-                      backend, close)
-    return QPoly([total.get(p, 0) for p in range(max(total, default=-1) + 1)])
+    return QPoly.from_powers(_arc_scan(
+        [x for x, _ in word], [tuple(h) for _, h in word], backend, close))
 
 
 # ---------------------------------------------------------------------
@@ -235,7 +247,7 @@ def finite_n_moment(word, backend, n: int, cfg: FockConfig) -> QPoly:
     xs = [x for x, _ in word]
     hs = [h for _, h in word]
     big_cfgs = {}
-    total = QPoly.zero()
+    total = {}
     for blocks in enumerate_set_partitions(m):
         r = len(blocks)
         if r > n:
@@ -256,11 +268,8 @@ def finite_n_moment(word, backend, n: int, cfg: FockConfig) -> QPoly:
             big_cfgs[r] = big
         vecs = [_slot_vector(block_of[pos], hs[pos - 1], r, cfg)
                 for pos in range(1, m + 1)]
-        fock = qfock.vacuum_moment(vecs, big)
-        if fock.is_zero():
-            continue
-        total = total + fock.scale(tr * math.perm(n, r))
-    return total.scale(Fraction(1, n ** (m // 2)))
+        qfock.vacuum_moment(vecs, big).add_to(total, tr * math.perm(n, r))
+    return QPoly.from_powers(total).scale(Fraction(1, n ** (m // 2)))
 
 
 def _tensor_config(r: int, cfg: FockConfig, max_degree: int) -> FockConfig:
@@ -411,7 +420,7 @@ def wick_inner_product(w1: WickWord, w2: WickWord, backend=None) -> QPoly:
     g1 = w1.singleton_vectors()
     g2 = w2.singleton_vectors()
     cfg = w1.cfg
-    total = QPoly.zero()
+    total = {}
     for gamma in permutations(range(1, k + 1)):
         vec = Fraction(1)
         for s in range(1, k + 1):
@@ -427,8 +436,8 @@ def wick_inner_product(w1: WickWord, w2: WickWord, backend=None) -> QPoly:
             continue
         inv = sum(1 for i in range(k) for j in range(i + 1, k)
                   if gamma[i] > gamma[j])
-        total = total + QPoly.monomial(inv, vec * tr)
-    return w1.f_sigma * w2.f_sigma * total
+        total[inv] = total.get(inv, 0) + vec * tr
+    return w1.f_sigma * w2.f_sigma * QPoly.from_powers(total)
 
 
 def convolution_expand(w1: WickWord, w2: WickWord):
@@ -444,11 +453,11 @@ def trace_pairing(w1: WickWord, w2: WickWord) -> QPoly:
     """tau(w2* w1) computed through convolution expansion and the
     partition-term traces -- an independent path to the Wick Gram."""
     adj = w2.adjoint()
-    total = QPoly.zero()
+    total = {}
     for gamma, xs, hs in convolution_expand(adj, w1):
-        total = total + trace_of_partition_term(gamma, xs, hs,
-                                                w1.backend, w1.cfg)
-    return total
+        trace_of_partition_term(gamma, xs, hs, w1.backend,
+                                w1.cfg).add_to(total)
+    return QPoly.from_powers(total)
 
 
 def wick_trace(w: WickWord) -> QPoly:

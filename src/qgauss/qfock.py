@@ -20,6 +20,9 @@ from .qpoly import QPoly
 #: Hard guard on dense Gram assemblies (dim_H ** degree).
 GRAM_GUARD = 4096
 
+#: Most dimensions of H: the inner matrix holds dim_H ** 2 exact entries.
+DIM_H_GUARD = 256
+
 
 def _frac_matrix(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
@@ -40,6 +43,9 @@ class FockConfig:
     def __post_init__(self):
         if self.dim_H < 1:
             raise ValueError("dim_H must be positive")
+        if self.dim_H > DIM_H_GUARD:
+            raise SizeGuard(f"dim_H: {self.dim_H} exceeds the guard "
+                            f"{DIM_H_GUARD}")
         if self.max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
         inner = self.inner
@@ -138,7 +144,7 @@ def q_inner(u: tuple, v: tuple, cfg: FockConfig) -> QPoly:
         [cfg.ip(cfg.basis_vector(a), cfg.basis_vector(b)) for b in v]
         for a in u
     ]
-    total = QPoly.zero()
+    total = {}
     for pi in permutations(range(k)):
         prod = Fraction(1)
         for i in range(k):
@@ -148,8 +154,8 @@ def q_inner(u: tuple, v: tuple, cfg: FockConfig) -> QPoly:
         if prod == 0:
             continue
         inv = sum(1 for i in range(k) for j in range(i + 1, k) if pi[i] > pi[j])
-        total = total + QPoly.monomial(inv, prod)
-    return total
+        total[inv] = total.get(inv, 0) + prod
+    return QPoly.from_powers(total)
 
 
 def apply_field(h, v: FockVector, cfg: FockConfig,

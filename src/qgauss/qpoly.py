@@ -59,6 +59,19 @@ class QPoly:
         return QPoly([1])
 
     @staticmethod
+    def from_powers(powers: dict) -> "QPoly":
+        """The sum of c * q**p over a {p: c} dict, the form in which long
+        sums accumulate without a new QPoly per term."""
+        return QPoly([powers.get(p, 0)
+                      for p in range(max(powers, default=-1) + 1)])
+
+    def add_to(self, powers: dict, c=1):
+        """Add c * self into a {power: coefficient} dict, in place."""
+        for p, x in enumerate(self.coeffs):
+            if x:
+                powers[p] = powers.get(p, 0) + c * x
+
+    @staticmethod
     def coerce(x) -> "QPoly":
         if isinstance(x, QPoly):
             return x

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import copies
 from .algebra import cyclic_group, group_algebra, symmetric_group, trivial_algebra
-from .errors import QGaussError
+from .errors import QGaussError, SizeGuard
 from .qfock import FockConfig
 
 
@@ -98,6 +98,8 @@ def build_backend(spec):
             return copies.TensorBackend(B, C, window)
     except ValueError as e:
         raise ScenarioError(f"backend: {e}") from e
+    except SizeGuard as e:  # its message starts with the field's name
+        raise SizeGuard(f"backend.{e}") from None
     raise ScenarioError(f"backend.kind: unknown backend kind {kind!r} "
                         "(expected free_haar, perm_group, or tensor)")
 
@@ -112,6 +114,8 @@ def build_cfg(spec) -> FockConfig:
         return FockConfig(dim_H, inner, _int(spec, "max_degree", "fock", 6))
     except ValueError as e:
         raise ScenarioError(f"invalid Fock configuration: {e}") from e
+    except SizeGuard as e:
+        raise SizeGuard(f"fock.{e}") from None
 
 
 def _coefficient(spec, backend, path: str):

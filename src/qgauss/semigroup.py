@@ -85,13 +85,13 @@ def number_operator(x: WickSpanElement) -> WickSpanElement:
 
 def span_inner(x: WickSpanElement, y: WickSpanElement) -> QPoly:
     """Bilinear extension of the Wick inner product (exact)."""
-    total = QPoly.zero()
+    total = {}
     for _, cx, wx in x.terms():
         for _, cy, wy in y.terms():
             ip = wick_inner_product(wx, wy)
             if not ip.is_zero():
-                total = total + cx * cy * ip
-    return total
+                (cx * cy * ip).add_to(total)
+    return QPoly.from_powers(total)
 
 
 # ---------------------------------------------------------------------

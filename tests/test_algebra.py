@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgauss import algebra
-from qgauss.algebra import (Group, SubalgebraSpec, conditional_expectation,
-                            cyclic_group, group_algebra, is_positive_definite,
-                            rank, solve, symmetric_group, tensor_algebra,
-                            trivial_algebra, validate_group)
+from qgauss.algebra import (EchelonBasis, Group, SubalgebraSpec,
+                            conditional_expectation, cyclic_group,
+                            group_algebra, is_positive_definite, rank, solve,
+                            symmetric_group, tensor_algebra, trivial_algebra,
+                            validate_group)
 from qgauss.errors import InvalidGroup
 
 
@@ -202,3 +203,26 @@ def test_solve_singular_matrix_raises():
                 [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
         with pytest.raises(ValueError, match="singular matrix"):
             solve(mat, [1] * len(mat))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_echelon_basis_matches_rank(data):
+    alg = group_algebra(symmetric_group(range(3)), validate=False)
+    keys = sorted(alg.group.elements)
+    # few distinct entries, so that dependent elements are common
+    xs = data.draw(st.lists(st.dictionaries(
+        st.sampled_from(keys), st.sampled_from([-2, -1, Fraction(1, 2), 1]),
+        max_size=4), max_size=8))
+    basis = EchelonBasis()
+    for i, coeffs in enumerate(xs):
+        rows = [[Fraction(c.get(g, 0)) for g in keys] for c in xs[:i + 1]]
+        grew = basis.add(alg.element(coeffs))
+        assert grew == (rank(rows) > rank(rows[:-1]))
+        assert len(basis.vectors) == rank(rows)
+    pivots = basis._pivots
+    for i, v in enumerate(basis.vectors):
+        # coefficient 1 at its pivot, and none of an earlier pivot
+        assert v.coeffs[pivots[i]] == 1
+        assert not any(p in v.coeffs for p in pivots[:i])
+        assert not basis.add(v)

@@ -146,10 +146,10 @@ def test_non_rational_q_override_exit_code(tmp_path, capsys):
 
 
 def test_non_integer_enumeration_cap_exit_code(tmp_path, capsys, monkeypatch):
+    # read by the Bell(m) loop of finite-n moments
     monkeypatch.setenv("QGAUSS_ENUM_CAP", "x")
-    doc = dict(BASE, dims={"k_max": 1, "max_m_offset": 1})
-    path = write_scenario(tmp_path, doc)
-    code = main(["dims", "--scenario", path])
+    path = write_scenario(tmp_path, dict(BASE, n=2))
+    code = main(["moment", "--scenario", path])
     captured = capsys.readouterr()
     assert code == 2
     assert "QGAUSS_ENUM_CAP" in captured.err and "'x'" in captured.err
@@ -209,6 +209,28 @@ def test_size_guards_name_the_estimate(tmp_path, capsys):
     assert "544,000,000,000,000 bytes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change, field", [
+    ({"backend": _perm_backend(d=1e300)}, "backend.d"),
+    ({"backend": _perm_backend(window=10 ** 300)}, "backend.window"),
+    ({"backend": {"kind": "tensor", "window": 1e300}}, "backend.window"),
+    ({"backend": {"kind": "free_haar", "window": 1025}}, "backend.window"),
+    ({"fock": {"dim_H": 1e300}}, "fock.dim_H"),
+])
+def test_unbounded_sizes_are_refused(tmp_path, capsys, change, field):
+    path = write_scenario(tmp_path, dict(BASE, **change))
+    assert main(["moment", "--scenario", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def test_perm_group_lists_no_copy_of_B(tmp_path, capsys):
+    # B = S_12 has 479,001,600 elements; only the axiom check lists them
+    word = [{"coeff": "u01", "vector": ["1"]}] * 2
+    path = write_scenario(tmp_path, dict(BASE, word=word,
+                                         backend=_perm_backend(d=11)))
+    code, out = run(capsys, "moment", "--scenario", path)
+    assert code == 0 and json.loads(out)["qpoly"] == ["1"]
+
+
 def test_too_few_samples_exit_code(capsys):
     for samples in ("1", "-3", "x"):
         with pytest.raises(SystemExit) as exc:
@@ -237,10 +259,13 @@ _rational = st.one_of(st.integers(-2, 2),
 _algebra = st.fixed_dictionaries(
     {"kind": _or_junk(st.sampled_from(["trivial", "cyclic", "symmetric"]))},
     optional={"n": _or_junk(st.integers(-1, 4))})
+# structural sizes, mostly small, sometimes far beyond every guard
+_size = st.one_of(st.integers(-1, 5), st.integers(-1, 10 ** 300),
+                  st.sampled_from([1e300, 2.0 ** 80]))
 _backend = st.fixed_dictionaries(
     {"kind": _or_junk(st.sampled_from(["free_haar", "perm_group", "tensor"]))},
-    optional={"window": _or_junk(st.integers(-1, 5)),
-              "d": _or_junk(st.integers(-1, 2)),
+    optional={"window": _or_junk(_size),
+              "d": _or_junk(_size),
               "B": _or_junk(_algebra), "C": _or_junk(_algebra)})
 _coeff = st.one_of(
     st.sampled_from(["1", "u", "u*", "g", "u01", "v"]),
@@ -254,7 +279,7 @@ _matrix = st.lists(st.lists(_rational, max_size=3), max_size=3)
 _scenario = st.fixed_dictionaries({}, optional={
     "backend": _or_junk(_backend),
     "fock": _or_junk(st.fixed_dictionaries({}, optional={
-        "dim_H": _or_junk(st.integers(-1, 3)),
+        "dim_H": _or_junk(_size),
         "inner": _or_junk(_matrix),
         "max_degree": _or_junk(st.integers(-1, 6))})),
     "word": _or_junk(st.lists(_or_junk(_letter), max_size=6)),

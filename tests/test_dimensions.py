@@ -56,3 +56,12 @@ def test_custom_generators_shrink_the_span():
     rep = span_Dk(backend, 1, 3, gens=only_unit)
     full = span_Dk(backend, 1, 3)
     assert rep.dim_scalar <= full.dim_scalar
+
+
+@pytest.mark.parametrize("backend, base", [(FreeHaarBackend(8), 3),
+                                           (PermGroupBackend(1, 8), 2)])
+def test_growth_to_degree_five(backend, base):
+    report = growth_report(backend, 5, max_m_offset=2)
+    assert [dim for _, dim, _, _ in report["rows"]] == [base ** k
+                                                        for k in range(6)]
+    assert report["d_estimate"] == pytest.approx(base, rel=1e-12)
