@@ -19,12 +19,13 @@ from .algebra import (PROJECTION_GUARD, AlgebraElement, FiniteTracialAlgebra,
 from .errors import SizeGuard, WindowExceeded
 
 
-#: Most copies a window may hold, and most extra points d of perm_group:
-#: keys, relabelings and expectations walk every one of them.
+#: Most copies a window may hold, most extra points d of perm_group, and
+#: largest n of a cyclic or symmetric B or C: keys, relabelings,
+#: expectations and group listings walk every one of them.
 WINDOW_GUARD = 1024
 
 
-def _check_size(name: str, value: int):
+def check_size(name: str, value: int):
     """Refuse an index count over the window guard, before it is used;
     the message starts with the parameter's name."""
     if value > WINDOW_GUARD:
@@ -153,7 +154,7 @@ class FreeHaarBackend:
     def __init__(self, window: int):
         if window < 1:
             raise ValueError("window must be >= 1")
-        _check_size("window", window)
+        check_size("window", window)
         self.window = window
         one = FreeWordElement({(): Fraction(1)})
         u = FreeWordElement.from_word(((1, 1),))
@@ -226,7 +227,7 @@ class TensorBackend:
                  window: int, gens: dict | None = None):
         if window < 1:
             raise ValueError("window must be >= 1")
-        _check_size("window", window)
+        check_size("window", window)
         self.window = window
         self.B = B
         self.C = C
@@ -326,8 +327,8 @@ class PermGroupBackend:
             raise ValueError("d must be >= 0")
         if window < 1:
             raise ValueError("window must be >= 1")
-        _check_size("window", window)
-        _check_size("d", d)
+        check_size("window", window)
+        check_size("d", d)
         self.d = d
         self.window = window
         self.points = list(range(-d, window + 1))  # position p <-> point p-d
@@ -408,10 +409,6 @@ class PermGroupBackend:
 # axiom checker
 
 
-def _equal(x, y) -> bool:
-    return (x - y).is_zero() if hasattr(x, "is_zero") else x == y
-
-
 def _words_over(items, max_len):
     """All nonempty tuples over items up to max_len."""
     out = []
@@ -434,15 +431,30 @@ def axiom_check(backend, indices: int = 3, word_len: int = 4,
         raise WindowExceeded(
             f"axiom check over {indices} indices needs window >= {indices}")
     report = {}
-    S = list(backend.S.values())
-    S_nontrivial = [a for n, a in backend.S.items() if n != "1"] or S
+    names = list(backend.S)
+    nontrivial = [n for n in names if n != "1"] or names
+    # pi_j of each generator, keyed by name, for every index a check uses
+    # (axiom 3 goes one past the checked indices); a pi-word multiplies
+    # these entries.  Elements keep canonical coefficient dicts with no
+    # stored zero, so == below is equality of elements: a stray stored
+    # zero would raise a false alarm, never let a failure pass.
+    top = min(indices + 1, backend.window)
+    pis = {(j, n): backend.pi(j, backend.S[n])
+           for j in range(1, top + 1) for n in names}
+
+    def word(ns, js):
+        prod = backend.one()
+        for n, j in zip(ns, js):
+            prod = prod * pis[j, n]
+        return prod
 
     # (1) pi_j restricts to the identity on B
     ok, witness, count = True, None, 0
+    B_pairs = backend.B_pairs
     for j in range(1, indices + 1):
-        for a, embedded in backend.B_pairs:
+        for a, embedded in B_pairs:
             count += 1
-            if not _equal(pi_word(backend, [a], [j]), embedded):
+            if backend.pi(j, a) != embedded:
                 ok, witness = False, f"pi({j}, b) != b for b={a!r}"
                 break
         if not ok:
@@ -451,17 +463,16 @@ def axiom_check(backend, indices: int = 3, word_len: int = 4,
 
     # (2) exchangeability of E_B under index permutations
     ok, witness, count = True, None, 0
-    for word in _words_over(S, word_len):
-        l = len(word)
+    for w in _words_over(names, word_len):
+        l = len(w)
         for js in product(range(1, indices + 1), repeat=l):
             base = None
             for rho in permutations(range(1, indices + 1)):
-                prod = pi_word(backend, word, [rho[j - 1] for j in js])
-                val = backend.expect((), prod)
+                val = backend.expect((), word(w, [rho[j - 1] for j in js]))
                 count += 1
                 if base is None:
                     base = val
-                elif not _equal(val, base):
+                elif val != base:
                     ok, witness = False, (
                         f"E_B not invariant: word len {l}, indices {js}, "
                         f"relabeling {rho}")
@@ -484,17 +495,15 @@ def axiom_check(backend, indices: int = 3, word_len: int = 4,
                 continue
             j = outside[0]
             ds = [backend.one()]
-            for w in _words_over(S_nontrivial, axiom3_word_len):
+            for w in _words_over(nontrivial, axiom3_word_len):
                 for ks in product(sorted(I), repeat=len(w)):
-                    ds.append(pi_word(backend, w, ks))
-            for a in S:
-                for ap in S:
+                    ds.append(word(w, ks))
+            for a in names:
+                for ap in names:
                     for dmid in ds:
-                        x = (pi_word(backend, [a], [j]) * dmid
-                             * pi_word(backend, [ap], [j]))
+                        x = pis[j, a] * dmid * pis[j, ap]
                         count += 1
-                        if not _equal(backend.expect(I, x),
-                                      backend.expect(J, x)):
+                        if backend.expect(I, x) != backend.expect(J, x):
                             ok, witness = False, (
                                 f"I={set(I)}, J={set(J)}, j={j}")
                             break
@@ -510,17 +519,16 @@ def axiom_check(backend, indices: int = 3, word_len: int = 4,
 
     # (4) E_{A_I} E_{A_J} = E_{A_{I cap J}}
     ok, witness, count = True, None, 0
-    gens = [(j, a) for j in range(1, indices + 1) for a in S_nontrivial]
+    gens = [(j, n) for j in range(1, indices + 1) for n in nontrivial]
     xs = [backend.one()]
     for w in _words_over(gens, axiom4_word_len):
-        xs.append(pi_word(backend, [a for _, a in w], [j for j, _ in w]))
+        xs.append(word([n for _, n in w], [j for j, _ in w]))
     for I in subsets:
         for J in subsets:
             for x in xs:
                 count += 1
                 lhs = backend.expect(I, backend.expect(J, x))
-                rhs = backend.expect(I & J, x)
-                if not _equal(lhs, rhs):
+                if lhs != backend.expect(I & J, x):
                     ok, witness = False, f"I={set(I)}, J={set(J)}"
                     break
             if not ok:

@@ -286,16 +286,20 @@ def model_moment_exact(word, Qm, n: int, backend=None, cfg=None,
     if m % 2:
         return Fraction(0)
 
+    gauss = {}
+
     def gauss_moment(jpattern):
         # E prod_i g_{j_i}(h_i): Wick sum = the q=1 Fock moment with
-        # vectors e_{j_i} (x) h_i (slots compacted)
-        slots = sorted(set(jpattern))
-        slot_of = {j: s for s, j in enumerate(slots)}
-        r = len(slots)
-        big = _tensor_config(r, cfg, (m + 1) // 2)
-        vecs = [_slot_vector(slot_of[jpattern[i]], hs[i], r, cfg)
-                for i in range(m)]
-        return qfock.vacuum_moment(vecs, big).eval(1)
+        # vectors e_{j_i} (x) h_i, which depends only on the slots
+        # compacted to 0..r-1, so it is computed once per compacted pattern
+        slot_of = {j: s for s, j in enumerate(sorted(set(jpattern)))}
+        key = tuple(slot_of[j] for j in jpattern)
+        if key not in gauss:
+            r = len(slot_of)
+            big = _tensor_config(r, cfg, (m + 1) // 2)
+            vecs = [_slot_vector(s, hs[i], r, cfg) for i, s in enumerate(key)]
+            gauss[key] = qfock.vacuum_moment(vecs, big).eval(1)
+        return gauss[key]
 
     total = Fraction(0)
     for tau, letters, sign_pairs in _terms(word, colors, n, backend):

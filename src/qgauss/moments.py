@@ -1,6 +1,6 @@
 """The moment engine: transfer-matrix limit and Q-matrix moments, exact
-finite-n moments, Wick-word reduction, inner products, and convolution
-expansion.
+finite-n moments, Wick-word reduction, inner products, and trace
+pairings.
 
 Words are sequences of (x, h) letters: x an A-element of the chosen
 backend, h a rational coordinate vector over the Fock configuration's
@@ -18,8 +18,8 @@ from itertools import permutations
 from . import qfock
 from .copies import pi_word
 from .errors import CapExceeded, WindowExceeded
-from .partitions import (Partition12, convolution_joins, crossing_number,
-                         encoding_map, enumeration_cap)
+from .partitions import (Partition12, crossing_number, encoding_map,
+                         enumeration_cap)
 from .qfock import FockConfig
 from .qpoly import QPoly
 
@@ -65,7 +65,7 @@ def trace_of_partition_term(sigma: Partition12, xs, hs, backend,
     return QPoly.monomial(crossing_number(sigma), ip * tr)
 
 
-def _arc_scan(xs, tags, backend, close) -> dict:
+def _arc_scan(xs, tags, backend, close, opens=None) -> dict:
     """Sum over the pair partitions sigma of the word xs of
     weight(sigma) * tau_D(pi-word of sigma), by one left-to-right scan;
     returned as a {power of q: Fraction} dict.
@@ -81,26 +81,45 @@ def _arc_scan(xs, tags, backend, close) -> dict:
     letters left can still close every open arc, or closes arc i by
     close_arc(backend, P, pi_{i+1}(x), i+1, k), which says why this is
     exact.  close(stack, i, tag) gives the (power of q, factor) of that
-    closing; a zero factor prunes it.
+    closing; a zero factor prunes it.  A letter is embedded only at the
+    labels a state uses.
+
+    opens, when given, fixes each letter's move (True opens, False
+    closes), and close() may prune by tag; together they restrict the sum
+    to a family of pair partitions.  trace_pairing restricts it to the
+    convolution joins that are pair partitions.  Each partition that
+    survives is summed exactly as without the restriction: closing arc i
+    of k open arcs crosses exactly the k-1-i arcs opened after it and
+    still open, so the powers add up to the crossing number, and
+    close_arc (axiom 4 and exchangeability) keeps P the reduced
+    coefficient of the prefix whichever arcs were closed.
     """
     m = len(xs)
     states = {((), backend.one()): {0: Fraction(1)}}
     for pos, (x, tag) in enumerate(zip(xs, tags)):
         left = m - pos - 1
+        move = None if opens is None else opens[pos]
         # it opens a label <= min(pos + 1, left) or closes one <= min(pos,
         # m - pos), so labels stay within m/2 <= window
-        pi = [None] + [backend.pi(j, x)
-                       for j in range(1, min(pos + 1, m - pos) + 1)]
+        pis = {}
+
+        def pi(j):
+            if j not in pis:
+                pis[j] = backend.pi(j, x)
+            return pis[j]
+
         nxt = {}
         for (stack, P), weight in states.items():
             k = len(stack)
-            if k < left:
-                _add_state(nxt, stack + (tag,), P * pi[k + 1], weight)
+            if k < left and move is not False:
+                _add_state(nxt, stack + (tag,), P * pi(k + 1), weight)
+            if move is True:
+                continue
             for i in range(k):
                 power, factor = close(stack, i, tag)
                 if not factor:
                     continue
-                R = close_arc(backend, P, pi[i + 1], i + 1, k)
+                R = close_arc(backend, P, pi(i + 1), i + 1, k)
                 _add_state(nxt, stack[:i] + stack[i + 1:], R,
                            {p + power: c * factor for p, c in weight.items()})
         states = nxt
@@ -440,26 +459,36 @@ def wick_inner_product(w1: WickWord, w2: WickWord, backend=None) -> QPoly:
     return w1.f_sigma * w2.f_sigma * QPoly.from_powers(total)
 
 
-def convolution_expand(w1: WickWord, w2: WickWord):
-    """x_sigma * x_theta = sum over joins gamma of x_gamma, returned as
-    (gamma, xs, hs) assemblies on the concatenated word."""
-    xs = w1.xs + w2.xs
-    hs = w1.hs + w2.hs
-    return [(gamma, xs, hs)
-            for gamma in convolution_joins(w1.sigma, w2.sigma)]
-
-
 def trace_pairing(w1: WickWord, w2: WickWord) -> QPoly:
-    """tau(w2* w1) computed through convolution expansion and the
-    partition-term traces -- an independent path to the Wick Gram."""
+    """tau(w2* w1), an independent path to the Wick Gram: the sum over the
+    convolution joins of adj(w2) and w1 that are pair partitions of
+    q^cr * prod <h_l,h_r> * tau_D(pi-word), by the scan of _arc_scan on
+    the concatenated word adj(w2) w1.
+
+    A left leg of a pair of either word, or a singleton of adj(w2), opens
+    an arc; a right leg may close only its own pair's arc, and a
+    singleton of w1 any arc opened by a singleton of adj(w2).  With
+    unequal singleton degrees no join is a pair partition.
+    """
+    if w1.degree != w2.degree:
+        return QPoly.zero()
     adj = w2.adjoint()
-    total = {}
-    for gamma, xs, hs in convolution_expand(adj, w1):
-        trace_of_partition_term(gamma, xs, hs, w1.backend,
-                                w1.cfg).add_to(total)
-    return QPoly.from_powers(total)
+    xs, hs = adj.xs + w1.xs, adj.hs + w1.hs
+    _check_window(xs, w1.backend)
+    # both legs of a pair are tagged with the position of its left leg
+    left_leg = {}
+    for shift, sigma in ((0, adj.sigma), (adj.sigma.m, w1.sigma)):
+        for l, r in sigma.pairs:
+            left_leg[l + shift] = left_leg[r + shift] = l + shift
+    opens = [left_leg[p] == p if p in left_leg else p <= adj.sigma.m
+             for p in range(1, len(xs) + 1)]
+    tags = [(left_leg.get(p), tuple(h)) for p, h in enumerate(hs, 1)]
+    cfg = w1.cfg
 
+    def close(stack, i, tag):
+        key, h = tag
+        if stack[i][0] != key:
+            return 0, 0
+        return len(stack) - 1 - i, cfg.ip(stack[i][1], h)
 
-def wick_trace(w: WickWord) -> QPoly:
-    """tau(x_sigma): zero unless sigma is a pair partition."""
-    return trace_of_partition_term(w.sigma, w.xs, w.hs, w.backend, w.cfg)
+    return QPoly.from_powers(_arc_scan(xs, tags, w1.backend, close, opens))

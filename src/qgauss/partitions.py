@@ -14,11 +14,11 @@ from itertools import combinations, permutations
 
 from .errors import CapExceeded
 
-#: Hard default on the ground-set size of the enumerators below, which
-#: trace_pairing (convolution joins) and the span dimensions (pair-singleton
-#: partitions) walk; |P_2(12)| = 10395 already and the downstream costs
-#: multiply.  Limit and Q-matrix moments enumerate nothing: the window
-#: bounds them instead.  Override with QGAUSS_ENUM_CAP.
+#: Hard default on the ground-set size of the enumerators below, which the
+#: test oracles walk, and of the Bell(m) loop of finite-n moments;
+#: |P_2(12)| = 10395 already and the downstream costs multiply.  Limit,
+#: Q-matrix and trace-pairing moments and the span dimensions enumerate
+#: nothing: the window bounds them instead.  Override with QGAUSS_ENUM_CAP.
 DEFAULT_CAP = 12
 
 

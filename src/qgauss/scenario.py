@@ -67,16 +67,26 @@ def _matrix(spec, path: str) -> list:
             for i, row in enumerate(_list(spec, path))]
 
 
+def _group_size(spec: dict, path: str) -> int:
+    """spec["n"], at least 1 and held to the window guard: the groups
+    list range(n)."""
+    n = _int(spec, "n", path)
+    if n < 1:
+        raise ScenarioError(f"{path}.n: a group needs n >= 1, got {n}")
+    copies.check_size(f"{path}.n", n)
+    return n
+
+
 def build_algebra(spec, path: str):
     spec = _object(spec, path)
     kind = spec.get("kind")
     if kind == "trivial":
         return trivial_algebra()
     if kind == "cyclic":
-        return group_algebra(cyclic_group(_int(spec, "n", path)))
+        return group_algebra(cyclic_group(_group_size(spec, path)))
     if kind == "symmetric":
         # a group by construction; validation would list all n! elements
-        return group_algebra(symmetric_group(range(_int(spec, "n", path))),
+        return group_algebra(symmetric_group(range(_group_size(spec, path))),
                              validate=False)
     raise ScenarioError(f"{path}.kind: unknown algebra kind {kind!r} "
                         "(expected trivial, cyclic, or symmetric)")
@@ -86,15 +96,16 @@ def build_backend(spec):
     spec = _object(spec, "backend")
     kind = spec.get("kind")
     window = _int(spec, "window", "backend", 4)
+    if kind == "tensor":
+        B = build_algebra(spec.get("B", {"kind": "trivial"}), "backend.B")
+        C = build_algebra(spec.get("C", {"kind": "cyclic", "n": 2}),
+                          "backend.C")
     try:
         if kind == "free_haar":
             return copies.FreeHaarBackend(window)
         if kind == "perm_group":
             return copies.PermGroupBackend(_int(spec, "d", "backend", 1), window)
         if kind == "tensor":
-            B = build_algebra(spec.get("B", {"kind": "trivial"}), "backend.B")
-            C = build_algebra(spec.get("C", {"kind": "cyclic", "n": 2}),
-                              "backend.C")
             return copies.TensorBackend(B, C, window)
     except ValueError as e:
         raise ScenarioError(f"backend: {e}") from e

@@ -1,13 +1,15 @@
 """The pair-partition sums that the transfer-matrix scan replaced, kept as
 its test oracle: one term per pair partition of the word, (m-1)!! terms
-in all, so only short words are affordable."""
+in all, or one per convolution join for a trace pairing, so only short
+words are affordable."""
 
 from fractions import Fraction
 from itertools import combinations
 
 from qgauss import moments
 from qgauss.copies import pi_word
-from qgauss.partitions import encoding_map, enumerate_pair_partitions
+from qgauss.partitions import (convolution_joins, encoding_map,
+                               enumerate_pair_partitions)
 from qgauss.qpoly import QPoly
 
 
@@ -43,3 +45,17 @@ def pairing_q_matrix_moment(word, colors, Qm, backend, cfg) -> Fraction:
         labels = [phi[pos] for pos in range(1, len(word) + 1)]
         total += weight * backend.trace(pi_word(backend, xs, labels))
     return total
+
+
+def pairing_trace_pairing(w1, w2) -> QPoly:
+    """tau(w2* w1): the sum over the convolution joins of adj(w2) and w1
+    of trace_of_partition_term, which is zero on every join that keeps a
+    singleton."""
+    adj = w2.adjoint()
+    xs = adj.xs + w1.xs
+    hs = adj.hs + w1.hs
+    total = {}
+    for gamma in convolution_joins(adj.sigma, w1.sigma):
+        moments.trace_of_partition_term(gamma, xs, hs, w1.backend,
+                                        w1.cfg).add_to(total)
+    return QPoly.from_powers(total)

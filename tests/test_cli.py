@@ -174,6 +174,7 @@ def _tensor_backend(C):
     ({"backend": _perm_backend(window=2.5)}, "backend.window"),
     ({"Q": [["0", "0"], []]}, "Q[1]"),
     ({"word": [{"vector": [float("inf")]}]}, "word[0].vector[0]"),
+    ({"backend": _tensor_backend({"kind": "cyclic", "n": 0})}, "backend.C.n"),
 ])
 def test_malformed_scenario_names_the_field(tmp_path, capsys, change, field):
     path = write_scenario(tmp_path, dict(BASE, **change))
@@ -215,6 +216,12 @@ def test_size_guards_name_the_estimate(tmp_path, capsys):
     ({"backend": {"kind": "tensor", "window": 1e300}}, "backend.window"),
     ({"backend": {"kind": "free_haar", "window": 1025}}, "backend.window"),
     ({"fock": {"dim_H": 1e300}}, "fock.dim_H"),
+    ({"backend": _tensor_backend({"kind": "cyclic", "n": 1e300})},
+     "backend.C.n"),
+    ({"backend": _tensor_backend({"kind": "symmetric", "n": 10 ** 300})},
+     "backend.C.n"),
+    ({"backend": {"kind": "tensor", "B": {"kind": "symmetric", "n": 1025}}},
+     "backend.B.n"),
 ])
 def test_unbounded_sizes_are_refused(tmp_path, capsys, change, field):
     path = write_scenario(tmp_path, dict(BASE, **change))
@@ -256,12 +263,12 @@ def _or_junk(strategy):
 _rational = st.one_of(st.integers(-2, 2),
                       st.floats(allow_nan=True, allow_infinity=True),
                       st.sampled_from(["1/2", "-1/3", "0", "x", "1/0"]))
-_algebra = st.fixed_dictionaries(
-    {"kind": _or_junk(st.sampled_from(["trivial", "cyclic", "symmetric"]))},
-    optional={"n": _or_junk(st.integers(-1, 4))})
 # structural sizes, mostly small, sometimes far beyond every guard
 _size = st.one_of(st.integers(-1, 5), st.integers(-1, 10 ** 300),
                   st.sampled_from([1e300, 2.0 ** 80]))
+_algebra = st.fixed_dictionaries(
+    {"kind": _or_junk(st.sampled_from(["trivial", "cyclic", "symmetric"]))},
+    optional={"n": _or_junk(_size)})
 _backend = st.fixed_dictionaries(
     {"kind": _or_junk(st.sampled_from(["free_haar", "perm_group", "tensor"]))},
     optional={"window": _or_junk(_size),

@@ -9,9 +9,11 @@ import pytest
 from qgauss import moments
 from qgauss.copies import FreeHaarBackend, PermGroupBackend
 from qgauss.errors import WindowExceeded
-from qgauss.partitions import Partition12
+from qgauss.partitions import Partition12, convolution_joins
 from qgauss.qfock import FockConfig, vacuum_moment
 from qgauss.qpoly import Q, QPoly
+
+from pairing_oracle import pairing_trace_pairing
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +201,10 @@ def test_wick_trace_of_pure_degree_two(free8, cfg1):
     w = moments.reduce(Partition12.make(2, [], [1, 2]),
                        [free8.A_one, free8.A_one],
                        [(Fraction(1),)] * 2, free8, cfg1)
-    assert moments.wick_trace(w).is_zero()  # no pairing of 2 singletons
+    # tau(x_sigma) pairs x_sigma with the empty word: no pairing of 2
+    # singletons
+    empty = moments.WickWord(Partition12.make(0), (), (), free8, cfg1)
+    assert pairing_trace_pairing(w, empty).is_zero()
     # inner product with itself: the identity pairing gives 1, the swap q
     assert moments.wick_inner_product(w, w) == QPoly([1, 1])
 
@@ -213,10 +218,7 @@ def test_adjoint_is_involutive(free8, cfg1):
     assert moments.trace_pairing(back, w) == moments.trace_pairing(w, w)
 
 
-def test_convolution_expand_term_count(free8, cfg1):
-    w = moments.reduce(Partition12.make(2, [], [1, 2]),
-                       [free8.A_one, free8.A_one],
-                       [(Fraction(1),)] * 2, free8, cfg1)
-    terms = moments.convolution_expand(w, w)
+def test_convolution_expand_term_count():
+    sigma = Partition12.make(2, [], [1, 2])
     # 2 singletons against 2: r=0 gives 1, r=1 gives 4, r=2 gives 2
-    assert len(terms) == 7
+    assert len(convolution_joins(sigma, sigma)) == 7
