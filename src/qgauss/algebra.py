@@ -1,7 +1,8 @@
-"""Finite-dimensional tracial *-algebras with exact rational arithmetic.
+"""Tracial group *-algebras with exact rational arithmetic.
 
-The coefficient world for the copy constructions: group algebras (a tensor
-product is the group algebra of the direct product), subalgebras, traces,
+The coefficient world for the copy constructions: group algebras of
+finite groups and of the free group (a tensor product is the group
+algebra of the direct product), subalgebras, traces,
 trace-preserving conditional expectations, the one exact elimination
 kernel behind rank, positive-definiteness and linear solves, and an
 echelon basis for spans of sparse elements.  A basis element is keyed by
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import permutations, product
-from math import factorial, prod
+from math import factorial, inf, prod
 
 from .errors import InvalidGroup, SizeGuard
 
@@ -33,6 +34,8 @@ class FiniteTracialAlgebra:
     """The group *-algebra L(G): u_g u_h = u_{gh}, u_g* = u_{g^{-1}} and
     tau(u_g) = [g = e].  Basis elements are keyed by the group elements
     themselves; dim is the group order and no element table is built.
+    The group may be infinite (free_group): its elements are then finite
+    combinations, dim is math.inf, and nothing lists the group.
     """
 
     def __init__(self, group: Group, name=""):
@@ -86,9 +89,6 @@ class AlgebraElement:
             else:
                 out.pop(g, None)
         return AlgebraElement(self.parent, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def __mul__(self, other):
         self._check(other)
@@ -168,7 +168,7 @@ class Elements:
 
 @dataclass(frozen=True)
 class Group:
-    """A finite group presented by element set, product, and inverse."""
+    """A group presented by element set, product, and inverse."""
 
     elements: object  # a sized iterable, or Elements
     mul: object  # callable (g, h) -> g*h
@@ -244,6 +244,30 @@ def symmetric_group(points) -> Group:
 
 def cyclic_group(n: int) -> Group:
     return Group(range(n), lambda a, b: (a + b) % n, lambda a: (-a) % n, 0)
+
+
+def _unlisted():
+    raise SizeGuard("the free group is infinite; its elements cannot be "
+                    "listed")
+
+
+def free_group() -> Group:
+    """The free group on any hashable letters.  An element is a reduced
+    word, a tuple of (letter, +-1) with no adjacent (l, e), (l, -e); the
+    identity is ().  Listing the elements raises SizeGuard, so nothing
+    that enumerates a group runs on it by accident."""
+
+    def mul(v, w):
+        # v and w are reduced, so only their junction can cancel
+        i, n = 0, min(len(v), len(w))
+        while i < n and v[-1 - i][0] == w[i][0] and v[-1 - i][1] == -w[i][1]:
+            i += 1
+        return v[:len(v) - i] + w[i:]
+
+    def inv(w):
+        return tuple([(l, -e) for l, e in reversed(w)])
+
+    return Group(Elements(inf, _unlisted), mul, inv, ())
 
 
 def direct_product(*groups) -> Group:
@@ -395,9 +419,9 @@ def solve(mat, rhs) -> list:
 
 
 class EchelonBasis:
-    """An exact basis of a growing span of sparse elements (anything with
-    a .coeffs dict, scale, + and is_zero), in echelon form: each element
-    has coefficient 1 at its pivot key, which no earlier element holds.
+    """An exact basis of a growing span of AlgebraElements, in echelon
+    form: each element has coefficient 1 at its pivot key, which no
+    earlier element holds.
 
     eliminate works on a whole matrix with indexed columns; here elements
     arrive one at a time over keys never listed in advance, and adding one

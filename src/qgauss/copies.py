@@ -10,12 +10,13 @@ All arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations, product
 from math import factorial
 
 from .algebra import (PROJECTION_GUARD, AlgebraElement, FiniteTracialAlgebra,
-                      SubalgebraSpec, group_algebra, symmetric_group,
-                      tensor_algebra)
+                      SubalgebraSpec, free_group, group_algebra,
+                      symmetric_group, tensor_algebra)
 from .errors import SizeGuard, WindowExceeded
 
 
@@ -57,97 +58,34 @@ def pi_word(backend, xs, labels):
 # free Haar backend
 
 
-class FreeWordElement:
-    """Rational combination of reduced words in free-group letters.
+class FreeWordElement(AlgebraElement):
+    """An element of D = L(F), built from one word by from_word."""
 
-    A word is a tuple of (letter, exponent) with exponent +-1 and no
-    adjacent cancelling pair.
-    """
+    __slots__ = ()
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict | None = None):
-        self.coeffs = coeffs or {}  # {reduced word: nonzero Fraction}
+    # perfbench/spans.py wraps this class's own __mul__ by name, as it
+    # does moments.trace_of_partition_term; remove both when the
+    # benchmark next changes
+    __mul__ = AlgebraElement.__mul__
 
     @staticmethod
     def from_word(word) -> "FreeWordElement":
-        return FreeWordElement({_reduce_word(tuple(word)): Fraction(1)})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            nc = out.get(w, Fraction(0)) + c
-            if nc:
-                out[w] = nc
-            else:
-                out.pop(w, None)
-        return FreeWordElement(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        out = {}
-        for w1, c1 in self.coeffs.items():
-            for w2, c2 in other.coeffs.items():
-                w = _reduce_word(w1 + w2)
-                nc = out.get(w, Fraction(0)) + c1 * c2
-                if nc:
-                    out[w] = nc
-                else:
-                    out.pop(w, None)
-        return FreeWordElement(out)
-
-    def scale(self, c) -> "FreeWordElement":
-        c = Fraction(c)
-        if not c:
-            return FreeWordElement()
-        return FreeWordElement({w: c * x for w, x in self.coeffs.items()})
-
-    def star(self) -> "FreeWordElement":
-        return FreeWordElement({tuple((l, -e) for l, e in reversed(w)): c
-                                for w, c in self.coeffs.items()})
-
-    def trace(self) -> Fraction:
-        return self.coeffs.get((), Fraction(0))
-
-    def substitute(self, mapping: dict) -> "FreeWordElement":
-        out = {}
-        for w, c in self.coeffs.items():
-            nw = _reduce_word(tuple((mapping.get(l, l), e) for l, e in w))
-            out[nw] = out.get(nw, Fraction(0)) + c
-        return FreeWordElement({w: c for w, c in out.items() if c})
-
-    def letters(self):
-        return {l for w in self.coeffs for l, _ in w}
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, FreeWordElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __repr__(self):
-        return f"FreeWordElement({self.coeffs!r})"
+        """u_w for any word of (letter, +-1), reduced by the group product."""
+        mul = D.group.mul
+        return FreeWordElement(D, {reduce(mul, [(x,) for x in word], ()):
+                                   Fraction(1)})
 
 
-def _reduce_word(word: tuple) -> tuple:
-    out = []
-    for l, e in word:
-        if out and out[-1][0] == l and out[-1][1] == -e:
-            out.pop()
-        else:
-            out.append((l, e))
-    return tuple(out)
+#: The group algebra of the free group, shared by every free Haar backend;
+#: copy j of u is the letter j.
+D = FiniteTracialAlgebra(free_group(), name="L(F)")
 
 
 class FreeHaarBackend:
-    """B = scalars, A generated by one Haar unitary, pi_j(u_1) = u_j."""
+    """B = scalars, A generated by one Haar unitary, pi_j(u_1) = u_j in
+    D = L(F).  pi and relabel rename letters injectively, which keeps
+    every word reduced and distinct words distinct, so neither re-reduces
+    nor merges terms."""
 
     name = "free_haar"
 
@@ -156,32 +94,37 @@ class FreeHaarBackend:
             raise ValueError("window must be >= 1")
         check_size("window", window)
         self.window = window
-        one = FreeWordElement({(): Fraction(1)})
-        u = FreeWordElement.from_word(((1, 1),))
-        self.A_one = one
-        self.S = {"1": one, "u": u, "u*": u.star()}
-        self.B_pairs = [(one, one)]
+        self.D = D
+        u = D.basis_element(((1, 1),))
+        self.A_one = D.one
+        self.S = {"1": D.one, "u": u, "u*": u.star()}
+        self.B_pairs = [(D.one, D.one)]
 
-    def one(self) -> FreeWordElement:
-        return FreeWordElement({(): Fraction(1)})
+    def one(self) -> AlgebraElement:
+        return D.one
 
-    def pi(self, j: int, a: FreeWordElement) -> FreeWordElement:
+    def pi(self, j: int, a: AlgebraElement) -> AlgebraElement:
         if not 1 <= j <= self.window:
             raise WindowExceeded(f"copy index {j} outside window {self.window}")
-        if not a.letters() <= {1}:
+        if a.parent is not D:
+            raise ValueError("pi expects an element of D = L(F)")
+        if any(l != 1 for w in a.coeffs for l, _ in w):
             raise ValueError("A-elements use only the first letter")
-        return a.substitute({1: j})
+        return AlgebraElement(D, {tuple([(j, e) for _, e in w]): c
+                                  for w, c in a.coeffs.items()})
 
-    def expect(self, I, x: FreeWordElement) -> FreeWordElement:
+    def expect(self, I, x: AlgebraElement) -> AlgebraElement:
         allowed = set(I)
-        return FreeWordElement({w: c for w, c in x.coeffs.items()
-                                if {l for l, _ in w} <= allowed})
+        return AlgebraElement(D, {w: c for w, c in x.coeffs.items()
+                                  if all(l in allowed for l, _ in w)})
 
-    def trace(self, x: FreeWordElement) -> Fraction:
+    def trace(self, x: AlgebraElement) -> Fraction:
         return x.trace()
 
-    def relabel(self, gamma: dict, x: FreeWordElement) -> FreeWordElement:
-        return x.substitute(_complete_relabel(gamma, self.window))
+    def relabel(self, gamma: dict, x: AlgebraElement) -> AlgebraElement:
+        g = _complete_relabel(gamma, self.window)
+        return AlgebraElement(D, {tuple([(g.get(l, l), e) for l, e in w]): c
+                                  for w, c in x.coeffs.items()})
 
     def dim_bound(self, k: int) -> int:
         return 4 ** k

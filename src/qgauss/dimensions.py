@@ -156,7 +156,13 @@ def _step(backend, k: int, left: int, states: dict, ahead: dict,
 def growth_report(backend, k_max: int, max_m_offset: int = 4,
                   gens=None) -> dict:
     """Per-degree dimensions against the backend's declared bound, plus a
-    log-linear fit of dim against k as an empirical growth-base estimate."""
+    log-linear fit of dim against k as an empirical growth-base estimate.
+    The window is checked for the largest span before any is computed."""
+    needed = k_max + max_m_offset // 2
+    if backend.window < needed:
+        raise WindowExceeded(
+            f"dims up to k={k_max} with max_m_offset {max_m_offset} need "
+            f"window >= {needed}, backend has {backend.window}")
     reports = [span_Dk(backend, k, k + max_m_offset, gens=gens)
                for k in range(k_max + 1)]
     rows = [r.row() for r in reports]

@@ -110,23 +110,8 @@ class FockVector:
     def coefficient(self, word: tuple) -> QPoly:
         return self.terms.get(word, QPoly.zero())
 
-    def __add__(self, other):
-        out = FockVector(dict(self.terms))
-        for w, c in other.terms.items():
-            out.add_term(w, c)
-        return out
-
-    def scale(self, c) -> "FockVector":
-        out = FockVector()
-        for w, coeff in self.terms.items():
-            out.add_term(w, coeff * QPoly.coerce(c))
-        return out
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def max_word_degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
 
 def q_inner(u: tuple, v: tuple, cfg: FockConfig) -> QPoly:

@@ -207,8 +207,11 @@ class Scenario:
                         f"word[{i}].color: {c} is outside the "
                         f"{len(self.Q)}x{len(self.Q)} Q matrix")
         dims = _object(data.get("dims", {}), "dims")
-        self.k_max = _int(dims, "k_max", "dims", 2)
-        self.max_m_offset = _int(dims, "max_m_offset", "dims", 4)
+        for key, default in (("k_max", 2), ("max_m_offset", 4)):
+            value = _int(dims, key, "dims", default)
+            if value < 0:
+                raise ScenarioError(f"dims.{key}: must be >= 0, got {value}")
+            setattr(self, key, value)
 
     @staticmethod
     def load(path: str) -> "Scenario":

@@ -42,16 +42,6 @@ class WickSpanElement:
                     out.add_term(w, coeff)
         return out
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "WickSpanElement":
-        out = WickSpanElement()
-        for deg, terms in self.graded.items():
-            for coeff, w in terms:
-                out.add_term(w, coeff * QPoly.coerce(c))
-        return out
-
     def scale_by_degree(self, factor) -> "WickSpanElement":
         """Multiply each degree-s component by factor(s)."""
         out = WickSpanElement()

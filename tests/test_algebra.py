@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from qgauss import algebra
 from qgauss.algebra import (EchelonBasis, Group, SubalgebraSpec,
                             conditional_expectation, cyclic_group,
-                            group_algebra, is_positive_definite, rank, solve,
-                            symmetric_group, tensor_algebra, trivial_algebra,
-                            validate_group)
-from qgauss.errors import InvalidGroup
+                            free_group, group_algebra, is_positive_definite,
+                            rank, solve, symmetric_group, tensor_algebra,
+                            trivial_algebra, validate_group)
+from qgauss.errors import InvalidGroup, SizeGuard
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +72,55 @@ def test_trivial_algebra():
     triv = trivial_algebra()
     assert triv.dim == 1
     assert triv.one.trace() == 1
+
+
+# ---------------------------------------------------------------------
+# the free group
+
+
+def _fully_reduced(word) -> tuple:
+    """Cancel adjacent (l, e), (l, -e) pairs until none is left."""
+    out = []
+    for l, e in word:
+        if out and out[-1] == (l, -e):
+            out.pop()
+        else:
+            out.append((l, e))
+    return tuple(out)
+
+
+# words over three letters, reduced; raw words cancel often
+free_words = st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1))),
+                      max_size=10).map(_fully_reduced)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=free_words, w=free_words)
+def test_free_group_mul_is_reduced_concatenation(v, w):
+    assert free_group().mul(v, w) == _fully_reduced(v + w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=free_words, v=free_words, w=free_words)
+def test_free_group_is_associative_with_inverses(u, v, w):
+    F = free_group()
+    assert F.mul(F.mul(u, v), w) == F.mul(u, F.mul(v, w))
+    assert F.mul(u, F.inv(u)) == F.identity == F.mul(F.inv(u), u)
+    assert F.mul(F.identity, u) == u == F.mul(u, F.identity)
+
+
+def test_free_group_elements_cannot_be_listed():
+    F = free_group()
+    assert F.order == float("inf")
+    with pytest.raises(SizeGuard):
+        iter(F.elements)
+    with pytest.raises(SizeGuard):
+        validate_group(F)
+    alg = group_algebra(F, validate=False)
+    with pytest.raises(SizeGuard):
+        sorted(alg.group.elements)
+    u = alg.basis_element((("a", 1),))
+    assert (u * u.star()) == alg.one and u.trace() == 0
 
 
 coeff_lists = st.lists(st.fractions(min_value=-6, max_value=6,

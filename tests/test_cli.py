@@ -7,8 +7,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgauss import algebra
-from qgauss.cli import main
+from qgauss import algebra, dimensions, matmodel
+from qgauss.cli import MATMODEL_Z, main
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -96,6 +96,37 @@ def test_dims_json_and_csv(tmp_path, capsys):
     assert out.splitlines()[0] == "k,dim_scalar,bound,stabilized_at_m"
 
 
+@pytest.mark.parametrize("dims, field", [
+    ({"k_max": -1}, "dims.k_max"),
+    ({"max_m_offset": -2}, "dims.max_m_offset"),
+    ({"k_max": "x"}, "dims.k_max"),
+])
+def test_bad_dims_fields_name_the_field(tmp_path, capsys, dims, field):
+    path = write_scenario(tmp_path, {"backend": {"kind": "free_haar"},
+                                     "dims": dims})
+    code = main(["dims", "--scenario", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {field}:") and not captured.out
+
+
+@pytest.mark.parametrize("backend, dims", [
+    ({"kind": "free_haar", "window": 1024}, {"k_max": 1000000}),
+    ({"kind": "perm_group", "d": 1, "window": 6},
+     {"k_max": 5, "max_m_offset": 4}),
+])
+def test_oversized_dims_fail_before_any_span(tmp_path, capsys, monkeypatch,
+                                             backend, dims):
+    spans = []
+    monkeypatch.setattr(dimensions, "span_Dk",
+                        lambda *args, **kw: spans.append(args))
+    path = write_scenario(tmp_path, {"backend": backend, "dims": dims})
+    code = main(["dims", "--scenario", path])
+    captured = capsys.readouterr()
+    assert code == 2 and not spans
+    assert "need window >=" in captured.err and not captured.out
+
+
 def test_verify_oracle_suite(capsys):
     code, out = run(capsys, "verify", "oracle")
     assert code == 0
@@ -106,6 +137,25 @@ def test_verify_oracle_suite(capsys):
 def test_verify_semigroup_suite(capsys):
     code, out = run(capsys, "verify", "semigroup")
     assert code == 0
+
+
+def test_verify_matmodel_catches_a_biased_estimator(capsys, monkeypatch):
+    # sample with Q negated while the target keeps Q: at Q = 1/2 and the
+    # default seed the mean lies about 20 standard errors off its target
+    sample, exact = matmodel.mc_moment, matmodel.model_moment_exact
+
+    def biased(word, Qm, **kw):
+        with monkeypatch.context() as m:
+            m.setattr(matmodel, "model_moment_exact",
+                      lambda w, _, n, **k: exact(w, Qm, n, **k))
+            return sample(word, [[-x for x in row] for row in Qm], **kw)
+
+    monkeypatch.setattr(matmodel, "mc_moment", biased)
+    code, out = run(capsys, "verify", "matmodel")
+    assert code == 1
+    z = {c["check"]: c["z"] for c in map(json.loads, out.splitlines())}
+    assert abs(z["mc s^4 Q=1/2"]) > MATMODEL_Z
+    assert abs(z["mc s^4 Q=0"]) <= MATMODEL_Z
 
 
 def test_bad_scenario_exit_code(tmp_path, capsys):

@@ -68,6 +68,20 @@ def test_free_pi_and_expect(free3):
     assert free3.expect([2], u2) == u2
 
 
+def test_free_pi_refuses_other_algebras(free3, perm3):
+    with pytest.raises(ValueError):
+        free3.pi(1, perm3.S["u01"])
+    with pytest.raises(ValueError):  # the letter 2 is no A-element
+        free3.pi(1, free3.pi(2, free3.S["u"]))
+
+
+def test_free_relabel_renames_letters(free3):
+    u = free3.S["u"]
+    x = free3.pi(1, u) * free3.pi(2, u.star()) * free3.pi(3, u)
+    y = free3.relabel({1: 2, 2: 3, 3: 1}, x)
+    assert y == free3.pi(2, u) * free3.pi(3, u.star()) * free3.pi(1, u)
+
+
 def test_free_expect_is_partial_trace_on_products(free3):
     u = free3.S["u"]
     x = free3.pi(1, u) * free3.pi(2, u) * free3.pi(2, u.star())
