@@ -92,8 +92,12 @@ class AlgebraElement:
 
     def __mul__(self, other):
         self._check(other)
-        out = {}
         mul = self.parent.group.mul
+        if len(other.coeffs) == 1:  # g -> gh is injective: no terms merge
+            (h, ch), = other.coeffs.items()
+            return AlgebraElement(self.parent, {mul(g, h): cg if ch == 1 else cg * ch
+                                                for g, cg in self.coeffs.items()})
+        out = {}
         for g, cg in self.coeffs.items():
             for h, ch in other.coeffs.items():
                 k = mul(g, h)
@@ -259,8 +263,10 @@ def free_group() -> Group:
 
     def mul(v, w):
         # v and w are reduced, so only their junction can cancel
-        i, n = 0, min(len(v), len(w))
-        while i < n and v[-1 - i][0] == w[i][0] and v[-1 - i][1] == -w[i][1]:
+        if not v or not w or v[-1][0] != w[0][0] or v[-1][1] == w[0][1]:
+            return v + w
+        i, n = 1, min(len(v), len(w))
+        while i < n and v[-1 - i][0] == w[i][0] and v[-1 - i][1] != w[i][1]:
             i += 1
         return v[:len(v) - i] + w[i:]
 
@@ -443,18 +449,23 @@ class EchelonBasis:
         # subtracting it brings back none that was cleared
         todo = self._positions(x)
         heapify(todo)
+        x = AlgebraElement(x.parent, dict(x.coeffs))
+        coeffs = x.coeffs
         while todo:
             i = heappop(todo)
-            c = x.coeffs.get(self._pivots[i])
+            c = coeffs.get(self._pivots[i])
             if c:
                 b = self.vectors[i]
-                x = x + b.scale(-c)
+                for g, bg in b.coeffs.items():  # x -= c * b, in place
+                    coeffs[g] = coeffs.get(g, 0) - c * bg
+                    if not coeffs[g]:
+                        del coeffs[g]
                 for j in self._positions(b):
                     if j > i:
                         heappush(todo, j)
-        if x.is_zero():
+        if not coeffs:
             return False
-        key, c = next(iter(x.coeffs.items()))
+        key, c = next(iter(coeffs.items()))
         self._index[key] = len(self.vectors)
         self._pivots.append(key)
         self.vectors.append(x if c == 1 else x.scale(1 / c))

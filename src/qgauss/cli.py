@@ -50,17 +50,15 @@ def cmd_moment(args) -> int:
                                         sc.backend, sc.cfg)
         result["value"] = str(value)
         result["kind"] = "q_matrix"
-    elif sc.n is not None:
-        poly = moments.finite_n_moment(sc.word, sc.backend, sc.n, sc.cfg)
-        result["qpoly"] = poly.to_strings()
-        result["n"] = sc.n
-        result["kind"] = "finite_n"
-        result["evaluations"] = {str(q): str(poly.eval(q))
-                                 for q in sc.q_values}
     else:
-        poly = moments.moment(sc.word, sc.backend, sc.cfg)
+        if sc.n is not None:
+            poly = moments.finite_n_moment(sc.word, sc.backend, sc.n, sc.cfg)
+            result["n"] = sc.n
+            result["kind"] = "finite_n"
+        else:
+            poly = moments.moment(sc.word, sc.backend, sc.cfg)
+            result["kind"] = "limit"
         result["qpoly"] = poly.to_strings()
-        result["kind"] = "limit"
         result["evaluations"] = {str(q): str(poly.eval(q))
                                  for q in sc.q_values}
     _emit(_json(result), args.out)
@@ -75,8 +73,7 @@ def cmd_dims(args) -> int:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["k", "dim_scalar", "bound", "stabilized_at_m"])
-        for row in report["rows"]:
-            writer.writerow(row)
+        writer.writerows(report["rows"])
         _emit(buf.getvalue(), args.out)
     else:
         doc = {"backend": report["backend"],
@@ -170,12 +167,9 @@ def _suite_matmodel(seed, samples):
 
 
 def cmd_verify(args) -> int:
-    suites = {
-        "oracle": lambda: _suite_oracle(),
-        "axioms": lambda: _suite_axioms(),
-        "semigroup": lambda: _suite_semigroup(),
-        "matmodel": lambda: _suite_matmodel(args.seed, args.samples),
-    }
+    suites = {"oracle": _suite_oracle, "axioms": _suite_axioms,
+              "semigroup": _suite_semigroup,
+              "matmodel": lambda: _suite_matmodel(args.seed, args.samples)}
     names = list(suites) if args.suite == "all" else [args.suite]
     lines = []
     failed = False
@@ -183,8 +177,7 @@ def cmd_verify(args) -> int:
         for check in suites[name]():
             check["suite"] = name
             lines.append(json.dumps(check, sort_keys=True))
-            if not check["ok"]:
-                failed = True
+            failed = failed or not check["ok"]
     _emit("\n".join(lines) + "\n", args.out)
     return 1 if failed else 0
 

@@ -95,10 +95,10 @@ class FreeHaarBackend:
         check_size("window", window)
         self.window = window
         self.D = D
-        u = D.basis_element(((1, 1),))
-        self.A_one = D.one
-        self.S = {"1": D.one, "u": u, "u*": u.star()}
-        self.B_pairs = [(D.one, D.one)]
+        one, u = D.one, D.basis_element(((1, 1),))
+        self.A_one = one
+        self.S = {"1": one, "u": u, "u*": u.star()}
+        self.B_pairs = [(one, one)]
 
     def one(self) -> AlgebraElement:
         return D.one
@@ -116,7 +116,7 @@ class FreeHaarBackend:
     def expect(self, I, x: AlgebraElement) -> AlgebraElement:
         allowed = set(I)
         return AlgebraElement(D, {w: c for w, c in x.coeffs.items()
-                                  if all(l in allowed for l, _ in w)})
+                                  if allowed.issuperset([l for l, _ in w])})
 
     def trace(self, x: AlgebraElement) -> Fraction:
         return x.trace()

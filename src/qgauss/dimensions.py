@@ -143,11 +143,14 @@ def _step(backend, k: int, left: int, states: dict, ahead: dict,
             for (t2, j2), R in _images(backend, k, left, t, j, basis.pop(),
                                        pis):
                 tried += 1
+                if R.is_zero():
+                    continue
                 if loose and k - t2 + j2 == left:
                     for s, R2 in _images(backend, k, left - 1, t2, j2, R,
                                          pis):
                         tried += 1
-                        after.setdefault(s, EchelonBasis()).add(R2)
+                        if not R2.is_zero():
+                            after.setdefault(s, EchelonBasis()).add(R2)
                 else:
                     nxt.setdefault((t2, j2), EchelonBasis()).add(R)
     return {s: b.vectors for s, b in nxt.items() if b.vectors}, after, tried

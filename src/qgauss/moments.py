@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 from . import qfock
@@ -151,12 +152,18 @@ def close_arc(backend, P, pi_x, label, top):
     so by exchangeability it leaves E_I unchanged while the open labels
     stay 1..top-1 and a new arc reuses the freed label.
     """
-    R = backend.expect([j for j in range(1, top + 1) if j != label],
-                       P * pi_x)
-    if label < top and not R.is_zero():
-        shift = {j: j - 1 for j in range(label + 1, top + 1)}
-        R = backend.relabel({label: top, **shift}, R)
+    keep, shift = _closing(label, top)
+    R = backend.expect(keep, P * pi_x)
+    if label < top and R.coeffs:
+        R = backend.relabel(shift, R)
     return R
+
+
+@lru_cache(maxsize=None)
+def _closing(label, top):
+    """close_arc's kept labels and relabeling; shared, so never modified."""
+    return (tuple(j for j in range(1, top + 1) if j != label),
+            {j: top if j == label else j - 1 for j in range(label, top + 1)})
 
 
 def _add_state(states, stack, P, weight):

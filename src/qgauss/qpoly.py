@@ -149,9 +149,6 @@ class QPoly:
         """Degree, with the convention deg(0) = -1."""
         return len(self.coeffs) - 1
 
-    def constant_term(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
     # -- serialization -----------------------------------------------
 
     def to_strings(self) -> list[str]:
