@@ -123,21 +123,6 @@ class AlgebraElement:
     def trace(self) -> Fraction:
         return self.coeffs.get(self.parent.unit, Fraction(0))
 
-    def trace_with(self, other: "AlgebraElement") -> Fraction:
-        """tau(self * other) = sum_g self_g other_{g^-1}, since
-        tau(u_g u_h) = [gh = e]; the product is never formed."""
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(b) < len(a):
-            a, b = b, a
-        inv = self.parent.group.inv
-        total = Fraction(0)
-        for g, c in a.items():
-            d = b.get(inv(g))
-            if d:
-                total += c * d
-        return total
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -408,20 +393,25 @@ def factor(mat) -> list:
             for i, row in enumerate(a)]
 
 
-def _substitute(factors, rhs) -> list:
-    """Solve U c = E b back to front, for factors from factor()."""
-    out = [Fraction(0)] * len(factors)
+def _substitute(factors, rhs: dict) -> dict:
+    """Solve U c = E b back to front, for factors from factor(), with b
+    and c sparse as {row: nonzero Fraction}.  A row whose terms are all
+    zero, or cancel, gets no entry and no Fraction is made for it."""
+    out = {}
     for i in range(len(factors) - 1, -1, -1):
         pivot, upper, carried = factors[i]
-        s = (sum(e * rhs[k] for k, e in carried if rhs[k])
-             - sum(u * out[j] for j, u in upper if out[j]))
-        out[i] = Fraction(s, pivot)
+        s = (sum(e * rhs[k] for k, e in carried if k in rhs)
+             - sum(u * out[j] for j, u in upper if j in out))
+        if s:
+            out[i] = s if pivot == 1 else s / pivot
     return out
 
 
 def solve(mat, rhs) -> list:
     """Solve M c = b over the rationals for a nonsingular square M."""
-    return _substitute(factor(mat), rhs)
+    out = _substitute(factor(mat),
+                      {k: Fraction(b) for k, b in enumerate(rhs) if b})
+    return [out.get(i, Fraction(0)) for i in range(len(mat))]
 
 
 class EchelonBasis:
@@ -472,14 +462,38 @@ class EchelonBasis:
         return True
 
 
+def pairing_index(basis) -> dict:
+    """{h: [(i, (b_i*)_{h^-1}), ...]} for a list of elements b_i, so that
+    tau(b_i* x) = sum over h in the support of x of x_h (b_i*)_{h^-1},
+    since tau(u_g u_h) = [gh = e]."""
+    index = {}
+    for i, b in enumerate(basis):
+        inv = b.parent.group.inv
+        for g, c in b.star().coeffs.items():
+            index.setdefault(inv(g), []).append((i, c))
+    return index
+
+
+def pairings(index, x: AlgebraElement) -> dict:
+    """{i: tau(b_i* x)} over the i where it is nonzero, for an index from
+    pairing_index, read from the support of x alone."""
+    out = {}
+    for h, c in x.coeffs.items():
+        for i, s in index.get(h, ()):
+            out[i] = out.get(i, 0) + s * c
+    return {i: v for i, v in out.items() if v}
+
+
 def conditional_expectation(x: AlgebraElement,
                             sub: SubalgebraSpec) -> AlgebraElement:
     """Trace-preserving conditional expectation onto the subalgebra.
 
     Computed as the tau-orthogonal projection onto the sub-basis span:
-    solve the sub-basis Gram system G c = (tau(b_i* x))_i exactly, with G
-    factored once per subalgebra.  The identity shortcut applies when sub
-    is the whole algebra.
+    solve the sub-basis Gram system G c = (tau(b_i* x))_i exactly.  Once
+    per subalgebra, G is built column by column from a pairing index of
+    the basis and factored; each call reads its right-hand side from the
+    support of x.  The identity shortcut applies when sub is the whole
+    algebra.
     """
     alg = sub.algebra
     if x.parent is not alg:
@@ -492,12 +506,14 @@ def conditional_expectation(x: AlgebraElement,
             f"exceeds the guard {PROJECTION_GUARD}")
     cached = alg._projection_cache.get(sub.indices)
     if cached is None:
-        basis = sorted(sub.indices)
-        stars = [alg.basis_element(g).star() for g in basis]
-        gram = [[s.trace_with(alg.basis_element(g)) for g in basis]
-                for s in stars]
-        cached = alg._projection_cache[sub.indices] = (basis, stars,
+        keys = sorted(sub.indices)
+        basis = [alg.basis_element(g) for g in keys]
+        index = pairing_index(basis)
+        cols = [pairings(index, b) for b in basis]
+        gram = [[col.get(i, 0) for col in cols] for i in range(len(basis))]
+        cached = alg._projection_cache[sub.indices] = (keys, index,
                                                        factor(gram))
-    basis, stars, factors = cached
-    coeffs = _substitute(factors, [s.trace_with(x) for s in stars])
-    return AlgebraElement(alg, {g: c for g, c in zip(basis, coeffs) if c})
+    keys, index, factors = cached
+    coeffs = _substitute(factors, pairings(index, x))
+    return AlgebraElement(alg, {keys[i]: c  # in basis order
+                                for i, c in reversed(coeffs.items())})

@@ -392,93 +392,58 @@ def axiom_check(backend, indices: int = 3, word_len: int = 4,
         return prod
 
     # (1) pi_j restricts to the identity on B
-    ok, witness, count = True, None, 0
     B_pairs = backend.B_pairs
-    for j in range(1, indices + 1):
-        for a, embedded in B_pairs:
-            count += 1
-            if backend.pi(j, a) != embedded:
-                ok, witness = False, f"pi({j}, b) != b for b={a!r}"
-                break
-        if not ok:
-            break
-    report["axiom1"] = {"ok": ok, "checked": count, "witness": witness}
+    report["axiom1"] = _first_failure(
+        None if backend.pi(j, a) == embedded
+        else f"pi({j}, b) != b for b={a!r}"
+        for j in range(1, indices + 1) for a, embedded in B_pairs)
 
     # (2) exchangeability of E_B under index permutations
-    ok, witness, count = True, None, 0
-    for w in _words_over(names, word_len):
-        l = len(w)
-        for js in product(range(1, indices + 1), repeat=l):
-            base = None
-            for rho in permutations(range(1, indices + 1)):
-                val = backend.expect((), word(w, [rho[j - 1] for j in js]))
-                count += 1
-                if base is None:
-                    base = val
-                elif val != base:
-                    ok, witness = False, (
-                        f"E_B not invariant: word len {l}, indices {js}, "
+    def axiom2():
+        for w in _words_over(names, word_len):
+            for js in product(range(1, indices + 1), repeat=len(w)):
+                base = None
+                for rho in permutations(range(1, indices + 1)):
+                    val = backend.expect((), word(w, [rho[j - 1] for j in js]))
+                    base = val if base is None else base
+                    yield None if val == base else (
+                        f"E_B not invariant: word len {len(w)}, indices {js}, "
                         f"relabeling {rho}")
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report["axiom2"] = {"ok": ok, "checked": count, "witness": witness}
+
+    report["axiom2"] = _first_failure(axiom2())
 
     # (3) E_{A_I}(pi_j(a) d pi_j(a')) = E_{A_J}(...) for I subset J, j not in J
-    ok, witness, count = True, None, 0
     subsets = _subsets(range(1, indices + 1))
-    for J in subsets:
-        for I in subsets:
-            if not I <= J or I == J:
-                continue
-            outside = [j for j in range(1, backend.window + 1) if j not in J]
-            if not outside:
-                continue
-            j = outside[0]
-            ds = [backend.one()]
-            for w in _words_over(nontrivial, axiom3_word_len):
-                for ks in product(sorted(I), repeat=len(w)):
-                    ds.append(word(w, ks))
-            for a in names:
-                for ap in names:
-                    for dmid in ds:
-                        x = pis[j, a] * dmid * pis[j, ap]
-                        count += 1
-                        if backend.expect(I, x) != backend.expect(J, x):
-                            ok, witness = False, (
-                                f"I={set(I)}, J={set(J)}, j={j}")
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report["axiom3"] = {"ok": ok, "checked": count, "witness": witness}
+
+    def axiom3():
+        for J in subsets:
+            for I in subsets:
+                outside = [j for j in range(1, backend.window + 1)
+                           if j not in J]
+                if not I < J or not outside:
+                    continue
+                j = outside[0]
+                ds = [backend.one()]
+                for w in _words_over(nontrivial, axiom3_word_len):
+                    for ks in product(sorted(I), repeat=len(w)):
+                        ds.append(word(w, ks))
+                for a, ap, dmid in product(names, names, ds):
+                    x = pis[j, a] * dmid * pis[j, ap]
+                    same = backend.expect(I, x) == backend.expect(J, x)
+                    yield None if same else f"I={set(I)}, J={set(J)}, j={j}"
+
+    report["axiom3"] = _first_failure(axiom3())
 
     # (4) E_{A_I} E_{A_J} = E_{A_{I cap J}}
-    ok, witness, count = True, None, 0
     gens = [(j, n) for j in range(1, indices + 1) for n in nontrivial]
     xs = [backend.one()]
     for w in _words_over(gens, axiom4_word_len):
         xs.append(word([n for _, n in w], [j for j, _ in w]))
-    for I in subsets:
-        for J in subsets:
-            for x in xs:
-                count += 1
-                lhs = backend.expect(I, backend.expect(J, x))
-                if lhs != backend.expect(I & J, x):
-                    ok, witness = False, f"I={set(I)}, J={set(J)}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report["axiom4"] = {"ok": ok, "checked": count, "witness": witness}
+    report["axiom4"] = _first_failure(
+        None if (backend.expect(I, backend.expect(J, x))
+                 == backend.expect(I & J, x))
+        else f"I={set(I)}, J={set(J)}"
+        for I in subsets for J in subsets for x in xs)
 
     # (5) the union of all A_I is D: true by construction at window scale
     report["axiom5"] = {"ok": True, "checked": 0, "by_construction": True,
@@ -487,6 +452,17 @@ def axiom_check(backend, indices: int = 3, word_len: int = 4,
     report["passed"] = all(report[k]["ok"] for k in
                            ("axiom1", "axiom2", "axiom3", "axiom4", "axiom5"))
     return report
+
+
+def _first_failure(cases) -> dict:
+    """One axiom's entry: the identities checked up to the first that
+    fails.  A case is None when its identity holds, else a witness."""
+    count = 0
+    for witness in cases:
+        count += 1
+        if witness is not None:
+            return {"ok": False, "checked": count, "witness": witness}
+    return {"ok": True, "checked": count, "witness": None}
 
 
 def _subsets(it):

@@ -42,8 +42,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import EchelonBasis
-from .errors import WindowExceeded
+from .errors import SizeGuard, WindowExceeded
 from .moments import close_arc
+
+#: Largest dim_bound(k_max) that growth_report accepts: k_max up to 5 on
+#: free Haar (4^5) and 10 on perm d = 1 (2^10), seconds at offset 4.
+SPAN_GUARD = 1024
 
 
 @dataclass
@@ -160,12 +164,16 @@ def growth_report(backend, k_max: int, max_m_offset: int = 4,
                   gens=None) -> dict:
     """Per-degree dimensions against the backend's declared bound, plus a
     log-linear fit of dim against k as an empirical growth-base estimate.
-    The window is checked for the largest span before any is computed."""
+    The window and the size of the largest span are checked before any
+    span is computed."""
     needed = k_max + max_m_offset // 2
     if backend.window < needed:
         raise WindowExceeded(
             f"dims up to k={k_max} with max_m_offset {max_m_offset} need "
             f"window >= {needed}, backend has {backend.window}")
+    if backend.dim_bound(k_max) > SPAN_GUARD:
+        raise SizeGuard(f"dims.k_max: {k_max} allows spans of dimension up "
+                        f"to {backend.dim_bound(k_max)}, over {SPAN_GUARD}")
     reports = [span_Dk(backend, k, k + max_m_offset, gens=gens)
                for k in range(k_max + 1)]
     rows = [r.row() for r in reports]

@@ -65,17 +65,20 @@ class FockConfig:
         if not is_positive_definite(inner):
             raise ValueError("inner matrix is not positive definite")
         object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "_ip_memo", {})  # not a field: no ==, hash
 
     def ip(self, u, v) -> Fraction:
-        """Inner product of two coordinate vectors over the spanning family."""
-        acc = Fraction(0)
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            row = self.inner[i]
-            for j, vj in enumerate(v):
-                if vj:
-                    acc += Fraction(ui) * row[j] * Fraction(vj)
+        """Inner product of two coordinate vectors over the spanning family,
+        memoized per pair of vectors.  Equal keys hold numerically equal
+        entries (a list and a tuple, 1 and Fraction(1)), so they share one
+        exact value."""
+        key = (tuple(u), tuple(v))
+        acc = self._ip_memo.get(key)
+        if acc is None:
+            acc = self._ip_memo[key] = sum(
+                (Fraction(ui) * self.inner[i][j] * Fraction(vj)
+                 for i, ui in enumerate(key[0]) if ui
+                 for j, vj in enumerate(key[1]) if vj), Fraction(0))
         return acc
 
     def basis_vector(self, b: int):

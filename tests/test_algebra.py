@@ -157,19 +157,59 @@ def test_conditional_expectation_module_property(cs, c):
         assert rhs == conditional_expectation(x, sub) * a
 
 
+S3_AND_Z2Z3 = (group_algebra(symmetric_group(range(3)), validate=False),
+               tensor_algebra(group_algebra(cyclic_group(2)),
+                              group_algebra(cyclic_group(3))))
+
+
+def sparse_element(data, alg, max_size=6):
+    return alg.element(data.draw(st.dictionaries(
+        st.sampled_from(sorted(alg.group.elements)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        max_size=max_size)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_trace_with_is_trace_of_product(data):
-    for alg in (group_algebra(symmetric_group(range(3)), validate=False),
-                tensor_algebra(group_algebra(cyclic_group(2)),
-                               group_algebra(cyclic_group(3)))):
-        # sparse elements, so that the two supports differ in size
-        x, y = (alg.element(data.draw(st.dictionaries(
-            st.sampled_from(sorted(alg.group.elements)),
-            st.fractions(min_value=-3, max_value=3, max_denominator=3),
-            max_size=6))) for _ in range(2))
-        assert x.trace_with(y) == (x * y).trace()
-        assert y.trace_with(x) == x.trace_with(y)
+def test_pairing_index_is_trace_of_product(data):
+    for alg in S3_AND_Z2Z3:
+        # multi-term b_i, so that one key pairs with several of them
+        basis = [sparse_element(data, alg, 3) for _ in range(3)]
+        x = sparse_element(data, alg)
+        pairs = algebra.pairings(algebra.pairing_index(basis), x)
+        assert pairs == {i: (b.star() * x).trace()
+                         for i, b in enumerate(basis)
+                         if (b.star() * x).trace()}
+
+
+def _s4_subgroups():
+    s4 = group_algebra(symmetric_group(range(4)), validate=False)
+    els = list(s4.group.elements)
+    klein = {(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)}
+    even = {g for g in els
+            if sum(g[i] > g[j] for i in range(4) for j in range(i)) % 2 == 0}
+    return s4, [{g for g in els if g[3] == 3}, klein, even]
+
+
+def _z2z3_subgroups():
+    alg = S3_AND_Z2Z3[1]
+    els = list(alg.group.elements)
+    return alg, [{g for g in els if g[0] == 0}, {g for g in els if g[1] == 0},
+                 {alg.unit}]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_projection_matches_dense_gram_solve(data):
+    for alg, subgroups in (_s4_subgroups(), _z2z3_subgroups()):
+        x = sparse_element(data, alg, 8)
+        for idx in subgroups:
+            keys = sorted(idx)
+            basis = [alg.basis_element(g) for g in keys]
+            gram = [[(b.star() * c).trace() for c in basis] for b in basis]
+            coeffs = solve(gram, [(b.star() * x).trace() for b in basis])
+            e = conditional_expectation(x, SubalgebraSpec(alg, frozenset(idx)))
+            assert e == alg.element(dict(zip(keys, coeffs)))
 
 
 def test_projection_factors_each_subalgebra_once(monkeypatch):
@@ -244,6 +284,7 @@ def test_solve_with_row_exchange(mat):
     for b in ([1] + [0] * (n - 1), list(range(2, n + 2)),
               [Fraction(-1, 3)] * n):
         c = solve(mat, b)
+        assert all(type(x) is Fraction for x in c)
         assert [sum(m * x for m, x in zip(row, c)) for row in mat] == b
 
 

@@ -127,6 +127,21 @@ def test_oversized_dims_fail_before_any_span(tmp_path, capsys, monkeypatch,
     assert "need window >=" in captured.err and not captured.out
 
 
+def test_dims_over_the_span_guard_fail_fast(tmp_path, capsys, monkeypatch):
+    # inside the window, but free-Haar spans grow as 3^k: k = 20 would not
+    # finish
+    spans = []
+    monkeypatch.setattr(dimensions, "span_Dk",
+                        lambda *args, **kw: spans.append(args))
+    path = write_scenario(tmp_path, {
+        "backend": {"kind": "free_haar", "window": 1024},
+        "dims": {"k_max": 20, "max_m_offset": 0}})
+    code = main(["dims", "--scenario", path])
+    captured = capsys.readouterr()
+    assert code == 2 and not spans and not captured.out
+    assert captured.err.startswith("error: dims.k_max:")
+
+
 def test_verify_oracle_suite(capsys):
     code, out = run(capsys, "verify", "oracle")
     assert code == 0

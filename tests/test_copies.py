@@ -164,6 +164,20 @@ def test_axioms_hold(name, free3, perm3, tensor3):
     assert report["axiom5"]["checked"] == 0
 
 
+def test_axiom_check_stops_at_the_first_failure():
+    backend = PermGroupBackend(1, 4)
+    expect = backend.expect
+    # E_I = id for every nonempty I breaks axioms 3 and 4, not 1 and 2
+    backend.expect = lambda I, x: x if set(I) else expect(I, x)
+    report = axiom_check(backend, word_len=2)
+    assert [report[ax]["ok"] for ax in ("axiom1", "axiom2", "axiom3",
+                                        "axiom4")] == [True, True, False, False]
+    # checked counts up to and including the failing identity
+    assert report["axiom3"] == {"ok": False, "checked": 2,
+                                "witness": "I=set(), J={1}, j=2"}
+    assert report["axiom4"]["checked"] == 402 and not report["passed"]
+
+
 def test_dim_bounds(free3, perm3, tensor3):
     assert [free3.dim_bound(k) for k in (1, 2, 3)] == [4, 16, 64]
     assert [perm3.dim_bound(k) for k in (1, 2, 3)] == [2, 4, 8]

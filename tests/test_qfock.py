@@ -127,3 +127,28 @@ def test_gram_degenerates_at_the_boundary():
     cfg = FockConfig(dim_H=2, max_degree=2)
     ok, min_eig = gram_psd_check(2, cfg, Fraction(1))
     assert ok and abs(min_eig) < 1e-9
+
+
+def test_ip_memo_leaves_equality_and_hash_alone():
+    a, b = FockConfig(dim_H=2), FockConfig(dim_H=2)
+    a.ip((1, 0), (1, 1))
+    a.ip([Fraction(1, 2), 0], (0, 1))
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a != FockConfig(dim_H=2, max_degree=3)
+
+
+def test_ip_is_exact_and_shared_by_lists_and_tuples():
+    inner = [[Fraction(2), Fraction(-1, 3)], [Fraction(-1, 3), Fraction(1)]]
+    cfg = FockConfig(dim_H=2, inner=inner)
+    u, v = (Fraction(1, 2), Fraction(3)), (Fraction(-2), Fraction(1, 5))
+    # u^T G v, expanded by hand
+    expected = (Fraction(1, 2) * (2 * -2 + Fraction(-1, 3) * Fraction(1, 5))
+                + 3 * (Fraction(-1, 3) * -2 + Fraction(1, 5)))
+    for _ in range(2):  # a fresh pair, then the memo
+        assert cfg.ip(u, v) == expected
+        assert cfg.ip(list(u), list(v)) == expected
+        assert cfg.ip(list(u), v) == cfg.ip(u, list(v)) == expected
+    # float entries enter by their exact binary value
+    assert cfg.ip((0.1, 0), (1, 0)) == 2 * Fraction(0.1) != Fraction(2, 10)
+    assert cfg.ip([0.1, 0], [1, 0]) == 2 * Fraction(0.1)
+    assert cfg.ip((Fraction(1, 10), 0), (1, 0)) == Fraction(2, 10)
