@@ -265,7 +265,7 @@ class PermGroupBackend:
 
     name = "perm_group"
 
-    def __init__(self, d: int, window: int, validate: bool = False):
+    def __init__(self, d: int, window: int):
         if d < 0:
             raise ValueError("d must be >= 0")
         if window < 1:
@@ -275,7 +275,7 @@ class PermGroupBackend:
         self.d = d
         self.window = window
         self.points = list(range(-d, window + 1))  # position p <-> point p-d
-        self.D = group_algebra(symmetric_group(self.points), validate=validate)
+        self.D = group_algebra(symmetric_group(self.points), validate=False)
         self._specs = {}
         u01 = self._transposition(0, 1)
         self.S = {"1": self.D.one, "u01": self.D.basis_element(u01)}

@@ -49,6 +49,11 @@ from .moments import close_arc
 #: free Haar (4^5) and 10 on perm d = 1 (2^10), seconds at offset 4.
 SPAN_GUARD = 1024
 
+#: Longest word, k_max + max_m_offset, that growth_report spans.  At 12
+#: letters on 2 CPU cores: free Haar k_max 1 takes 1.8 s, 2 or 3 10-15 s,
+#: and perm d = 1 k_max 10 1.3 s; two more letters cost 4-8x.
+WORD_GUARD = 12
+
 
 @dataclass
 class SpanReport:
@@ -164,8 +169,8 @@ def growth_report(backend, k_max: int, max_m_offset: int = 4,
                   gens=None) -> dict:
     """Per-degree dimensions against the backend's declared bound, plus a
     log-linear fit of dim against k as an empirical growth-base estimate.
-    The window and the size of the largest span are checked before any
-    span is computed."""
+    The window, the size of the largest span and the longest word are
+    checked before any span is computed."""
     needed = k_max + max_m_offset // 2
     if backend.window < needed:
         raise WindowExceeded(
@@ -174,6 +179,10 @@ def growth_report(backend, k_max: int, max_m_offset: int = 4,
     if backend.dim_bound(k_max) > SPAN_GUARD:
         raise SizeGuard(f"dims.k_max: {k_max} allows spans of dimension up "
                         f"to {backend.dim_bound(k_max)}, over {SPAN_GUARD}")
+    if k_max + max_m_offset > WORD_GUARD:
+        raise SizeGuard(f"dims.max_m_offset: {max_m_offset} with k_max "
+                        f"{k_max} spans words of length "
+                        f"{k_max + max_m_offset}, over {WORD_GUARD}")
     reports = [span_Dk(backend, k, k + max_m_offset, gens=gens)
                for k in range(k_max + 1)]
     rows = [r.row() for r in reports]

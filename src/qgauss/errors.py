@@ -6,7 +6,7 @@ class QGaussError(Exception):
 
 
 class CapExceeded(QGaussError):
-    """An enumeration exceeded the configured ground-set cap."""
+    """An enumeration exceeded the ground-set cap."""
 
 
 class WindowExceeded(QGaussError):

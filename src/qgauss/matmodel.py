@@ -24,10 +24,9 @@ from itertools import permutations
 import numpy as np
 
 from . import qfock
-from .copies import FreeHaarBackend, pi_word
+from .copies import FreeHaarBackend
 from .errors import SizeGuard
-from .moments import (_slot_vector, _tensor_config, enumerate_set_partitions,
-                      q_matrix_moment)
+from .moments import coincidences, q_matrix_moment, slot_moments
 
 #: build_symmetries materializes 2^n x 2^n matrices.
 SYMMETRY_CAP = 10
@@ -172,17 +171,6 @@ class MCEstimate:
     seed: int
 
 
-def _even_color_partitions(m, colors):
-    """Set partitions of positions with even, color-constant blocks."""
-    out = []
-    for blocks in enumerate_set_partitions(m):
-        ok = all(len(b) % 2 == 0
-                 and len({colors[i - 1] for i in b}) == 1 for b in blocks)
-        if ok:
-            out.append(blocks)
-    return out
-
-
 def _injective_assignments(blocks, colors, n):
     """Maps block -> copy index, injective within each color class."""
     by_color = {}
@@ -190,8 +178,6 @@ def _injective_assignments(blocks, colors, n):
         by_color.setdefault(colors[b[0] - 1], []).append(bi)
     assignments = [{}]
     for _, bis in sorted(by_color.items()):
-        if len(bis) > n:
-            return
         new = []
         for js in permutations(range(1, n + 1), len(bis)):
             for base in assignments:
@@ -206,26 +192,16 @@ def _terms(word, colors, n, backend):
     """The terms of the finite-n trace sum that can be nonzero, in a fixed
     order shared by the exact expectation and the Monte Carlo estimator.
 
-    For each set partition of the positions into even, color-constant
-    blocks whose pi-word trace tau is nonzero, and each copy assignment to
-    its blocks that is injective within each color, yields (tau, letters,
-    sign_pairs) with sign_pairs from word_sign_pairs(letters).  tau is 1
-    when backend is None (the pure case).
+    For each coincidence partition of moments.coincidences, with its
+    pi-word trace tau, and each copy assignment to its blocks that is
+    injective within each color, yields (tau, letters, sign_pairs) with
+    sign_pairs from word_sign_pairs(letters).
     """
-    m = len(word)
-    if backend is not None:
-        xs = [x if x is not None else backend.A_one for x, _ in word]
-    for blocks in _even_color_partitions(m, colors):
-        block_of = {pos: bi for bi, b in enumerate(blocks) for pos in b}
-        # tau_D of the pi-word at the representative tuple; exchangeability
-        # makes it depend on the coincidence pattern only
-        tau = Fraction(1) if backend is None else backend.trace(pi_word(
-            backend, xs, [block_of[pos] + 1 for pos in range(1, m + 1)]))
-        if not tau:
-            continue
+    xs = None if backend is None else [
+        x if x is not None else backend.A_one for x, _ in word]
+    for blocks, slots, tau in coincidences(xs, colors, n, backend):
         for assign in _injective_assignments(blocks, colors, n):
-            letters = [(assign[block_of[pos]], colors[pos - 1])
-                       for pos in range(1, m + 1)]
+            letters = [(assign[t], c) for t, c in zip(slots, colors)]
             sign_pairs = word_sign_pairs(letters)
             if sign_pairs is not None:
                 yield tau, letters, sign_pairs
@@ -286,6 +262,7 @@ def model_moment_exact(word, Qm, n: int, backend=None, cfg=None,
     if m % 2:
         return Fraction(0)
 
+    fock = slot_moments(hs, cfg)
     gauss = {}
 
     def gauss_moment(jpattern):
@@ -295,10 +272,7 @@ def model_moment_exact(word, Qm, n: int, backend=None, cfg=None,
         slot_of = {j: s for s, j in enumerate(sorted(set(jpattern)))}
         key = tuple(slot_of[j] for j in jpattern)
         if key not in gauss:
-            r = len(slot_of)
-            big = _tensor_config(r, cfg, (m + 1) // 2)
-            vecs = [_slot_vector(s, hs[i], r, cfg) for i, s in enumerate(key)]
-            gauss[key] = qfock.vacuum_moment(vecs, big).eval(1)
+            gauss[key] = fock(key).eval(1)
         return gauss[key]
 
     total = Fraction(0)

@@ -11,6 +11,7 @@ rationals where a numeric Q-matrix replaces q).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,9 +19,9 @@ from itertools import permutations
 
 from . import qfock
 from .copies import pi_word
-from .errors import CapExceeded, WindowExceeded
-from .partitions import (Partition12, crossing_number, encoding_map,
-                         enumeration_cap)
+from .errors import WindowExceeded
+from .partitions import (Partition12, _check_cap, crossing_number,
+                         encoding_map)
 from .qfock import FockConfig
 from .qpoly import QPoly
 
@@ -207,47 +208,85 @@ def moment(word, backend, cfg: FockConfig) -> QPoly:
 # finite-n generators
 
 
-def bell_number(m: int) -> int:
-    """The number of set partitions of m points, by the Bell triangle."""
-    row = [1]
-    for _ in range(m):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]
+def enumerate_set_partitions(colors):
+    """The set partitions of the positions 1..len(colors) whose blocks are
+    even and color-constant, as sorted tuples of sorted blocks, in the
+    order of the Bell recursion (point k joins each open block in turn,
+    then opens its own; matmodel's Monte Carlo sums rely on it).  Point k
+    joins only blocks of its color, and a branch stops once a color has
+    more odd blocks than points left to place."""
+    _check_cap(len(colors))
+    left = Counter(colors)  # points of each color not yet placed
+    odd = Counter()  # odd blocks of each color
+    blocks = []
 
+    def place(k, b, c):
+        b.append(k)
+        change = 1 if len(b) % 2 else -1
+        odd[c] += change
+        if odd[c] <= left[c]:
+            yield from rec(k + 1)
+        odd[c] -= change
+        b.pop()
 
-def enumerate_set_partitions(m: int):
-    """All set partitions of {1..m} as sorted tuples of sorted blocks.
-
-    There are Bell(m) of them, so m is held to the enumeration cap
-    (CapExceeded names the count) before the first one is made.
-    """
-    cap = enumeration_cap()
-    if m > cap:
-        # the triangle costs O(m^2) additions; Bell(100) > 10^115
-        count = f"{bell_number(m):,}" if m <= 100 else "over 10^115"
-        raise CapExceeded(
-            f"ground set size {m} exceeds the enumeration cap {cap}: "
-            f"Bell({m}) = {count} set partitions")
-    if m == 0:
-        yield ()
-        return
-
-    def rec(k, blocks):
-        if k > m:
+    def rec(k):
+        if k > len(colors):
             yield tuple(tuple(b) for b in blocks)
             return
+        c = colors[k - 1]
+        left[c] -= 1
         for b in blocks:
-            b.append(k)
-            yield from rec(k + 1, blocks)
-            b.pop()
-        blocks.append([k])
-        yield from rec(k + 1, blocks)
+            if colors[b[0] - 1] == c:
+                yield from place(k, b, c)
+        blocks.append([])
+        yield from place(k, blocks[-1], c)
         blocks.pop()
+        left[c] += 1
 
-    yield from rec(1, [])
+    yield from rec(1)
+
+
+def coincidences(xs, colors, n: int, backend):
+    """The coincidence partitions of a word's copy indices that a finite-n
+    sum over index tuples needs: for each even, color-constant partition
+    with at most n blocks of each color, (blocks, slots, tau), slots[i]
+    the block of position i+1 and tau != 0 the trace of the pi-word at the
+    representative tuple (block t gets copy t+1), which by exchangeability
+    depends on the partition only; tau = 1 without a backend.  An odd
+    block contributes nothing: the sign-matrix trace vanishes, and the
+    Fock factor on orthogonal slots pairs points only inside one block.
+    """
+    for blocks in enumerate_set_partitions(colors):
+        if any(c > n for c in Counter(colors[b[0] - 1]
+                                      for b in blocks).values()):
+            continue
+        block_of = {pos: t for t, b in enumerate(blocks) for pos in b}
+        slots = tuple(block_of[pos] for pos in range(1, len(colors) + 1))
+        tau = Fraction(1) if backend is None else backend.trace(
+            pi_word(backend, xs, [t + 1 for t in slots]))
+        if tau:
+            yield blocks, slots, tau
+
+
+def slot_moments(hs, cfg: FockConfig):
+    """A function of the slot of each position returning the q-Fock vacuum
+    moment of the vectors e_slot (x) h on l2_r (x) H, r slots in all and
+    h the vectors hs in order.  Each r's configuration is built once."""
+    d = cfg.dim_H
+    zero = (Fraction(0),) * d
+    configs = {}
+
+    def vacuum_moment(slots):
+        r = max(slots) + 1
+        if r not in configs:
+            inner = [[cfg.inner[i % d][j % d] if i // d == j // d else 0
+                      for j in range(r * d)] for i in range(r * d)]
+            configs[r] = FockConfig(r * d, inner, (len(hs) + 1) // 2)
+        vecs = [zero * s + tuple(map(Fraction, h)) + zero[len(h):]
+                + zero * (r - 1 - s) for s, h in zip(slots, hs)]
+        return qfock.vacuum_moment(vecs, configs[r])
+
+    return vacuum_moment
 
 
 def finite_n_moment(word, backend, n: int, cfg: FockConfig) -> QPoly:
@@ -270,47 +309,12 @@ def finite_n_moment(word, backend, n: int, cfg: FockConfig) -> QPoly:
         raise WindowExceeded(
             f"finite-n moment needs window >= {min(n, m)}, "
             f"backend has {backend.window}")
-    xs = [x for x, _ in word]
-    hs = [h for _, h in word]
-    big_cfgs = {}
+    fock = slot_moments([h for _, h in word], cfg)
     total = {}
-    for blocks in enumerate_set_partitions(m):
-        r = len(blocks)
-        if r > n:
-            continue
-        block_of = {}
-        for t, b in enumerate(blocks):
-            for pos in b:
-                block_of[pos] = t
-        # trace of the pi-word at the representative tuple (1..r by block)
-        tr = backend.trace(pi_word(
-            backend, xs, [block_of[pos] + 1 for pos in range(1, m + 1)]))
-        if not tr:
-            continue
-        # Fock factor on l2_r (x) H with vectors e_{block} (x) h
-        big = big_cfgs.get(r)
-        if big is None:
-            big = _tensor_config(r, cfg, (m + 1) // 2)
-            big_cfgs[r] = big
-        vecs = [_slot_vector(block_of[pos], hs[pos - 1], r, cfg)
-                for pos in range(1, m + 1)]
-        qfock.vacuum_moment(vecs, big).add_to(total, tr * math.perm(n, r))
+    for blocks, slots, tau in coincidences([x for x, _ in word], [0] * m,
+                                           n, backend):
+        fock(slots).add_to(total, tau * math.perm(n, len(blocks)))
     return QPoly.from_powers(total).scale(Fraction(1, n ** (m // 2)))
-
-
-def _tensor_config(r: int, cfg: FockConfig, max_degree: int) -> FockConfig:
-    d = cfg.dim_H
-    inner = [[cfg.inner[i % d][j % d] if i // d == j // d else Fraction(0)
-              for j in range(r * d)] for i in range(r * d)]
-    return FockConfig(r * d, tuple(tuple(row) for row in inner), max_degree)
-
-
-def _slot_vector(slot: int, h, r: int, cfg: FockConfig):
-    d = cfg.dim_H
-    out = [Fraction(0)] * (r * d)
-    for c, hc in enumerate(h):
-        out[slot * d + c] = Fraction(hc)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------
@@ -429,7 +433,7 @@ def _reduced(w: WickWord) -> WickWord:
     return w
 
 
-def wick_inner_product(w1: WickWord, w2: WickWord, backend=None) -> QPoly:
+def wick_inner_product(w1: WickWord, w2: WickWord) -> QPoly:
     """<x_sigma, x_nu> = tau(x_nu* x_sigma), via the reduced forms.
 
     Zero when the singleton degrees differ; otherwise
@@ -437,7 +441,7 @@ def wick_inner_product(w1: WickWord, w2: WickWord, backend=None) -> QPoly:
     * prod_s <g_{gamma(s)}, g~_s>
     * tau_D(relabel(t -> gamma(t))(F2)* F1).
     """
-    backend = backend or w1.backend
+    backend = w1.backend
     if w1.degree != w2.degree:
         return QPoly.zero()
     w1 = _reduced(w1)

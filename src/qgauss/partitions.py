@@ -8,35 +8,23 @@ results are reproducible and diffable.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .errors import CapExceeded
 
-#: Hard default on the ground-set size of the enumerators below, which the
-#: test oracles walk, and of the Bell(m) loop of finite-n moments;
-#: |P_2(12)| = 10395 already and the downstream costs multiply.  Limit,
-#: Q-matrix and trace-pairing moments and the span dimensions enumerate
-#: nothing: the window bounds them instead.  Override with QGAUSS_ENUM_CAP.
+#: The largest ground set the enumerators below, which the test oracles
+#: walk, and moments.enumerate_set_partitions, behind finite-n moments and
+#: the matrix model, accept; |P_2(12)| = 10395 already and the downstream
+#: costs multiply.  Limit, Q-matrix and trace-pairing moments and the span
+#: dimensions enumerate nothing: the window bounds them instead.
 DEFAULT_CAP = 12
 
 
-def enumeration_cap() -> int:
-    raw = os.environ.get("QGAUSS_ENUM_CAP")
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        return int(raw)
-    except ValueError:
+def _check_cap(m: int):
+    if m > DEFAULT_CAP:
         raise CapExceeded(
-            f"QGAUSS_ENUM_CAP must be an integer, got {raw!r}") from None
-
-
-def _check_cap(m: int, cap: int | None):
-    limit = enumeration_cap() if cap is None else cap
-    if m > limit:
-        raise CapExceeded(f"ground set size {m} exceeds the enumeration cap {limit}")
+            f"ground set size {m} exceeds the enumeration cap {DEFAULT_CAP}")
 
 
 @dataclass(frozen=True)
@@ -121,11 +109,11 @@ def crossing_number(sigma: Partition12) -> int:
     return n
 
 
-def enumerate_pair_partitions(m: int, cap: int | None = None) -> list[Partition12]:
+def enumerate_pair_partitions(m: int) -> list[Partition12]:
     """All pair partitions of {1..m}, canonically ordered; [] for odd m."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    _check_cap(m, cap)
+    _check_cap(m)
     if m % 2:
         return []
     out = []
@@ -144,11 +132,11 @@ def enumerate_pair_partitions(m: int, cap: int | None = None) -> list[Partition1
     return out
 
 
-def enumerate_pair_singleton(m: int, cap: int | None = None) -> list[Partition12]:
+def enumerate_pair_singleton(m: int) -> list[Partition12]:
     """All partitions of {1..m} into blocks of size 1 or 2, canonically ordered."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    _check_cap(m, cap)
+    _check_cap(m)
     out = []
 
     def rec(remaining: tuple, pairs: list, singles: list):
@@ -183,13 +171,12 @@ def encoding_map(sigma: Partition12) -> dict:
     return phi
 
 
-def convolution_joins(sigma: Partition12, theta: Partition12,
-                      cap: int | None = None) -> list[Partition12]:
+def convolution_joins(sigma: Partition12, theta: Partition12) -> list[Partition12]:
     """All partitions of {1..m+m'} restricting to sigma and (shifted) theta
     whose only additional pairs join a singleton of sigma to one of theta.
     """
     m, mp = sigma.m, theta.m
-    _check_cap(m + mp, cap)
+    _check_cap(m + mp)
     left = sigma.sorted_singletons()
     right = [s + m for s in theta.sorted_singletons()]
     base_pairs = list(sigma.pairs) + [(l + m, r + m) for l, r in theta.pairs]

@@ -110,13 +110,17 @@ def test_bad_dims_fields_name_the_field(tmp_path, capsys, dims, field):
     assert captured.err.startswith(f"error: {field}:") and not captured.out
 
 
-@pytest.mark.parametrize("backend, dims", [
-    ({"kind": "free_haar", "window": 1024}, {"k_max": 1000000}),
+@pytest.mark.parametrize("backend, dims, message", [
+    ({"kind": "free_haar", "window": 1024}, {"k_max": 1000000},
+     "need window >="),
     ({"kind": "perm_group", "d": 1, "window": 6},
-     {"k_max": 5, "max_m_offset": 4}),
-])
+     {"k_max": 5, "max_m_offset": 4}, "need window >="),
+    # inside the window, but a span of words of length 31 would not finish
+    ({"kind": "free_haar", "window": 1024}, {"k_max": 1, "max_m_offset": 30},
+     "error: dims.max_m_offset:"),
+], ids=["backend0-dims0", "backend1-dims1", "backend2-dims2"])
 def test_oversized_dims_fail_before_any_span(tmp_path, capsys, monkeypatch,
-                                             backend, dims):
+                                             backend, dims, message):
     spans = []
     monkeypatch.setattr(dimensions, "span_Dk",
                         lambda *args, **kw: spans.append(args))
@@ -124,7 +128,7 @@ def test_oversized_dims_fail_before_any_span(tmp_path, capsys, monkeypatch,
     code = main(["dims", "--scenario", path])
     captured = capsys.readouterr()
     assert code == 2 and not spans
-    assert "need window >=" in captured.err and not captured.out
+    assert message in captured.err and not captured.out
 
 
 def test_dims_over_the_span_guard_fail_fast(tmp_path, capsys, monkeypatch):
@@ -210,16 +214,6 @@ def test_non_rational_q_override_exit_code(tmp_path, capsys):
         assert "--q" in captured.err and not captured.out
 
 
-def test_non_integer_enumeration_cap_exit_code(tmp_path, capsys, monkeypatch):
-    # read by the Bell(m) loop of finite-n moments
-    monkeypatch.setenv("QGAUSS_ENUM_CAP", "x")
-    path = write_scenario(tmp_path, dict(BASE, n=2))
-    code = main(["moment", "--scenario", path])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "QGAUSS_ENUM_CAP" in captured.err and "'x'" in captured.err
-
-
 def _perm_backend(**fields):
     return {"kind": "perm_group", "d": 1, "window": 4, **fields}
 
@@ -268,7 +262,9 @@ def test_size_guards_name_the_estimate(tmp_path, capsys):
     word = [{"vector": ["1"]}] * 14
     path = write_scenario(tmp_path, dict(BASE, word=word, n=2))
     assert main(["moment", "--scenario", path]) == 2
-    assert "Bell(14) = 190,899,322 set partitions" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "ground set size 14 exceeds the enumeration cap 12" in captured.err
+    assert not captured.out
     # 8 bytes x 10^12 samples x (8 gaussians + 32 field values + 28 signs),
     # refused before anything is allocated
     assert main(["verify", "matmodel", "--samples", str(10 ** 12)]) == 2

@@ -9,7 +9,7 @@ import pytest
 
 from qgauss import moments
 from qgauss.algebra import (PROJECTION_GUARD, conditional_expectation,
-                            cyclic_group, group_algebra)
+                            cyclic_group, group_algebra, validate_group)
 from qgauss.copies import (FreeHaarBackend, FreeWordElement, PermGroupBackend,
                            TensorBackend, axiom_check, pi_word)
 from qgauss.errors import SizeGuard
@@ -25,7 +25,9 @@ def free3():
 
 @pytest.fixture(scope="module")
 def perm3():
-    return PermGroupBackend(1, 3, validate=True)
+    backend = PermGroupBackend(1, 3)
+    validate_group(backend.D.group)
+    return backend
 
 
 @pytest.fixture(scope="module")

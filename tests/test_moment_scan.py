@@ -134,8 +134,7 @@ def test_tensor_word_of_length_16_specializes_to_catalan_and_factorial():
     assert poly.eval(1) == math.factorial(8)
 
 
-def test_length_14_needs_no_enumeration_cap_only_the_window(monkeypatch):
-    monkeypatch.setenv("QGAUSS_ENUM_CAP", "12")
+def test_length_14_needs_no_enumeration_cap_only_the_window():
     backend = FreeHaarBackend(7)
     cfg = FockConfig(1, max_degree=7)
     word = [(backend.A_one, H1)] * 14

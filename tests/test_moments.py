@@ -71,13 +71,6 @@ def test_moment_on_perm_backend_matches_free(cfg1, free8):
 # finite-size moments
 
 
-def test_set_partition_enumeration_counts():
-    bell = [1, 1, 2, 5, 15, 52]
-    for m, b in enumerate(bell):
-        assert len(list(moments.enumerate_set_partitions(m))) == b
-        assert moments.bell_number(m) == b
-
-
 def test_finite_n_pure_moment_is_already_exact(free8, cfg1):
     # for a single scalar variable the finite-size moment has no
     # correction at any size

@@ -6,9 +6,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qgauss import moments
 from qgauss.errors import CapExceeded
-from qgauss.partitions import (Partition12, convolution_joins, crossing_number,
-                               encoding_map, enumerate_pair_partitions,
+from qgauss.partitions import (DEFAULT_CAP, Partition12, convolution_joins,
+                               crossing_number, encoding_map,
+                               enumerate_pair_partitions,
                                enumerate_pair_singleton)
 
 
@@ -116,14 +118,16 @@ def test_convolution_joins_never_pair_within_a_side():
             assert l <= 2 < r
 
 
-def test_enumeration_cap_enforced(monkeypatch):
-    monkeypatch.setenv("QGAUSS_ENUM_CAP", "4")
+def test_enumeration_cap_enforced():
+    # refused before the first partition is made
+    over = DEFAULT_CAP + 2
+    with pytest.raises(CapExceeded, match=f"size {over} .* cap {DEFAULT_CAP}"):
+        enumerate_pair_partitions(over)
     with pytest.raises(CapExceeded):
-        enumerate_pair_partitions(6)
-    assert len(enumerate_pair_partitions(6, cap=6)) == 15
-
-
-def test_non_integer_enumeration_cap_is_refused(monkeypatch):
-    monkeypatch.setenv("QGAUSS_ENUM_CAP", "x")
-    with pytest.raises(CapExceeded, match="QGAUSS_ENUM_CAP.*'x'"):
-        enumerate_pair_partitions(4)
+        enumerate_pair_singleton(over)
+    singletons = Partition12.make(over // 2, [], range(1, over // 2 + 1))
+    with pytest.raises(CapExceeded):
+        convolution_joins(singletons, singletons)
+    with pytest.raises(CapExceeded):
+        next(moments.enumerate_set_partitions([0] * over))
+    assert len(enumerate_pair_partitions(6)) == 15
