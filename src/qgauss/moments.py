@@ -305,9 +305,10 @@ def finite_n_moment(word, backend, n: int, cfg: FockConfig) -> QPoly:
         return QPoly.zero()
     if n < 1:
         raise ValueError("n must be positive")
-    if backend.window < min(n, m):
+    # blocks are even, so a partition uses at most m/2 copies
+    if backend.window < min(n, m // 2):
         raise WindowExceeded(
-            f"finite-n moment needs window >= {min(n, m)}, "
+            f"finite-n moment needs window >= {min(n, m // 2)}, "
             f"backend has {backend.window}")
     fock = slot_moments([h for _, h in word], cfg)
     total = {}

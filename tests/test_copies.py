@@ -2,13 +2,15 @@
 exhaustive axiom checker that certifies them at small window sizes."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
 
 from qgauss import moments
-from qgauss.algebra import (PROJECTION_GUARD, conditional_expectation,
+from qgauss.algebra import (PROJECTION_GUARD, AlgebraElement,
+                            conditional_expectation,
                             cyclic_group, group_algebra, validate_group)
 from qgauss.copies import (FreeHaarBackend, FreeWordElement, PermGroupBackend,
                            TensorBackend, axiom_check, pi_word)
@@ -178,6 +180,117 @@ def test_axiom_check_stops_at_the_first_failure():
     assert report["axiom3"] == {"ok": False, "checked": 2,
                                 "witness": "I=set(), J={1}, j=2"}
     assert report["axiom4"]["checked"] == 402 and not report["passed"]
+
+
+def test_axiom_check_builds_each_word_and_expectation_once(monkeypatch):
+    # tag every element with the letters ((j, name), ...) it was built
+    # from, and count each product and each E_K by those tags
+    backend = FreeHaarBackend(3)
+    name_of = {id(x): n for n, x in backend.S.items()}
+    key = {}
+    alive = []  # holding every element keeps ids unique
+    products, expectations = Counter(), Counter()
+    mul, one, pi, expect = (AlgebraElement.__mul__, backend.one, backend.pi,
+                            backend.expect)
+
+    def tag(x, k):
+        alive.append(x)
+        key[id(x)] = k
+        return x
+
+    def counted_mul(x, y):
+        products[key[id(x)], key[id(y)]] += 1
+        return tag(mul(x, y), key[id(x)] + key[id(y)])
+
+    def counted_expect(I, x):
+        expectations[frozenset(I), key[id(x)]] += 1
+        return tag(expect(I, x), ("E", frozenset(I), key[id(x)]))
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counted_mul)
+    backend.one = lambda: tag(one(), ())
+    backend.pi = lambda j, a: tag(pi(j, a), ((j, name_of[id(a)]),))
+    backend.expect = counted_expect
+    assert axiom_check(backend, word_len=3)["passed"]
+    assert products and max(products.values()) == 1
+    assert expectations and max(expectations.values()) == 1
+    # axiom 2 asks E_B of every word of <= 3 letters over {1, u, u*}
+    # with every labelling from 1..3, once each
+    assert sum(1 for K, _ in expectations if not K) >= 3 * 3 + 9 * 9 + 27 * 27
+
+
+def _labels(w):
+    return tuple(label for label, _ in w)
+
+
+class EBWrongOnCopy3(FreeHaarBackend):
+    """E_B adds the unit to any element that uses copy 3."""
+
+    def expect(self, I, x):
+        out = super().expect(I, x)
+        if not set(I) and any(3 in _labels(w) for w in x.coeffs):
+            out = out + self.one()
+        return out
+
+
+class E13WrongOn131(FreeHaarBackend):
+    """E_{1,3} doubles any element holding a word with copies (1, 3, 1)."""
+
+    def expect(self, I, x):
+        out = super().expect(I, x)
+        if set(I) == {1, 3} and any(_labels(w) == (1, 3, 1) for w in x.coeffs):
+            out = out.scale(2)
+        return out
+
+
+class WrongWord(AlgebraElement):
+    """A product that adds the unit whenever its result holds a word with
+    copies (1, 3, 1), so the fault sits behind the shared prefix (1, 3)."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        out = AlgebraElement.__mul__(self, other)
+        if any(_labels(w) == (1, 3, 1) for w in out.coeffs):
+            out = out + out.parent.one
+        return WrongWord(out.parent, out.coeffs)
+
+
+class MulWrongOn131(FreeHaarBackend):
+    def one(self):
+        one = super().one()
+        return WrongWord(one.parent, one.coeffs)
+
+    def pi(self, j, a):
+        x = super().pi(j, a)
+        return WrongWord(x.parent, x.coeffs)
+
+
+HOLDS = (True, 3, None)
+
+
+@pytest.mark.parametrize("cls, want", [
+    (EBWrongOnCopy3, [
+        HOLDS,
+        (False, 23, "E_B not invariant: word len 1, indices (1,), "
+                    "relabeling (3, 1, 2)"),
+        (False, 20, "I=set(), J={1, 2}, j=3"),
+        (False, 265, "I=set(), J={1}")]),
+    (E13WrongOn131, [
+        HOLDS, (True, 4914, None), (True, 432, None),
+        (False, 11723, "I={1, 3}, J={1, 3}")]),
+    (MulWrongOn131, [
+        HOLDS,
+        (False, 2666, "E_B not invariant: word len 3, indices (1, 2, 1), "
+                      "relabeling (1, 3, 2)"),
+        (True, 432, None), (True, 16576, None)]),
+])
+def test_axiom_check_reports_injected_faults(cls, want):
+    # ok, checked and witness as found by rebuilding every word from the
+    # unit and recomputing every expectation
+    report = axiom_check(cls(3), word_len=3)
+    assert [tuple(report[f"axiom{k}"][f] for f in ("ok", "checked", "witness"))
+            for k in (1, 2, 3, 4)] == want
+    assert not report["passed"]
 
 
 def test_dim_bounds(free3, perm3, tensor3):

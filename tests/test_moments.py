@@ -95,6 +95,19 @@ def test_finite_n_second_moment(free8, cfg1):
             == QPoly.one()
 
 
+def test_finite_n_moment_needs_only_half_the_word_in_copies(free8):
+    # even blocks: a partition of 8 letters has at most 4 blocks, so
+    # n = 8 needs 4 copies, not 8
+    cfg = FockConfig(dim_H=1, max_degree=8)
+    free4 = FreeHaarBackend(4)
+    want = moments.finite_n_moment(pure_word(free8, 8), free8, 8, cfg)
+    assert want == QPoly([14, 28, 28, 20, 10, 4, 1])
+    assert moments.finite_n_moment(pure_word(free4, 8), free4, 8, cfg) == want
+    free3 = FreeHaarBackend(3)
+    with pytest.raises(WindowExceeded):
+        moments.finite_n_moment(pure_word(free3, 8), free3, 8, cfg)
+
+
 # ---------------------------------------------------------------------
 # entrywise crossing weights
 
