@@ -3,13 +3,12 @@ from symmetric independent copies, with brute-force and stochastic oracles.
 """
 
 from .qpoly import Q, QPoly
-from .partitions import (Partition12, crossing_number,
-                         enumerate_pair_partitions, enumerate_pair_singleton)
+from .partitions import Partition12, crossing_number, enumerate_pair_singleton
 from .qfock import FockConfig, FockVector, q_inner, vacuum_moment
 
 __all__ = [
     "Q", "QPoly", "Partition12", "crossing_number",
-    "enumerate_pair_partitions", "enumerate_pair_singleton",
+    "enumerate_pair_singleton",
     "FockConfig", "FockVector", "q_inner", "vacuum_moment",
 ]
 

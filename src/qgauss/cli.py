@@ -193,6 +193,14 @@ def _sample_count(text: str) -> int:
     return int(text)
 
 
+def _seed(text: str) -> int:
+    """A Philox key: an integer in [0, 2^128)."""
+    if not text.isdigit() or int(text) >= 2 ** 128:
+        raise argparse.ArgumentTypeError(
+            f"needs an integer in [0, 2^128), got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="qgauss",
@@ -216,7 +224,7 @@ def main(argv=None) -> int:
     p_v = sub.add_parser("verify", help="run a verification suite")
     p_v.add_argument("suite", choices=("oracle", "axioms", "semigroup",
                                        "matmodel", "all"))
-    p_v.add_argument("--seed", type=int, default=42)
+    p_v.add_argument("--seed", type=_seed, default=42)
     p_v.add_argument("--samples", type=_sample_count, default=2000)
     p_v.add_argument("--out")
     p_v.set_defaults(func=cmd_verify)

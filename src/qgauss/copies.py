@@ -167,7 +167,7 @@ class TensorBackend:
     name = "tensor"
 
     def __init__(self, B: FiniteTracialAlgebra, C: FiniteTracialAlgebra,
-                 window: int, gens: dict | None = None):
+                 window: int):
         if window < 1:
             raise ValueError("window must be >= 1")
         check_size("window", window)
@@ -177,14 +177,12 @@ class TensorBackend:
         self.A = tensor_algebra(B, C)
         self.D = tensor_algebra(B, *[C] * window)
         self._specs = {}
-        if gens is None:
-            gens = {"1": self.A.one}
-            # default generator: unit-B tensor the first non-unit C element
-            for c in C.group.elements:
-                if c != C.unit:
-                    gens["g"] = self.A.basis_element((B.unit, c))
-                    break
-        self.S = dict(gens)
+        self.S = {"1": self.A.one}
+        # the generator: unit-B tensor the first non-unit C element
+        for c in C.group.elements:
+            if c != C.unit:
+                self.S["g"] = self.A.basis_element((B.unit, c))
+                break
         self.A_one = self.A.one
 
     @property
@@ -351,6 +349,12 @@ class PermGroupBackend:
 # ---------------------------------------------------------------------
 # axiom checker
 
+#: Copy indices the axiom checker covers, and the longest middle word of
+#: axiom 3 and word of axiom 4; word_len of axiom_check bounds axiom 2.
+AXIOM_INDICES = 3
+AXIOM3_WORD_LEN = 2
+AXIOM4_WORD_LEN = 3
+
 
 def _words_over(items, max_len):
     """All nonempty tuples over items up to max_len."""
@@ -362,13 +366,12 @@ def _words_over(items, max_len):
     return out
 
 
-def axiom_check(backend, indices: int = 3, word_len: int = 4,
-                axiom3_word_len: int = 2, axiom4_word_len: int = 3) -> dict:
+def axiom_check(backend, word_len: int = 4) -> dict:
     """Exhaustive finite-window check of the defining axioms.
 
     Returns {"axiom1": {...}, ..., "axiom5": {...}, "passed": bool}; each
     axiom entry carries ok, the number of identities checked, and a witness
-    string on failure.  Needs window >= indices.
+    string on failure.  Needs window >= AXIOM_INDICES.
 
     Axioms 2-4 share two memos for the length of the call: each pi-word
     is built once, from its prefix one letter shorter, and each E_K of a
@@ -377,9 +380,10 @@ def axiom_check(backend, indices: int = 3, word_len: int = 4,
     provided pi, * and expect are pure functions (they return new
     elements and never mutate their inputs) and * is associative.
     """
-    if backend.window < indices:
+    if backend.window < AXIOM_INDICES:
         raise WindowExceeded(
-            f"axiom check over {indices} indices needs window >= {indices}")
+            f"axiom check over {AXIOM_INDICES} indices needs window >= "
+            f"{AXIOM_INDICES}")
     report = {}
     names = list(backend.S)
     nontrivial = [n for n in names if n != "1"] or names
@@ -388,7 +392,7 @@ def axiom_check(backend, indices: int = 3, word_len: int = 4,
     # these entries.  Elements keep canonical coefficient dicts with no
     # stored zero, so == below is equality of elements: a stray stored
     # zero would raise a false alarm, never let a failure pass.
-    top = min(indices + 1, backend.window)
+    top = min(AXIOM_INDICES + 1, backend.window)
     pis = {(j, n): backend.pi(j, backend.S[n])
            for j in range(1, top + 1) for n in names}
 
@@ -413,14 +417,14 @@ def axiom_check(backend, indices: int = 3, word_len: int = 4,
     report["axiom1"] = _first_failure(
         None if backend.pi(j, a) == embedded
         else f"pi({j}, b) != b for b={a!r}"
-        for j in range(1, indices + 1) for a, embedded in B_pairs)
+        for j in range(1, AXIOM_INDICES + 1) for a, embedded in B_pairs)
 
     # (2) exchangeability of E_B under index permutations
     def axiom2():
         for w in _words_over(names, word_len):
-            for js in product(range(1, indices + 1), repeat=len(w)):
+            for js in product(range(1, AXIOM_INDICES + 1), repeat=len(w)):
                 base = None
-                for rho in permutations(range(1, indices + 1)):
+                for rho in permutations(range(1, AXIOM_INDICES + 1)):
                     val = expect(frozenset(), tuple(
                         zip([rho[j - 1] for j in js], w)))
                     base = val if base is None else base
@@ -431,7 +435,7 @@ def axiom_check(backend, indices: int = 3, word_len: int = 4,
     report["axiom2"] = _first_failure(axiom2())
 
     # (3) E_{A_I}(pi_j(a) d pi_j(a')) = E_{A_J}(...) for I subset J, j not in J
-    subsets = _subsets(range(1, indices + 1))
+    subsets = _subsets(range(1, AXIOM_INDICES + 1))
 
     def axiom3():
         for J in subsets:
@@ -442,7 +446,7 @@ def axiom_check(backend, indices: int = 3, word_len: int = 4,
                     continue
                 j = outside[0]
                 ds = [()]
-                for w in _words_over(nontrivial, axiom3_word_len):
+                for w in _words_over(nontrivial, AXIOM3_WORD_LEN):
                     for ks in product(sorted(I), repeat=len(w)):
                         ds.append(tuple(zip(ks, w)))
                 for a, ap, dmid in product(names, names, ds):
@@ -453,8 +457,8 @@ def axiom_check(backend, indices: int = 3, word_len: int = 4,
     report["axiom3"] = _first_failure(axiom3())
 
     # (4) E_{A_I} E_{A_J} = E_{A_{I cap J}}
-    gens = [(j, n) for j in range(1, indices + 1) for n in nontrivial]
-    xs = [()] + _words_over(gens, axiom4_word_len)
+    gens = [(j, n) for j in range(1, AXIOM_INDICES + 1) for n in nontrivial]
+    xs = [()] + _words_over(gens, AXIOM4_WORD_LEN)
     report["axiom4"] = _first_failure(
         None if backend.expect(I, expect(J, x)) == expect(I & J, x)
         else f"I={set(I)}, J={set(J)}"

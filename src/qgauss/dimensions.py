@@ -165,8 +165,7 @@ def _step(backend, k: int, left: int, states: dict, ahead: dict,
     return {s: b.vectors for s, b in nxt.items() if b.vectors}, after, tried
 
 
-def growth_report(backend, k_max: int, max_m_offset: int = 4,
-                  gens=None) -> dict:
+def growth_report(backend, k_max: int, max_m_offset: int = 4) -> dict:
     """Per-degree dimensions against the backend's declared bound, plus a
     log-linear fit of dim against k as an empirical growth-base estimate.
     The window, the size of the largest span and the longest word are
@@ -183,7 +182,7 @@ def growth_report(backend, k_max: int, max_m_offset: int = 4,
         raise SizeGuard(f"dims.max_m_offset: {max_m_offset} with k_max "
                         f"{k_max} spans words of length "
                         f"{k_max + max_m_offset}, over {WORD_GUARD}")
-    reports = [span_Dk(backend, k, k + max_m_offset, gens=gens)
+    reports = [span_Dk(backend, k, k + max_m_offset)
                for k in range(k_max + 1)]
     rows = [r.row() for r in reports]
     fit_slope = None
@@ -199,8 +198,3 @@ def growth_report(backend, k_max: int, max_m_offset: int = 4,
         d_estimate = math.exp(fit_slope)
     return {"backend": backend.name, "rows": rows, "fit_slope": fit_slope,
             "d_estimate": d_estimate, "reports": reports}
-
-
-def L2k_dimension_bound(report: SpanReport, dim_H: int) -> int:
-    """The generation bound dim(D_k) * dim(H)^k for the degree-k component."""
-    return report.dim_scalar * dim_H ** report.k

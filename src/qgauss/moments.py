@@ -297,14 +297,14 @@ def finite_n_moment(word, backend, n: int, cfg: FockConfig) -> QPoly:
     index tuples is grouped by the coincidence partition, each class
     contributing (n falling |rho|) times its representative value.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     word = list(word)
     m = len(word)
     if m == 0:
         return QPoly.one()
     if m % 2:
         return QPoly.zero()
-    if n < 1:
-        raise ValueError("n must be positive")
     # blocks are even, so a partition uses at most m/2 copies
     if backend.window < min(n, m // 2):
         raise WindowExceeded(

@@ -9,15 +9,16 @@ results are reproducible and diffable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import CapExceeded
 
-#: The largest ground set the enumerators below, which the test oracles
-#: walk, and moments.enumerate_set_partitions, behind finite-n moments and
-#: the matrix model, accept; |P_2(12)| = 10395 already and the downstream
-#: costs multiply.  Limit, Q-matrix and trace-pairing moments and the span
-#: dimensions enumerate nothing: the window bounds them instead.
+#: The largest ground set that enumerate_pair_singleton, the test
+#: oracles' enumerators and moments.enumerate_set_partitions, behind
+#: finite-n moments and the matrix model, accept; |P_2(12)| = 10395
+#: already and the downstream costs multiply.  Limit, Q-matrix and
+#: trace-pairing moments and the span dimensions enumerate nothing: the
+#: window bounds them instead.
 DEFAULT_CAP = 12
 
 
@@ -109,29 +110,6 @@ def crossing_number(sigma: Partition12) -> int:
     return n
 
 
-def enumerate_pair_partitions(m: int) -> list[Partition12]:
-    """All pair partitions of {1..m}, canonically ordered; [] for odd m."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    _check_cap(m)
-    if m % 2:
-        return []
-    out = []
-
-    def rec(remaining: tuple, acc: list):
-        if not remaining:
-            out.append(Partition12.make(m, acc))
-            return
-        first = remaining[0]
-        rest = remaining[1:]
-        for i, partner in enumerate(rest):
-            rec(rest[:i] + rest[i + 1:], acc + [(first, partner)])
-
-    rec(tuple(range(1, m + 1)), [])
-    out.sort(key=Partition12.sort_key)
-    return out
-
-
 def enumerate_pair_singleton(m: int) -> list[Partition12]:
     """All partitions of {1..m} into blocks of size 1 or 2, canonically ordered."""
     if m < 0:
@@ -169,23 +147,3 @@ def encoding_map(sigma: Partition12) -> dict:
         phi[l] = s + t
         phi[r] = s + t
     return phi
-
-
-def convolution_joins(sigma: Partition12, theta: Partition12) -> list[Partition12]:
-    """All partitions of {1..m+m'} restricting to sigma and (shifted) theta
-    whose only additional pairs join a singleton of sigma to one of theta.
-    """
-    m, mp = sigma.m, theta.m
-    _check_cap(m + mp)
-    left = sigma.sorted_singletons()
-    right = [s + m for s in theta.sorted_singletons()]
-    base_pairs = list(sigma.pairs) + [(l + m, r + m) for l, r in theta.pairs]
-    out = []
-    for r in range(0, min(len(left), len(right)) + 1):
-        for lsub in combinations(left, r):
-            for rperm in permutations(right, r):
-                extra = list(zip(lsub, rperm))
-                singles = (set(left) - set(lsub)) | (set(right) - set(rperm))
-                out.append(Partition12.make(m + mp, base_pairs + extra, singles))
-    out.sort(key=Partition12.sort_key)
-    return out

@@ -188,8 +188,9 @@ def vacuum_moment(word, cfg: FockConfig) -> QPoly:
     """<s(h_1)...s(h_m) Omega, Omega> computed by repeated apply_field.
 
     word is the list of coordinate vectors h_1..h_m.  Needs max_degree >=
-    ceil(m/2); intermediate terms that cannot return to the vacuum are
-    pruned, which keeps the computation exact.
+    ceil(m/2).  A term longer than the fields still to act cannot return
+    to the vacuum, so creation stops at that length, which keeps the
+    computation exact and leaves no longer term to prune.
     """
     m = len(word)
     if m == 0:
@@ -202,11 +203,7 @@ def vacuum_moment(word, cfg: FockConfig) -> QPoly:
     state = FockVector.vacuum()
     # rightmost field operator acts first
     for step, h in enumerate(reversed(word), start=1):
-        remaining = m - step
-        state = apply_field(h, state, cfg, create_limit=remaining)
-        if remaining:
-            state.terms = {w: c for w, c in state.terms.items()
-                           if len(w) <= remaining}
+        state = apply_field(h, state, cfg, create_limit=m - step)
     return state.coefficient(())
 
 

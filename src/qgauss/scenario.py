@@ -198,6 +198,8 @@ class Scenario:
         self.q_values = [_frac(x, f"q_values[{i}]") for i, x in
                          enumerate(_list(data.get("q_values", []), "q_values"))]
         self.n = _int(data, "n", "") if "n" in data else None
+        if self.n is not None and self.n < 1:
+            raise ScenarioError(f"n: must be >= 1, got {self.n}")
         self.Q = None
         if "Q" in data:
             self.Q = _q_matrix(data["Q"])

@@ -109,7 +109,7 @@ def _embed_first(h, d):
     return tuple(Fraction(x) for x in h) + (Fraction(0),) * d
 
 
-def _rotate(h, c, d):
+def _rotate(h, c):
     """alpha_theta applied to h + 0: cos(theta) h in the first block and
     (implicitly sine-weighted) h in the second."""
     c = Fraction(c)
@@ -138,7 +138,7 @@ def alpha_theta_projected_moment(w: WickWord, c, test_words) -> dict:
                         tuple(vec_map(h) for h in word.hs),
                         word.backend, cfg2)
 
-    w_rot = lift(w, lambda h: _rotate(h, c, d))
+    w_rot = lift(w, lambda h: _rotate(h, c))
     w_emb = lift(w, lambda h: _embed_first(h, d))
     checked = 0
     certified = True

@@ -1,16 +1,59 @@
 """The pair-partition sums that the transfer-matrix scan replaced, kept as
 its test oracle: one term per pair partition of the word, (m-1)!! terms
 in all, or one per convolution join for a trace pairing, so only short
-words are affordable."""
+words are affordable.  The two enumerators live here too, under the
+enumeration cap of qgauss.partitions: no engine walks them."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from qgauss import moments
 from qgauss.copies import pi_word
-from qgauss.partitions import (convolution_joins, encoding_map,
-                               enumerate_pair_partitions)
+from qgauss.partitions import Partition12, _check_cap, encoding_map
 from qgauss.qpoly import QPoly
+
+
+def enumerate_pair_partitions(m: int) -> list[Partition12]:
+    """All pair partitions of {1..m}, canonically ordered; [] for odd m."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    _check_cap(m)
+    if m % 2:
+        return []
+    out = []
+
+    def rec(remaining: tuple, acc: list):
+        if not remaining:
+            out.append(Partition12.make(m, acc))
+            return
+        first = remaining[0]
+        rest = remaining[1:]
+        for i, partner in enumerate(rest):
+            rec(rest[:i] + rest[i + 1:], acc + [(first, partner)])
+
+    rec(tuple(range(1, m + 1)), [])
+    out.sort(key=Partition12.sort_key)
+    return out
+
+
+def convolution_joins(sigma: Partition12, theta: Partition12) -> list[Partition12]:
+    """All partitions of {1..m+m'} restricting to sigma and (shifted) theta
+    whose only additional pairs join a singleton of sigma to one of theta.
+    """
+    m, mp = sigma.m, theta.m
+    _check_cap(m + mp)
+    left = sigma.sorted_singletons()
+    right = [s + m for s in theta.sorted_singletons()]
+    base_pairs = list(sigma.pairs) + [(l + m, r + m) for l, r in theta.pairs]
+    out = []
+    for r in range(0, min(len(left), len(right)) + 1):
+        for lsub in combinations(left, r):
+            for rperm in permutations(right, r):
+                extra = list(zip(lsub, rperm))
+                singles = (set(left) - set(lsub)) | (set(right) - set(rperm))
+                out.append(Partition12.make(m + mp, base_pairs + extra, singles))
+    out.sort(key=Partition12.sort_key)
+    return out
 
 
 def pairing_moment(word, backend, cfg) -> QPoly:

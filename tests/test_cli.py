@@ -234,6 +234,8 @@ def _tensor_backend(C):
     ({"Q": [["0", "0"], []]}, "Q[1]"),
     ({"word": [{"vector": [float("inf")]}]}, "word[0].vector[0]"),
     ({"backend": _tensor_backend({"kind": "cyclic", "n": 0})}, "backend.C.n"),
+    ({"n": 0}, "n"),
+    ({"n": -1}, "n"),
 ])
 def test_malformed_scenario_names_the_field(tmp_path, capsys, change, field):
     path = write_scenario(tmp_path, dict(BASE, **change))
@@ -305,6 +307,17 @@ def test_too_few_samples_exit_code(capsys):
             main(["verify", "matmodel", "--samples", samples])
         assert exc.value.code == 2
         assert "--samples" in capsys.readouterr().err
+
+
+def test_seed_outside_the_philox_keys_exit_code(capsys):
+    for seed in ("-1", str(2 ** 128), "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "matmodel", "--seed", seed])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+    # the largest key is accepted
+    assert main(["verify", "matmodel", "--seed", str(2 ** 128 - 1),
+                 "--samples", "2"]) in (0, 1)
 
 
 # ---------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from qgauss.copies import FreeHaarBackend, PermGroupBackend
-from qgauss.dimensions import L2k_dimension_bound, growth_report, span_Dk
+from qgauss.dimensions import growth_report, span_Dk
 
 
 def test_span_report_shape():
@@ -41,13 +41,6 @@ def test_growth_report_keys_and_fit():
     assert report["d_estimate"] >= 1.0
     for k, dim, bound, stab in report["rows"]:
         assert dim <= bound
-
-
-def test_L2k_bound_scales_with_coefficients():
-    backend = FreeHaarBackend(4)
-    rep = span_Dk(backend, 2, 4)
-    assert L2k_dimension_bound(rep, 3) == rep.dim_scalar * 9
-    assert L2k_dimension_bound(rep, 1) == rep.dim_scalar
 
 
 def test_custom_generators_shrink_the_span():

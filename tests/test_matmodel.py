@@ -11,6 +11,10 @@ from qgauss.copies import FreeHaarBackend
 from qgauss.errors import SizeGuard
 from qgauss.qfock import FockConfig
 
+from matmodel_oracle import (SYMMETRY_CAP, build_symmetries,
+                             combinatorial_trace, mc_moment_explicit,
+                             sample_epsilon)
+
 H = (Fraction(1),)
 
 
@@ -29,7 +33,7 @@ def cfg1():
 
 
 def test_sample_epsilon_is_symmetric_with_unit_diagonal():
-    eps = matmodel.sample_epsilon([[Fraction(1, 2)]], 3, rng=1)
+    eps = sample_epsilon([[Fraction(1, 2)]], 3, rng=1)
     assert len(eps.letters) == 3
     for a in eps.letters:
         assert eps.entry(a, a) == 1
@@ -39,8 +43,8 @@ def test_sample_epsilon_is_symmetric_with_unit_diagonal():
 
 
 def test_sample_epsilon_degenerate_laws():
-    all_plus = matmodel.sample_epsilon([[Fraction(1)]], 4, rng=0)
-    all_minus = matmodel.sample_epsilon([[Fraction(-1)]], 4, rng=0)
+    all_plus = sample_epsilon([[Fraction(1)]], 4, rng=0)
+    all_minus = sample_epsilon([[Fraction(-1)]], 4, rng=0)
     assert all(v == 1 for v in all_plus.entries.values())
     assert all(v == -1 for v in all_minus.entries.values())
 
@@ -49,22 +53,21 @@ def test_sample_epsilon_mean():
     rng = np.random.Generator(np.random.Philox(key=5))
     vals = []
     for _ in range(300):
-        eps = matmodel.sample_epsilon([[Fraction(1, 2)]], 2, rng=rng)
+        eps = sample_epsilon([[Fraction(1, 2)]], 2, rng=rng)
         vals.append(eps.entry(eps.letters[0], eps.letters[1]))
     assert abs(np.mean(vals) - 0.5) < 0.15
 
 
 def test_build_symmetries_satisfies_relations():
-    eps = matmodel.sample_epsilon([[Fraction(0)]], 3, rng=7)
-    rep = matmodel.build_symmetries(eps)
+    eps = sample_epsilon([[Fraction(0)]], 3, rng=7)
+    rep = build_symmetries(eps)
     assert rep.verify()
 
 
 def test_build_symmetries_size_guard():
-    eps = matmodel.sample_epsilon([[Fraction(0)]], matmodel.SYMMETRY_CAP + 1,
-                                  rng=0)
+    eps = sample_epsilon([[Fraction(0)]], SYMMETRY_CAP + 1, rng=0)
     with pytest.raises(SizeGuard):
-        matmodel.build_symmetries(eps)
+        build_symmetries(eps)
 
 
 def test_word_sign_pairs_odd_multiplicity():
@@ -73,8 +76,8 @@ def test_word_sign_pairs_odd_multiplicity():
 
 def test_combinatorial_trace_matches_explicit_matrices():
     rng = np.random.Generator(np.random.Philox(key=11))
-    eps = matmodel.sample_epsilon([[Fraction(0)]], 4, rng=rng)
-    rep = matmodel.build_symmetries(eps)
+    eps = sample_epsilon([[Fraction(0)]], 4, rng=rng)
+    rep = build_symmetries(eps)
     dim = rep.matrices[0].shape[0]
     idx = {l: i for i, l in enumerate(eps.letters)}
     for _ in range(40):
@@ -83,7 +86,7 @@ def test_combinatorial_trace_matches_explicit_matrices():
         for l in word:
             m = m @ rep.matrices[idx[l]]
         explicit = Fraction(int(np.trace(m)), dim)
-        assert matmodel.combinatorial_trace(word, eps) == explicit
+        assert combinatorial_trace(word, eps) == explicit
 
 
 def test_exact_model_moment_pure_quartic(free8, cfg1):
@@ -145,8 +148,7 @@ def test_mc_is_reproducible(free8, cfg1):
 def test_mc_agrees_with_explicit_small_model(free8, cfg1):
     Qm = [[Fraction(1, 2)]]
     fast = matmodel.mc_moment(pure_word(4), Qm, n=2, samples=300, seed=21)
-    slow = matmodel.mc_moment_explicit(pure_word(4), Qm, n=2, samples=300,
-                                       seed=21)
+    slow = mc_moment_explicit(pure_word(4), Qm, n=2, samples=300, seed=21)
     assert fast.target_n == slow.target_n
     # independent streams, same distribution: compare means within noise
     assert abs(fast.mean - slow.mean) <= \

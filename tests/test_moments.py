@@ -9,11 +9,11 @@ import pytest
 from qgauss import moments
 from qgauss.copies import FreeHaarBackend, PermGroupBackend
 from qgauss.errors import WindowExceeded
-from qgauss.partitions import Partition12, convolution_joins
+from qgauss.partitions import Partition12
 from qgauss.qfock import FockConfig, vacuum_moment
 from qgauss.qpoly import Q, QPoly
 
-from pairing_oracle import pairing_trace_pairing
+from pairing_oracle import convolution_joins, pairing_trace_pairing
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +106,14 @@ def test_finite_n_moment_needs_only_half_the_word_in_copies(free8):
     free3 = FreeHaarBackend(3)
     with pytest.raises(WindowExceeded):
         moments.finite_n_moment(pure_word(free3, 8), free3, 8, cfg)
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (3, -1)])
+def test_finite_n_moment_refuses_n_below_one_on_short_words(free8, cfg1,
+                                                            m, n):
+    # checked before the empty and odd words' early returns
+    with pytest.raises(ValueError, match="n must be positive"):
+        moments.finite_n_moment(pure_word(free8, m), free8, n, cfg1)
 
 
 # ---------------------------------------------------------------------

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from qgauss import moments
 from qgauss.errors import CapExceeded
-from qgauss.partitions import (DEFAULT_CAP, Partition12, convolution_joins,
-                               crossing_number, encoding_map,
-                               enumerate_pair_partitions,
-                               enumerate_pair_singleton)
+from qgauss.partitions import (DEFAULT_CAP, Partition12, crossing_number,
+                               encoding_map, enumerate_pair_singleton)
+
+from pairing_oracle import convolution_joins, enumerate_pair_partitions
 
 
 def double_factorial(n):

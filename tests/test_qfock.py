@@ -12,11 +12,13 @@ from itertools import product
 
 import pytest
 
-from qgauss.partitions import crossing_number, enumerate_pair_partitions
+from qgauss.partitions import crossing_number
 from qgauss.qfock import (FockConfig, FockVector, apply_field, gram_psd_check,
                           q_inner, vacuum_moment)
 from qgauss.qpoly import QPoly
 from qgauss.errors import TruncationExceeded
+
+from pairing_oracle import enumerate_pair_partitions
 
 
 def pairing_sum_oracle(vecs, cfg):
