@@ -2,13 +2,13 @@
 
 The coefficient world for the copy constructions: group algebras of
 finite groups and of the free group (a tensor product is the group
-algebra of the direct product), subalgebras, traces,
-trace-preserving conditional expectations, the one exact elimination
-kernel behind rank, positive-definiteness and linear solves, and an
-echelon basis for spans of sparse elements.  A basis element is keyed by
-its group element, so a product costs one group multiplication per pair
-of terms and a group is enumerated only where a computation asks for its
-elements.
+algebra of the direct product), subalgebras spanned by subgroups, traces,
+and trace-preserving conditional expectations, which restrict an element
+to the subgroup's keys.  The one dense exact elimination kernel sits
+behind rank and is_positive_definite; an echelon basis spans sparse
+elements one at a time.  A basis element is keyed by its group element,
+so a product costs one group multiplication per pair of terms and a group
+is enumerated only where a computation asks for its elements.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from itertools import permutations, product
 from math import factorial, inf, prod
 
 from .errors import InvalidGroup, SizeGuard
-
-#: Generic conditional expectations assemble a |sub| x |sub| Gram matrix.
-PROJECTION_GUARD = 1024
 
 #: Above this many basis triples, group validation samples instead of
 #: sweeping.
@@ -43,16 +40,12 @@ class FiniteTracialAlgebra:
         self.dim = group.order
         self.unit = group.identity
         self.name = name
-        self._projection_cache = {}
 
     # -- element constructors -----------------------------------------
 
     @property
     def one(self) -> "AlgebraElement":
         return AlgebraElement(self, {self.unit: Fraction(1)})
-
-    def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {})
 
     def basis_element(self, g) -> "AlgebraElement":
         return AlgebraElement(self, {g: Fraction(1)})
@@ -329,17 +322,38 @@ class SubalgebraSpec:
         return all(g in self.indices for g in x.coeffs)
 
 
-def eliminate(a, ncols: int) -> tuple[list, bool]:
+def conditional_expectation(x: AlgebraElement,
+                            sub: SubalgebraSpec) -> AlgebraElement:
+    """Trace-preserving conditional expectation onto the subalgebra.
+
+    The spec's indices form a subgroup H, and tau(u_g* u_h) = [g = h]
+    makes {u_h : h in H} tau-orthonormal, so the tau-orthogonal projection
+    onto L(H) keeps the terms of x whose keys lie in H.  The identity
+    shortcut applies when sub is the whole algebra.
+    """
+    if x.parent is not sub.algebra:
+        raise ValueError("element not in the subalgebra's parent")
+    if sub.whole:
+        return x
+    idx = sub.indices
+    return AlgebraElement(x.parent, {g: c for g, c in x.coeffs.items()
+                                     if g in idx})
+
+
+# ---------------------------------------------------------------------
+# exact elimination
+
+
+def eliminate(a) -> tuple[list, bool]:
     """Reduce the rows a (integers or Fractions) to echelon form in place.
 
-    Pivots are sought in the first ncols columns; any further columns (a
-    right-hand side) are carried along.  Zero entries are skipped before
-    any division by the pivot.  Returns (pivots, swapped): the pivot of
-    each echelon row in order, and whether rows were exchanged.
+    Zero entries are skipped before any division by the pivot.  Returns
+    (pivots, swapped): the pivot of each echelon row in order, and whether
+    rows were exchanged.
     """
     pivots = []
     swapped = False
-    for col in range(ncols):
+    for col in range(len(a[0]) if a else 0):
         row = len(pivots)
         piv = next((r for r in range(row, len(a)) if a[r][col]), None)
         if piv is None:
@@ -361,7 +375,7 @@ def eliminate(a, ncols: int) -> tuple[list, bool]:
 def rank(mat) -> int:
     """Exact rank of a rational matrix."""
     a = [list(row) for row in mat]
-    return len(eliminate(a, len(a[0]) if a else 0)[0])
+    return len(eliminate(a)[0])
 
 
 def is_positive_definite(mat) -> bool:
@@ -369,49 +383,9 @@ def is_positive_definite(mat) -> bool:
     needs no row exchange and every pivot (a ratio of leading minors) is
     positive."""
     a = [list(row) for row in mat]
-    pivots, swapped = eliminate(a, len(a))
+    pivots, swapped = eliminate(a)
     return (not swapped and len(pivots) == len(a)
             and all(p > 0 for p in pivots))
-
-
-def factor(mat) -> list:
-    """Factor a nonsingular square rational matrix M for repeated solves.
-
-    One elimination of [M | I] gives echelon rows U and a carried block E
-    with E M = U (row exchanges included).  Row i is kept as (U_ii, the
-    nonzero U_ij with j > i, the nonzero E_ik); solving M c = b is then
-    the two sparse substitutions of _substitute.
-    """
-    n = len(mat)
-    a = [list(row) + [int(i == k) for k in range(n)]
-         for i, row in enumerate(mat)]
-    pivots, _ = eliminate(a, n)
-    if len(pivots) != n:
-        raise ValueError("singular matrix")
-    return [(row[i], [(j, row[j]) for j in range(i + 1, n) if row[j]],
-             [(k, row[n + k]) for k in range(n) if row[n + k]])
-            for i, row in enumerate(a)]
-
-
-def _substitute(factors, rhs: dict) -> dict:
-    """Solve U c = E b back to front, for factors from factor(), with b
-    and c sparse as {row: nonzero Fraction}.  A row whose terms are all
-    zero, or cancel, gets no entry and no Fraction is made for it."""
-    out = {}
-    for i in range(len(factors) - 1, -1, -1):
-        pivot, upper, carried = factors[i]
-        s = (sum(e * rhs[k] for k, e in carried if k in rhs)
-             - sum(u * out[j] for j, u in upper if j in out))
-        if s:
-            out[i] = s if pivot == 1 else s / pivot
-    return out
-
-
-def solve(mat, rhs) -> list:
-    """Solve M c = b over the rationals for a nonsingular square M."""
-    out = _substitute(factor(mat),
-                      {k: Fraction(b) for k, b in enumerate(rhs) if b})
-    return [out.get(i, Fraction(0)) for i in range(len(mat))]
 
 
 class EchelonBasis:
@@ -462,58 +436,3 @@ class EchelonBasis:
         return True
 
 
-def pairing_index(basis) -> dict:
-    """{h: [(i, (b_i*)_{h^-1}), ...]} for a list of elements b_i, so that
-    tau(b_i* x) = sum over h in the support of x of x_h (b_i*)_{h^-1},
-    since tau(u_g u_h) = [gh = e]."""
-    index = {}
-    for i, b in enumerate(basis):
-        inv = b.parent.group.inv
-        for g, c in b.star().coeffs.items():
-            index.setdefault(inv(g), []).append((i, c))
-    return index
-
-
-def pairings(index, x: AlgebraElement) -> dict:
-    """{i: tau(b_i* x)} over the i where it is nonzero, for an index from
-    pairing_index, read from the support of x alone."""
-    out = {}
-    for h, c in x.coeffs.items():
-        for i, s in index.get(h, ()):
-            out[i] = out.get(i, 0) + s * c
-    return {i: v for i, v in out.items() if v}
-
-
-def conditional_expectation(x: AlgebraElement,
-                            sub: SubalgebraSpec) -> AlgebraElement:
-    """Trace-preserving conditional expectation onto the subalgebra.
-
-    Computed as the tau-orthogonal projection onto the sub-basis span:
-    solve the sub-basis Gram system G c = (tau(b_i* x))_i exactly.  Once
-    per subalgebra, G is built column by column from a pairing index of
-    the basis and factored; each call reads its right-hand side from the
-    support of x.  The identity shortcut applies when sub is the whole
-    algebra.
-    """
-    alg = sub.algebra
-    if x.parent is not alg:
-        raise ValueError("element not in the subalgebra's parent")
-    if sub.whole:
-        return x
-    if len(sub.indices) > PROJECTION_GUARD:
-        raise SizeGuard(
-            f"generic projection over {len(sub.indices)} basis elements "
-            f"exceeds the guard {PROJECTION_GUARD}")
-    cached = alg._projection_cache.get(sub.indices)
-    if cached is None:
-        keys = sorted(sub.indices)
-        basis = [alg.basis_element(g) for g in keys]
-        index = pairing_index(basis)
-        cols = [pairings(index, b) for b in basis]
-        gram = [[col.get(i, 0) for col in cols] for i in range(len(basis))]
-        cached = alg._projection_cache[sub.indices] = (keys, index,
-                                                       factor(gram))
-    keys, index, factors = cached
-    coeffs = _substitute(factors, pairings(index, x))
-    return AlgebraElement(alg, {keys[i]: c  # in basis order
-                                for i, c in reversed(coeffs.items())})

@@ -14,9 +14,9 @@ from functools import reduce
 from itertools import permutations, product
 from math import factorial
 
-from .algebra import (PROJECTION_GUARD, AlgebraElement, FiniteTracialAlgebra,
-                      SubalgebraSpec, free_group, group_algebra,
-                      symmetric_group, tensor_algebra)
+from .algebra import (AlgebraElement, FiniteTracialAlgebra, SubalgebraSpec,
+                      free_group, group_algebra, symmetric_group,
+                      tensor_algebra)
 from .errors import SizeGuard, WindowExceeded
 
 
@@ -24,6 +24,10 @@ from .errors import SizeGuard, WindowExceeded
 #: largest n of a cyclic or symmetric B or C: keys, relabelings,
 #: expectations and group listings walk every one of them.
 WINDOW_GUARD = 1024
+
+#: Most basis elements of a proper A_I: its spec lists them all and
+#: checks them for closure under product, |A_I|^2 multiplications.
+PROJECTION_GUARD = 1024
 
 
 def check_size(name: str, value: int):

@@ -202,6 +202,10 @@ class Scenario:
             raise ScenarioError(f"n: must be >= 1, got {self.n}")
         self.Q = None
         if "Q" in data:
+            if self.n is not None:
+                raise ScenarioError("n: a Q-matrix moment is computed only "
+                                    "in the large-n limit; give n or Q, "
+                                    "not both")
             self.Q = _q_matrix(data["Q"])
             for i, c in enumerate(self.colors):
                 if not 0 <= c < len(self.Q):

@@ -122,7 +122,7 @@ def alpha_theta_projected_moment(w: WickWord, c, test_words) -> dict:
     tau(y* alpha_theta(x_sigma)) must equal c^s tau(y* x_sigma), computed
     exactly on the doubled coefficient space.
 
-    Returns the eigenfactor, the scaled span element, and the certificate.
+    Returns the eigenfactor and the certificate.
     """
     c = Fraction(c)
     if not 0 < c <= 1:
@@ -155,7 +155,6 @@ def alpha_theta_projected_moment(w: WickWord, c, test_words) -> dict:
     return {
         "factor": factor,
         "degree": s,
-        "scaled": WickSpanElement.from_word(w, QPoly.constant(factor)),
         "certified": certified,
         "pairings_checked": checked,
         "witness": witness,

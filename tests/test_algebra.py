@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgauss import algebra
 from qgauss.algebra import (EchelonBasis, Group, SubalgebraSpec,
                             conditional_expectation, cyclic_group,
                             free_group, group_algebra, is_positive_definite,
-                            rank, solve, symmetric_group, tensor_algebra,
+                            rank, symmetric_group, tensor_algebra,
                             trivial_algebra, validate_group)
 from qgauss.errors import InvalidGroup, SizeGuard
 
@@ -157,29 +156,11 @@ def test_conditional_expectation_module_property(cs, c):
         assert rhs == conditional_expectation(x, sub) * a
 
 
-S3_AND_Z2Z3 = (group_algebra(symmetric_group(range(3)), validate=False),
-               tensor_algebra(group_algebra(cyclic_group(2)),
-                              group_algebra(cyclic_group(3))))
-
-
 def sparse_element(data, alg, max_size=6):
     return alg.element(data.draw(st.dictionaries(
         st.sampled_from(sorted(alg.group.elements)),
         st.fractions(min_value=-3, max_value=3, max_denominator=3),
         max_size=max_size)))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_pairing_index_is_trace_of_product(data):
-    for alg in S3_AND_Z2Z3:
-        # multi-term b_i, so that one key pairs with several of them
-        basis = [sparse_element(data, alg, 3) for _ in range(3)]
-        x = sparse_element(data, alg)
-        pairs = algebra.pairings(algebra.pairing_index(basis), x)
-        assert pairs == {i: (b.star() * x).trace()
-                         for i, b in enumerate(basis)
-                         if (b.star() * x).trace()}
 
 
 def _s4_subgroups():
@@ -192,7 +173,8 @@ def _s4_subgroups():
 
 
 def _z2z3_subgroups():
-    alg = S3_AND_Z2Z3[1]
+    alg = tensor_algebra(group_algebra(cyclic_group(2)),
+                         group_algebra(cyclic_group(3)))
     els = list(alg.group.elements)
     return alg, [{g for g in els if g[0] == 0}, {g for g in els if g[1] == 0},
                  {alg.unit}]
@@ -200,31 +182,17 @@ def _z2z3_subgroups():
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
-def test_projection_matches_dense_gram_solve(data):
+def test_projection_is_tau_orthogonal_onto_subgroup(data):
+    # keys in the subgroup and x - e tau-orthogonal to every u_g there:
+    # these two properties fix the tau-orthogonal projection
     for alg, subgroups in (_s4_subgroups(), _z2z3_subgroups()):
         x = sparse_element(data, alg, 8)
         for idx in subgroups:
-            keys = sorted(idx)
-            basis = [alg.basis_element(g) for g in keys]
-            gram = [[(b.star() * c).trace() for c in basis] for b in basis]
-            coeffs = solve(gram, [(b.star() * x).trace() for b in basis])
             e = conditional_expectation(x, SubalgebraSpec(alg, frozenset(idx)))
-            assert e == alg.element(dict(zip(keys, coeffs)))
-
-
-def test_projection_factors_each_subalgebra_once(monkeypatch):
-    calls = []
-    eliminate = algebra.eliminate
-    monkeypatch.setattr(algebra, "eliminate",
-                        lambda a, ncols: calls.append(ncols)
-                        or eliminate(a, ncols))
-    alg = group_algebra(symmetric_group(range(4)), validate=False)
-    sub = SubalgebraSpec(alg, frozenset(g for g in alg.group.elements
-                                        if g[3] == 3))
-    for g in sorted(alg.group.elements)[::5]:
-        x = alg.basis_element(g) + alg.basis_element(alg.group.inv(g))
-        conditional_expectation(x, sub)
-    assert calls == [6]
+            assert set(e.coeffs) <= idx
+            rest = x + e.scale(-1)
+            for g in idx:
+                assert (alg.basis_element(g).star() * rest).trace() == 0
 
 
 def test_conditional_expectation_onto_scalars(s3):
@@ -253,10 +221,18 @@ def test_subalgebra_spec_requires_unit_and_closure(s3):
 # the exact elimination kernel
 
 
+#: Matrices whose elimination exchanges rows: at the first column, and
+#: after one elimination.
+ROW_EXCHANGE = ([[0, 1], [1, 0]],
+                [[0, 2, 1], [1, 1, 0], [3, 0, 1]],
+                [[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+
+
 def test_rank_exact():
     assert rank([[1, 2], [2, 4]]) == 1
     assert rank([[1, 0], [0, 1]]) == 2
     assert rank([[0]]) == 0
+    assert [rank(mat) for mat in ROW_EXCHANGE] == [2, 3, 3]
 
 
 def test_positive_definite_test():
@@ -265,34 +241,8 @@ def test_positive_definite_test():
     assert not is_positive_definite([[0, 1], [1, 0]])
     assert not is_positive_definite([[1, 1], [1, 1]])  # singular
     assert not is_positive_definite([[1, 2], [2, 1]])  # second pivot -3
-
-
-def test_solve_non_orthonormal_gram():
-    gram = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
-    # first column of the inverse: cofactors (3, -2, 1) over det 4
-    assert solve(gram, [1, 0, 0]) == [Fraction(3, 4), Fraction(-1, 2),
-                                       Fraction(1, 4)]
-
-
-@pytest.mark.parametrize("mat", [
-    [[0, 1], [1, 0]],  # exchange at the first column
-    [[0, 2, 1], [1, 1, 0], [3, 0, 1]],
-    [[1, 1, 0], [1, 1, 1], [0, 1, 1]],  # exchange after one elimination
-])
-def test_solve_with_row_exchange(mat):
-    n = len(mat)
-    for b in ([1] + [0] * (n - 1), list(range(2, n + 2)),
-              [Fraction(-1, 3)] * n):
-        c = solve(mat, b)
-        assert all(type(x) is Fraction for x in c)
-        assert [sum(m * x for m, x in zip(row, c)) for row in mat] == b
-
-
-def test_solve_singular_matrix_raises():
-    for mat in ([[1, 2], [2, 4]], [[0, 0], [0, 1]],
-                [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
-        with pytest.raises(ValueError, match="singular matrix"):
-            solve(mat, [1] * len(mat))
+    for mat in ROW_EXCHANGE:
+        assert not is_positive_definite(mat)
 
 
 @settings(max_examples=40, deadline=None)

@@ -236,6 +236,7 @@ def _tensor_backend(C):
     ({"backend": _tensor_backend({"kind": "cyclic", "n": 0})}, "backend.C.n"),
     ({"n": 0}, "n"),
     ({"n": -1}, "n"),
+    ({"Q": [["1/2"]], "n": 1}, "n"),
 ])
 def test_malformed_scenario_names_the_field(tmp_path, capsys, change, field):
     path = write_scenario(tmp_path, dict(BASE, **change))

@@ -9,11 +9,11 @@ from itertools import combinations, permutations, product
 import pytest
 
 from qgauss import moments
-from qgauss.algebra import (PROJECTION_GUARD, AlgebraElement,
-                            conditional_expectation,
+from qgauss.algebra import (AlgebraElement, conditional_expectation,
                             cyclic_group, group_algebra, validate_group)
-from qgauss.copies import (FreeHaarBackend, FreeWordElement, PermGroupBackend,
-                           TensorBackend, axiom_check, pi_word)
+from qgauss.copies import (PROJECTION_GUARD, FreeHaarBackend, FreeWordElement,
+                           PermGroupBackend, TensorBackend, axiom_check,
+                           pi_word)
 from qgauss.errors import SizeGuard
 from qgauss.qfock import FockConfig
 
