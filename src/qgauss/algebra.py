@@ -27,6 +27,16 @@ from .errors import InvalidGroup, SizeGuard
 _EXHAUSTIVE_TRIPLES = 20000
 
 
+def exact(c):
+    """The rational c as an int when integral, else as a Fraction: both
+    are exact, an int equals and hashes as the Fraction of its value, and
+    int arithmetic is the cheaper."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class FiniteTracialAlgebra:
     """The group *-algebra L(G): u_g u_h = u_{gh}, u_g* = u_{g^{-1}} and
     tau(u_g) = [g = e].  Basis elements are keyed by the group elements
@@ -45,14 +55,14 @@ class FiniteTracialAlgebra:
 
     @property
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, {self.unit: Fraction(1)})
+        return AlgebraElement(self, {self.unit: 1})
 
     def basis_element(self, g) -> "AlgebraElement":
-        return AlgebraElement(self, {g: Fraction(1)})
+        return AlgebraElement(self, {g: 1})
 
     def element(self, coeffs: dict) -> "AlgebraElement":
         """Build an element from a {group element: rational} mapping."""
-        return AlgebraElement(self, {g: Fraction(c)
+        return AlgebraElement(self, {g: exact(c)
                                      for g, c in coeffs.items() if c})
 
     def __repr__(self):
@@ -66,7 +76,9 @@ class AlgebraElement:
 
     def __init__(self, parent: FiniteTracialAlgebra, coeffs: dict):
         self.parent = parent
-        self.coeffs = coeffs  # {group element: nonzero Fraction}
+        # {group element: nonzero rational}, an int when integral and a
+        # Fraction if not (see exact); the two mix exactly and hash alike
+        self.coeffs = coeffs
 
     def _check(self, other):
         if self.parent is not other.parent:
@@ -76,7 +88,7 @@ class AlgebraElement:
         self._check(other)
         out = dict(self.coeffs)
         for g, c in other.coeffs.items():
-            nc = out.get(g, Fraction(0)) + c
+            nc = out.get(g, 0) + c
             if nc:
                 out[g] = nc
             else:
@@ -104,7 +116,7 @@ class AlgebraElement:
         return AlgebraElement(self.parent, out)
 
     def scale(self, c) -> "AlgebraElement":
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return AlgebraElement(self.parent, {})
         return AlgebraElement(self.parent, {g: c * x for g, x in self.coeffs.items()})
@@ -113,8 +125,8 @@ class AlgebraElement:
         inv = self.parent.group.inv
         return AlgebraElement(self.parent, {inv(g): c for g, c in self.coeffs.items()})
 
-    def trace(self) -> Fraction:
-        return self.coeffs.get(self.parent.unit, Fraction(0))
+    def trace(self):
+        return self.coeffs.get(self.parent.unit, 0)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -432,7 +444,7 @@ class EchelonBasis:
         key, c = next(iter(coeffs.items()))
         self._index[key] = len(self.vectors)
         self._pivots.append(key)
-        self.vectors.append(x if c == 1 else x.scale(1 / c))
+        self.vectors.append(x if c == 1 else x.scale(Fraction(1) / c))
         return True
 
 

@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from statistics import NormalDist
 
 from . import dimensions, matmodel, moments, qfock, semigroup
@@ -201,7 +202,10 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every call of main shares it."""
     parser = argparse.ArgumentParser(
         prog="qgauss",
         description="Exact moments, Wick-word algebra, dimension growth, "
@@ -228,8 +232,11 @@ def main(argv=None) -> int:
     p_v.add_argument("--samples", type=_sample_count, default=2000)
     p_v.add_argument("--out")
     p_v.set_defaults(func=cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ScenarioError, QGaussError, OSError) as e:

@@ -9,7 +9,6 @@ All arithmetic is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from itertools import permutations, product
 from math import factorial
@@ -76,8 +75,7 @@ class FreeWordElement(AlgebraElement):
     def from_word(word) -> "FreeWordElement":
         """u_w for any word of (letter, +-1), reduced by the group product."""
         mul = D.group.mul
-        return FreeWordElement(D, {reduce(mul, [(x,) for x in word], ()):
-                                   Fraction(1)})
+        return FreeWordElement(D, {reduce(mul, [(x,) for x in word], ()): 1})
 
 
 #: The group algebra of the free group, shared by every free Haar backend;
@@ -122,7 +120,7 @@ class FreeHaarBackend:
         return AlgebraElement(D, {w: c for w, c in x.coeffs.items()
                                   if allowed.issuperset([l for l, _ in w])})
 
-    def trace(self, x: AlgebraElement) -> Fraction:
+    def trace(self, x: AlgebraElement):
         return x.trace()
 
     def relabel(self, gamma: dict, x: AlgebraElement) -> AlgebraElement:
@@ -221,7 +219,7 @@ class TensorBackend:
             k: c for k, c in x.coeffs.items()
             if all(k[s] == cu for s in outside)})
 
-    def trace(self, x: AlgebraElement) -> Fraction:
+    def trace(self, x: AlgebraElement):
         return x.trace()
 
     def relabel(self, gamma: dict, x: AlgebraElement) -> AlgebraElement:
@@ -331,7 +329,7 @@ class PermGroupBackend:
             g: c for g, c in x.coeffs.items()
             if all(g[p] == p for p in fixed)})
 
-    def trace(self, x: AlgebraElement) -> Fraction:
+    def trace(self, x: AlgebraElement):
         return x.trace()
 
     def relabel(self, gamma: dict, x: AlgebraElement) -> AlgebraElement:

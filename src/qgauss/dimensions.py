@@ -54,6 +54,15 @@ SPAN_GUARD = 1024
 #: and perm d = 1 k_max 10 1.3 s; two more letters cost 4-8x.
 WORD_GUARD = 12
 
+#: Most span transitions over k = 0..k_max that growth_report accepts,
+#: estimated as (k+1) * dim_bound(k) * |S|^(max_m - k), which follows the
+#: growth of span_Dk's generators_considered in k and in the length
+#: together; it is 2-3x the count on free Haar, where a transition takes
+#: about 6.5 us.  Free Haar k_max 3 at offset 8 (2.1e6, 5 s) passes;
+#: k_max 5 at offset 6 (5.6e6) and k_max 4 at offset 8 (1.0e7), which took
+#: 35 and 65 s, do not.
+SPAN_WORK_GUARD = 4_000_000
+
 
 @dataclass
 class SpanReport:
@@ -168,8 +177,8 @@ def _step(backend, k: int, left: int, states: dict, ahead: dict,
 def growth_report(backend, k_max: int, max_m_offset: int = 4) -> dict:
     """Per-degree dimensions against the backend's declared bound, plus a
     log-linear fit of dim against k as an empirical growth-base estimate.
-    The window, the size of the largest span and the longest word are
-    checked before any span is computed."""
+    The window, the size of the largest span, the longest word and the
+    estimated span work are checked before any span is computed."""
     needed = k_max + max_m_offset // 2
     if backend.window < needed:
         raise WindowExceeded(
@@ -182,6 +191,12 @@ def growth_report(backend, k_max: int, max_m_offset: int = 4) -> dict:
         raise SizeGuard(f"dims.max_m_offset: {max_m_offset} with k_max "
                         f"{k_max} spans words of length "
                         f"{k_max + max_m_offset}, over {WORD_GUARD}")
+    work = sum((k + 1) * backend.dim_bound(k) * len(backend.S) ** max_m_offset
+               for k in range(k_max + 1))
+    if work > SPAN_WORK_GUARD:
+        raise SizeGuard(f"dims.max_m_offset: {max_m_offset} with k_max "
+                        f"{k_max} needs an estimated {work} span "
+                        f"transitions, over {SPAN_WORK_GUARD}")
     reports = [span_Dk(backend, k, k + max_m_offset)
                for k in range(k_max + 1)]
     rows = [r.row() for r in reports]

@@ -18,6 +18,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from . import qfock
+from .algebra import exact
 from .copies import pi_word
 from .errors import WindowExceeded
 from .partitions import (Partition12, _check_cap, crossing_number,
@@ -70,7 +71,9 @@ def trace_of_partition_term(sigma: Partition12, xs, hs, backend,
 def _arc_scan(xs, tags, backend, close, opens=None) -> dict:
     """Sum over the pair partitions sigma of the word xs of
     weight(sigma) * tau_D(pi-word of sigma), by one left-to-right scan;
-    returned as a {power of q: Fraction} dict.
+    returned as a {power of q: exact rational} dict.  A weight stays an
+    int while every factor is integral (see algebra.exact); int and
+    Fraction arithmetic mix exactly, so the form changes only the cost.
 
     A state is the stack of open arcs, oldest first, and P.  Arc i carries
     copy label i+1 and keeps only the tag of its left leg (its vector, or
@@ -83,8 +86,9 @@ def _arc_scan(xs, tags, backend, close, opens=None) -> dict:
     letters left can still close every open arc, or closes arc i by
     close_arc(backend, P, pi_{i+1}(x), i+1, k), which says why this is
     exact.  close(stack, i, tag) gives the (power of q, factor) of that
-    closing; a zero factor prunes it.  A letter is embedded only at the
-    labels a state uses.
+    closing; a zero factor prunes it.  Tags are small ints or tuples of
+    them (see _vector_ids), so stacks hash cheaply.  A letter is embedded
+    only at the labels a state uses.
 
     opens, when given, fixes each letter's move (True opens, False
     closes), and close() may prune by tag; together they restrict the sum
@@ -97,7 +101,7 @@ def _arc_scan(xs, tags, backend, close, opens=None) -> dict:
     coefficient of the prefix whichever arcs were closed.
     """
     m = len(xs)
-    states = {((), backend.one()): {0: Fraction(1)}}
+    states = {((), backend.one()): {0: 1}}
     for pos, (x, tag) in enumerate(zip(xs, tags)):
         left = m - pos - 1
         move = None if opens is None else opens[pos]
@@ -122,14 +126,14 @@ def _arc_scan(xs, tags, backend, close, opens=None) -> dict:
                 if not factor:
                     continue
                 R = close_arc(backend, P, pi(i + 1), i + 1, k)
-                _add_state(nxt, stack[:i] + stack[i + 1:], R,
-                           {p + power: c * factor for p, c in weight.items()})
+                _add_state(nxt, stack[:i] + stack[i + 1:], R, weight, power,
+                           factor)
         states = nxt
     total = {}
     for (_, P), weight in states.items():
         tr = backend.trace(P)
         for p, c in weight.items():
-            total[p] = total.get(p, Fraction(0)) + c * tr
+            total[p] = total.get(p, 0) + c * tr
     return total
 
 
@@ -167,12 +171,25 @@ def _closing(label, top):
             {j: top if j == label else j - 1 for j in range(label, top + 1)})
 
 
-def _add_state(states, stack, P, weight):
+def _add_state(states, stack, P, weight, power=0, factor=1):
+    """Add q^power * factor * weight to the weight of state (stack, P)."""
     if P.is_zero():
         return
     acc = states.setdefault((stack, P), {})
+    scaled = factor != 1
     for p, c in weight.items():
-        acc[p] = acc.get(p, Fraction(0)) + c
+        p += power
+        acc[p] = acc.get(p, 0) + (c * factor if scaled else c)
+
+
+def _vector_ids(hs, cfg: FockConfig):
+    """Each distinct vector of hs as a small int id, in order of first
+    appearance, and the table ip[a][b] of the exact inner products of the
+    vectors with ids a and b (algebra.exact: an int when integral), so
+    that a scan closes an arc by one lookup."""
+    ids = {}
+    tags = [ids.setdefault(tuple(h), len(ids)) for h in hs]
+    return tags, [[exact(cfg.ip(u, v)) for v in ids] for u in ids]
 
 
 def _check_window(word, backend):
@@ -197,11 +214,13 @@ def moment(word, backend, cfg: FockConfig) -> QPoly:
         return QPoly.zero()
     _check_window(word, backend)
 
-    def close(stack, i, h):
-        return len(stack) - 1 - i, cfg.ip(stack[i], h)
+    tags, ip = _vector_ids([h for _, h in word], cfg)
 
-    return QPoly.from_powers(_arc_scan(
-        [x for x, _ in word], [tuple(h) for _, h in word], backend, close))
+    def close(stack, i, h):
+        return len(stack) - 1 - i, ip[stack[i]][h]
+
+    return QPoly.from_powers(_arc_scan([x for x, _ in word], tags, backend,
+                                       close))
 
 
 # ---------------------------------------------------------------------
@@ -341,7 +360,7 @@ def q_matrix_moment(word, colors, Qm, backend, cfg: FockConfig) -> Fraction:
     colors = list(colors)
     if len(colors) != m:
         raise ValueError("one color per letter required")
-    Qm = [[Fraction(x) for x in row] for row in Qm]
+    Qm = [[exact(x) for x in row] for row in Qm]
     nt = len(Qm)
     if any(len(row) != nt for row in Qm):
         raise ValueError("Q matrix must be square")
@@ -356,19 +375,19 @@ def q_matrix_moment(word, colors, Qm, backend, cfg: FockConfig) -> Fraction:
     if m % 2:
         return Fraction(0)
     _check_window(word, backend)
+    vids, ip = _vector_ids([h for _, h in word], cfg)
 
     def close(stack, i, tag):
         color, h = tag
         if stack[i][0] != color:
             return 0, 0
-        weight = cfg.ip(stack[i][1], h)
+        weight = ip[stack[i][1]][h]
         for above, _ in stack[i + 1:]:
             weight *= Qm[color][above]
         return 0, weight
 
-    tags = [(c, tuple(h)) for c, (_, h) in zip(colors, word)]
-    return _arc_scan([x for x, _ in word], tags, backend,
-                     close).get(0, Fraction(0))
+    return Fraction(_arc_scan([x for x, _ in word], list(zip(colors, vids)),
+                              backend, close).get(0, 0))
 
 
 # ---------------------------------------------------------------------
@@ -494,13 +513,13 @@ def trace_pairing(w1: WickWord, w2: WickWord) -> QPoly:
             left_leg[l + shift] = left_leg[r + shift] = l + shift
     opens = [left_leg[p] == p if p in left_leg else p <= adj.sigma.m
              for p in range(1, len(xs) + 1)]
-    tags = [(left_leg.get(p), tuple(h)) for p, h in enumerate(hs, 1)]
-    cfg = w1.cfg
+    vids, ip = _vector_ids(hs, w1.cfg)
+    tags = [(left_leg.get(p), v) for p, v in enumerate(vids, 1)]
 
     def close(stack, i, tag):
         key, h = tag
         if stack[i][0] != key:
             return 0, 0
-        return len(stack) - 1 - i, cfg.ip(stack[i][1], h)
+        return len(stack) - 1 - i, ip[stack[i][1]][h]
 
     return QPoly.from_powers(_arc_scan(xs, tags, w1.backend, close, opens))

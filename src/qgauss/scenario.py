@@ -9,10 +9,10 @@ or give {name: coefficient} combinations of them.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from . import copies
-from .algebra import cyclic_group, group_algebra, symmetric_group, trivial_algebra
+from .algebra import (cyclic_group, exact, group_algebra, symmetric_group,
+                      trivial_algebra)
 from .errors import QGaussError, SizeGuard
 from .qfock import FockConfig
 
@@ -21,9 +21,13 @@ class ScenarioError(QGaussError):
     """A scenario violated a module precondition; the message names it."""
 
 
-def _frac(x, path: str) -> Fraction:
+def _frac(x, path: str):
+    """x as an exact rational, an int when integral (algebra.exact); a
+    string of ASCII digits is read by int, not by Fraction's parser."""
+    if type(x) is str and x.isascii() and x.isdigit():
+        return int(x)
     try:
-        return Fraction(x)
+        return exact(x)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as e:
         raise ScenarioError(f"{path}: not a rational number: {x!r}") from e
 

@@ -118,7 +118,14 @@ def test_bad_dims_fields_name_the_field(tmp_path, capsys, dims, field):
     # inside the window, but a span of words of length 31 would not finish
     ({"kind": "free_haar", "window": 1024}, {"k_max": 1, "max_m_offset": 30},
      "error: dims.max_m_offset:"),
-], ids=["backend0-dims0", "backend1-dims1", "backend2-dims2"])
+    # k_max and the word length each within their guard, but together
+    # over the span-work guard: these took 65 s and 35 s
+    ({"kind": "free_haar", "window": 1024}, {"k_max": 4, "max_m_offset": 8},
+     "error: dims.max_m_offset: 8 with k_max 4 needs an estimated"),
+    ({"kind": "free_haar", "window": 1024}, {"k_max": 5, "max_m_offset": 6},
+     "error: dims.max_m_offset: 6 with k_max 5 needs an estimated"),
+], ids=["backend0-dims0", "backend1-dims1", "backend2-dims2", "joint-k4-off8",
+        "joint-k5-off6"])
 def test_oversized_dims_fail_before_any_span(tmp_path, capsys, monkeypatch,
                                              backend, dims, message):
     spans = []
