@@ -128,6 +128,16 @@ class AlgebraElement:
     def trace(self):
         return self.coeffs.get(self.parent.unit, 0)
 
+    def inner(self, other):
+        """tau(self* other) without forming the product: tau(u_g* u_h) =
+        [g = h] and every coefficient is a real rational, so it is the
+        sum of self_g * other_g over the smaller support."""
+        self._check(other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        return sum((c * b[g] for g, c in a.items() if g in b), 0)
+
     def is_zero(self) -> bool:
         return not self.coeffs
 

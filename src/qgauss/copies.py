@@ -90,6 +90,9 @@ class FreeHaarBackend:
     nor merges terms."""
 
     name = "free_haar"
+    #: Time of one unit of dimensions.growth_report's span-work estimate,
+    #: relative to free Haar (see SPAN_WORK_GUARD there).
+    span_cost = 1
 
     def __init__(self, window: int):
         if window < 1:
@@ -167,6 +170,7 @@ class TensorBackend:
     unit, since tau_C(u_c) = [c = e]."""
 
     name = "tensor"
+    span_cost = 1  # as on free Haar, measured on Z2 (x) Z3
 
     def __init__(self, B: FiniteTracialAlgebra, C: FiniteTracialAlgebra,
                  window: int):
@@ -264,6 +268,7 @@ class PermGroupBackend:
     union I, which has (d+1+|I|)! elements."""
 
     name = "perm_group"
+    span_cost = 10  # measured at d = 1; 2-4x too high at d = 2
 
     def __init__(self, d: int, window: int):
         if d < 0:
@@ -404,15 +409,18 @@ def axiom_check(backend, word_len: int = 4) -> dict:
     words = {(): backend.one()}
     expects = {}
 
+    # one dict lookup per hit: an element is never None
     def word(key):
-        if key not in words:
-            words[key] = word(key[:-1]) * pis[key[-1]]
-        return words[key]
+        w = words.get(key)
+        if w is None:
+            w = words[key] = word(key[:-1]) * pis[key[-1]]
+        return w
 
     def expect(K, key):
-        if (K, key) not in expects:
-            expects[K, key] = backend.expect(K, word(key))
-        return expects[K, key]
+        e = expects.get((K, key))
+        if e is None:
+            e = expects[K, key] = backend.expect(K, word(key))
+        return e
 
     # (1) pi_j restricts to the identity on B
     B_pairs = backend.B_pairs

@@ -54,13 +54,19 @@ SPAN_GUARD = 1024
 #: and perm d = 1 k_max 10 1.3 s; two more letters cost 4-8x.
 WORD_GUARD = 12
 
-#: Most span transitions over k = 0..k_max that growth_report accepts,
-#: estimated as (k+1) * dim_bound(k) * |S|^(max_m - k), which follows the
+#: Most span work over k = 0..k_max that growth_report accepts, estimated
+#: as span_cost * (k+1) * dim_bound(k) * |S|^(max_m - k), which follows the
 #: growth of span_Dk's generators_considered in k and in the length
-#: together; it is 2-3x the count on free Haar, where a transition takes
-#: about 6.5 us.  Free Haar k_max 3 at offset 8 (2.1e6, 5 s) passes;
-#: k_max 5 at offset 6 (5.6e6) and k_max 4 at offset 8 (1.0e7), which took
-#: 35 and 65 s, do not.
+#: together.  On free Haar the estimate is 2-3x the count, where a
+#: transition takes about 6.5 us.  The backend's span_cost weighs one
+#: estimate unit by its time relative to free Haar, from span_Dk timed
+#: over k 0-5 and offsets 4-8 (2-core container, Python 3.11): at the
+#: larger estimates a unit took 1.4-2.7 us on free Haar, 1.7-3.9 us on
+#: tensor Z2 (x) Z3, 3-8 us on perm d = 2, and 16-30 us on perm d = 1,
+#: whose count runs 2-3.6x the estimate.  Free Haar k_max 3 at offset 8
+#: (2.1e6, 5 s) passes; k_max 5 at offset 6 (5.6e6) and k_max 4 at offset
+#: 8 (1.0e7), which took 35 and 65 s, do not, nor does perm d = 1 k_max 5
+#: at offset 12 (1.3e7), about 30 s by extrapolation.
 SPAN_WORK_GUARD = 4_000_000
 
 
@@ -191,12 +197,13 @@ def growth_report(backend, k_max: int, max_m_offset: int = 4) -> dict:
         raise SizeGuard(f"dims.max_m_offset: {max_m_offset} with k_max "
                         f"{k_max} spans words of length "
                         f"{k_max + max_m_offset}, over {WORD_GUARD}")
-    work = sum((k + 1) * backend.dim_bound(k) * len(backend.S) ** max_m_offset
-               for k in range(k_max + 1))
+    work = backend.span_cost * sum(
+        (k + 1) * backend.dim_bound(k) * len(backend.S) ** max_m_offset
+        for k in range(k_max + 1))
     if work > SPAN_WORK_GUARD:
         raise SizeGuard(f"dims.max_m_offset: {max_m_offset} with k_max "
-                        f"{k_max} needs an estimated {work} span "
-                        f"transitions, over {SPAN_WORK_GUARD}")
+                        f"{k_max} needs an estimated span work of {work}, "
+                        f"over {SPAN_WORK_GUARD}")
     reports = [span_Dk(backend, k, k + max_m_offset)
                for k in range(k_max + 1)]
     rows = [r.row() for r in reports]

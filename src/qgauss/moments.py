@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -99,9 +99,24 @@ def _arc_scan(xs, tags, backend, close, opens=None) -> dict:
     still open, so the powers add up to the crossing number, and
     close_arc (axiom 4 and exchangeability) keeps P the reduced
     coefficient of the prefix whichever arcs were closed.
+
+    The states after a prefix are a function of the prefix's letters,
+    tags and moves, of the number of letters after it (which the opening
+    rule reads), of the factors close() gives on the prefix's own tags,
+    and of the backend; nothing else reaches them.  So _advance may stop
+    after a prefix and later resume from its states with the rest of the
+    word, and the result is the one scan's, term by term: each join is
+    still summed exactly once.  trace_pairing resumes that way.
     """
-    m = len(xs)
-    states = {((), backend.one()): {0: 1}}
+    return _traces(_advance({((), backend.one()): {0: 1}}, xs, tags,
+                            backend, close, opens, 0), backend)
+
+
+def _advance(states, xs, tags, backend, close, opens, after) -> dict:
+    """The scan states of _arc_scan after the letters xs, from the states
+    before them, when after more letters follow xs; states and its
+    weights are left unmodified."""
+    m = len(xs) + after
     for pos, (x, tag) in enumerate(zip(xs, tags)):
         left = m - pos - 1
         move = None if opens is None else opens[pos]
@@ -129,6 +144,12 @@ def _arc_scan(xs, tags, backend, close, opens=None) -> dict:
                 _add_state(nxt, stack[:i] + stack[i + 1:], R, weight, power,
                            factor)
         states = nxt
+    return states
+
+
+def _traces(states, backend) -> dict:
+    """The {power of q: exact rational} sum of weight * tau_D(P) over the
+    final scan states."""
     total = {}
     for (_, P), weight in states.items():
         tr = backend.trace(P)
@@ -189,11 +210,15 @@ def _vector_ids(hs, cfg: FockConfig):
     that a scan closes an arc by one lookup."""
     ids = {}
     tags = [ids.setdefault(tuple(h), len(ids)) for h in hs]
-    return tags, [[exact(cfg.ip(u, v)) for v in ids] for u in ids]
+    return tags, _ip_table(ids, cfg)
 
 
-def _check_window(word, backend):
-    m = len(word)
+def _ip_table(vectors, cfg: FockConfig):
+    """ip[a][b], the exact inner product of the a-th and b-th vectors."""
+    return [[exact(cfg.ip(u, v)) for v in vectors] for u in vectors]
+
+
+def _check_window(m, backend):
     if backend.window < m // 2:
         raise WindowExceeded(
             f"word of length {m} needs window >= {m // 2}, "
@@ -212,7 +237,7 @@ def moment(word, backend, cfg: FockConfig) -> QPoly:
     word = list(word)
     if len(word) % 2:
         return QPoly.zero()
-    _check_window(word, backend)
+    _check_window(len(word), backend)
 
     tags, ip = _vector_ids([h for _, h in word], cfg)
 
@@ -374,7 +399,7 @@ def q_matrix_moment(word, colors, Qm, backend, cfg: FockConfig) -> Fraction:
         raise ValueError("color out of range for the Q matrix")
     if m % 2:
         return Fraction(0)
-    _check_window(word, backend)
+    _check_window(m, backend)
     vids, ip = _vector_ids([h for _, h in word], cfg)
 
     def close(stack, i, tag):
@@ -400,7 +425,11 @@ class WickWord:
 
     f_sigma and F_sigma are filled by reduce(): f_sigma is the scalar
     q^cr * prod<h_l,h_r>, F_sigma the reduced coefficient
-    E_{A_{1..s}}(pi_{phi(1)}(x_1)...pi_{phi(m)}(x_m)).
+    E_{A_{1..s}}(pi_{phi(1)}(x_1)...pi_{phi(m)}(x_m)).  A word is not
+    modified after construction: trace_pairing caches in _pairing, which
+    == and repr ignore, the word's data as either side of a pairing
+    (keys False and True, see _pairing_side) and its adjoint-prefix scan
+    states (keys (m, id(cfg), id(backend)), see _adjoint_prefix).
     """
 
     sigma: Partition12
@@ -410,6 +439,8 @@ class WickWord:
     cfg: FockConfig
     f_sigma: QPoly = None
     F_sigma: object = None
+    _pairing: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def degree(self) -> int:
@@ -460,34 +491,104 @@ def wick_inner_product(w1: WickWord, w2: WickWord) -> QPoly:
     f1 * f2 * sum over gamma in S_k of q^inv(gamma)
     * prod_s <g_{gamma(s)}, g~_s>
     * tau_D(relabel(t -> gamma(t))(F2)* F1).
+    The last factor is AlgebraElement.inner of the relabeled F2 and F1,
+    read from their supports without forming the product; the k x k
+    singleton inner products are tabled once per pair of words.
     """
-    backend = w1.backend
     if w1.degree != w2.degree:
         return QPoly.zero()
     w1 = _reduced(w1)
     w2 = _reduced(w2)
+    F1, F2 = w1.F_sigma, w2.F_sigma
+    if (F1.is_zero() or F2.is_zero() or w1.f_sigma.is_zero()
+            or w2.f_sigma.is_zero()):
+        return QPoly.zero()
     k = w1.degree
-    g1 = w1.singleton_vectors()
-    g2 = w2.singleton_vectors()
     cfg = w1.cfg
+    ip = [[exact(cfg.ip(u, v)) for v in w2.singleton_vectors()]
+          for u in w1.singleton_vectors()]
+    identity = tuple(range(1, k + 1))
     total = {}
-    for gamma in permutations(range(1, k + 1)):
-        vec = Fraction(1)
-        for s in range(1, k + 1):
-            vec *= cfg.ip(g1[gamma[s - 1] - 1], g2[s - 1])
+    for gamma in permutations(identity):
+        vec = 1
+        for s, t in enumerate(gamma):
+            vec *= ip[t - 1][s]
             if not vec:
                 break
         if not vec:
             continue
-        relabeled = backend.relabel({t: gamma[t - 1] for t in range(1, k + 1)},
-                                    w2.F_sigma)
-        tr = backend.trace(relabeled.star() * w1.F_sigma)
+        relabeled = F2 if gamma == identity else w1.backend.relabel(
+            {t: gamma[t - 1] for t in identity}, F2)
+        tr = relabeled.inner(F1)
         if not tr:
             continue
         inv = sum(1 for i in range(k) for j in range(i + 1, k)
                   if gamma[i] > gamma[j])
         total[inv] = total.get(inv, 0) + vec * tr
+    if not total:
+        return QPoly.zero()
     return w1.f_sigma * w2.f_sigma * QPoly.from_powers(total)
+
+
+def _pairing_side(w: WickWord, adjoint: bool):
+    """trace_pairing's data for w as its left word, or, with adjoint, for
+    adj(w) as the prefix of the scan; built once per word and side.
+
+    Returns the letters; for each letter its tag, (key, id), and whether
+    it opens an arc; and {vector: id} over the distinct vectors, in order
+    of first appearance.  The key of a letter in a pair is the position of
+    its pair's left leg, negated in the left word so that the keys of the
+    two words differ whatever their lengths; a singleton's key is None.
+    """
+    data = w._pairing.get(adjoint)
+    if data is None:
+        src = w.adjoint() if adjoint else w
+        left_leg = {}
+        for l, r in src.sigma.pairs:
+            left_leg[l] = left_leg[r] = l if adjoint else -l
+        ids = {}
+        tags, opens = [], []
+        for p, h in enumerate(src.hs, 1):
+            key = left_leg.get(p)
+            tags.append((key, ids.setdefault(tuple(h), len(ids))))
+            # a left leg opens, a right leg closes; a singleton of adj(w)
+            # opens and one of the left word closes
+            opens.append(adjoint if key is None else abs(key) == p)
+        data = w._pairing[adjoint] = src.xs, tags, opens, ids
+    return data
+
+
+def _pairing_close(ip):
+    """trace_pairing's closing rule over the inner-product table ip: a
+    letter closes only an arc of its own key, and pairs its vector with
+    the arc's."""
+    def close(stack, i, tag):
+        key, h = tag
+        if stack[i][0] != key:
+            return 0, 0
+        return len(stack) - 1 - i, ip[stack[i][1]][h]
+
+    return close
+
+
+def _adjoint_prefix(w2: WickWord, m: int, cfg: FockConfig, backend):
+    """The scan states after adj(w2), the first letters of a trace pairing
+    of m letters in all, under cfg and backend, and the inner-product
+    table of adj(w2)'s vectors under cfg; cached on w2.
+
+    By _arc_scan's docstring the states depend on adj(w2), m, that table
+    and the backend alone.  The cache is keyed by m and by the identity of
+    cfg and backend, whose equality would walk a Fraction matrix; each
+    entry holds both, so neither id is reused while it lives."""
+    key = (m, id(cfg), id(backend))
+    entry = w2._pairing.get(key)
+    if entry is None:
+        xs, tags, opens, ids = _pairing_side(w2, True)
+        ip = _ip_table(ids, cfg)
+        states = _advance({((), backend.one()): {0: 1}}, xs, tags, backend,
+                          _pairing_close(ip), opens, m - len(xs))
+        entry = w2._pairing[key] = cfg, backend, states, ip
+    return entry[2:]
 
 
 def trace_pairing(w1: WickWord, w2: WickWord) -> QPoly:
@@ -500,26 +601,25 @@ def trace_pairing(w1: WickWord, w2: WickWord) -> QPoly:
     an arc; a right leg may close only its own pair's arc, and a
     singleton of w1 any arc opened by a singleton of adj(w2).  With
     unequal singleton degrees no join is a pair partition.
+
+    The scan resumes from the states after adj(w2), cached on w2 per total
+    length, Fock configuration and backend (_adjoint_prefix).  That is
+    exact because those states depend on nothing else (see _arc_scan):
+    the vectors of adj(w2) take the first ids of the joint table, so the
+    factors of its own closings are the ones a whole scan would use.
     """
     if w1.degree != w2.degree:
         return QPoly.zero()
-    adj = w2.adjoint()
-    xs, hs = adj.xs + w1.xs, adj.hs + w1.hs
-    _check_window(xs, w1.backend)
-    # both legs of a pair are tagged with the position of its left leg
-    left_leg = {}
-    for shift, sigma in ((0, adj.sigma), (adj.sigma.m, w1.sigma)):
-        for l, r in sigma.pairs:
-            left_leg[l + shift] = left_leg[r + shift] = l + shift
-    opens = [left_leg[p] == p if p in left_leg else p <= adj.sigma.m
-             for p in range(1, len(xs) + 1)]
-    vids, ip = _vector_ids(hs, w1.cfg)
-    tags = [(left_leg.get(p), v) for p, v in enumerate(vids, 1)]
-
-    def close(stack, i, tag):
-        key, h = tag
-        if stack[i][0] != key:
-            return 0, 0
-        return len(stack) - 1 - i, ip[stack[i][1]][h]
-
-    return QPoly.from_powers(_arc_scan(xs, tags, w1.backend, close, opens))
+    m = w2.sigma.m + w1.sigma.m
+    backend, cfg = w1.backend, w1.cfg
+    _check_window(m, backend)
+    states, ip = _adjoint_prefix(w2, m, cfg, backend)
+    ids = dict(_pairing_side(w2, True)[3])
+    xs, tags, opens, ids1 = _pairing_side(w1, False)
+    joint = [ids.setdefault(h, len(ids)) for h in ids1]
+    tags = [(key, joint[v]) for key, v in tags]
+    if len(ids) > len(ip):  # w1 brings vectors of its own
+        ip = _ip_table(ids, cfg)
+    states = _advance(states, xs, tags, backend, _pairing_close(ip), opens,
+                      0)
+    return QPoly.from_powers(_traces(states, backend))

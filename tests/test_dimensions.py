@@ -2,8 +2,10 @@
 
 import pytest
 
+from qgauss import dimensions
 from qgauss.copies import FreeHaarBackend, PermGroupBackend
 from qgauss.dimensions import growth_report, span_Dk
+from qgauss.errors import SizeGuard
 
 
 def test_span_report_shape():
@@ -58,3 +60,18 @@ def test_growth_to_degree_five(backend, base):
     assert [dim for _, dim, _, _ in report["rows"]] == [base ** k
                                                         for k in range(6)]
     assert report["d_estimate"] == pytest.approx(base, rel=1e-12)
+
+
+def test_perm_span_work_is_weighed_by_its_cost(monkeypatch):
+    """perm d = 1 k_max 5 at offset 12: 1.3e6 estimate units, under the
+    work guard unweighed, but a unit costs about 10x free Haar's there.
+    With the word-length guard out of the way it is refused, by the field
+    that makes it large, before any span."""
+    spans = []
+    monkeypatch.setattr(dimensions, "WORD_GUARD", 100)
+    monkeypatch.setattr(dimensions, "span_Dk",
+                        lambda *args, **kw: spans.append(args))
+    with pytest.raises(SizeGuard, match=r"^dims\.max_m_offset: 12 with "
+                                        r"k_max 5 needs an estimated"):
+        growth_report(PermGroupBackend(1, 11), 5, max_m_offset=12)
+    assert not spans

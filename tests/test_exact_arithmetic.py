@@ -1,8 +1,10 @@
 """Exact rationals held as ints where integral (algebra.exact): the scans
-against the pairing oracle and the Fock space on non-integral and
-negative values, where the int form gives way to Fractions, and the types
-that the public functions and the scenario loader return."""
+and the Wick fast path against the pairing oracle and the Fock space on
+non-integral and negative values, where the int form gives way to
+Fractions, AlgebraElement.inner against the trace of the product, and
+the types that the public functions and the scenario loader return."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -11,11 +13,13 @@ import pytest
 from pairing_oracle import (pairing_moment, pairing_q_matrix_moment,
                             pairing_trace_pairing)
 from qgauss import moments, qfock, scenario
-from qgauss.algebra import (EchelonBasis, conditional_expectation,
-                            cyclic_group, exact, group_algebra)
+from qgauss.algebra import (EchelonBasis, FiniteTracialAlgebra,
+                            conditional_expectation, cyclic_group, exact,
+                            free_group, group_algebra, symmetric_group,
+                            tensor_algebra)
 from qgauss.copies import FreeHaarBackend, PermGroupBackend, TensorBackend
 from qgauss.dimensions import span_Dk
-from qgauss.partitions import enumerate_pair_singleton
+from qgauss.partitions import Partition12, enumerate_pair_singleton
 from qgauss.qfock import FockConfig
 
 #: dim_H = 2, not orthonormal: <e0, e1> = 1/3.
@@ -81,21 +85,75 @@ def test_q_matrix_moment_matches_pairing_oracle(name):
         assert type(value) is Fraction
 
 
-@pytest.mark.parametrize("name", ["free_haar", "perm_group", "tensor"])
-def test_trace_pairing_matches_pairing_oracle(name):
+@functools.lru_cache(maxsize=None)
+def _gram(name):
+    """Seeded Wick words of 1 to 4 letters, each pair of them with its
+    join-oracle value.  Eight of the words have three singletons, so that
+    the Wick sum runs over all of S_3 with its 3-cycles."""
     backend, alphabet = BACKENDS[name]
     rng = random.Random(3)
+    three = Partition12.make(3, [], [1, 2, 3])
     words = []
-    for _ in range(24):
-        m = rng.randint(1, 4)
-        sigma = rng.choice(enumerate_pair_singleton(m))
+    for i in range(32):
+        m = rng.randint(1, 4) if i < 24 else 3
+        sigma = rng.choice(enumerate_pair_singleton(m)) if i < 24 else three
         words.append(moments.reduce(
             sigma, [rng.choice(alphabet) for _ in range(m)],
             [rng.choice(VECTORS) for _ in range(m)], backend, CFG))
-    for w1 in words:
-        for w2 in words:
-            assert moments.trace_pairing(w1, w2) == \
-                pairing_trace_pairing(w1, w2), (w1.sigma, w2.sigma)
+    return [(w1, w2, pairing_trace_pairing(w1, w2))
+            for w1 in words for w2 in words]
+
+
+@pytest.mark.parametrize("name", ["free_haar", "perm_group", "tensor"])
+def test_trace_pairing_matches_pairing_oracle(name):
+    for w1, w2, expected in _gram(name):
+        assert moments.trace_pairing(w1, w2) == expected, (w1.sigma, w2.sigma)
+
+
+@pytest.mark.parametrize("name", ["free_haar", "perm_group", "tensor"])
+def test_wick_inner_product_matches_pairing_oracle(name):
+    """The Wick fast path on a dim_H = 2 Gram with off-diagonal 1/3,
+    negative and rational inner products, and multi-term A-elements that
+    are not self-adjoint."""
+    gram = _gram(name)
+    assert sum(1 for *_, v in gram if not v.is_zero()) >= 100
+    assert any(c < 0 for *_, v in gram for c in v.coeffs)
+    assert any(c.denominator > 1 for *_, v in gram for c in v.coeffs)
+    for w1, w2, expected in gram:
+        assert moments.wick_inner_product(w1, w2) == expected, \
+            (w1.sigma, w1.hs, w2.sigma, w2.hs)
+
+
+def _free_words(rng, size):
+    F = free_group()
+    letters = [((1, 1),), ((1, -1),), ((2, 1),), ((2, -1),)]
+    out = set()
+    while len(out) < size:
+        g = ()
+        for _ in range(rng.randint(0, 3)):
+            g = F.mul(g, rng.choice(letters))
+        out.add(g)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("name", ["S4", "Z2xZ3", "free"])
+def test_inner_is_the_trace_of_the_product(name):
+    """a.inner(b) = tau(a* b), on random elements with overlapping
+    supports and signed rational coefficients."""
+    rng = random.Random(6)
+    if name == "free":
+        algebra = FiniteTracialAlgebra(free_group(), "L(F2)")
+        keys = _free_words(rng, 12)
+    else:
+        algebra = group_algebra(symmetric_group(range(4))) if name == "S4" \
+            else tensor_algebra(group_algebra(cyclic_group(2)),
+                                group_algebra(cyclic_group(3)))
+        keys = list(algebra.group.elements)
+    for _ in range(60):
+        a, b = (algebra.element({
+            g: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for g in rng.sample(keys, rng.randint(0, 5))}) for _ in range(2))
+        assert a.inner(b) == (a.star() * b).trace() == b.inner(a)
 
 
 def test_pure_words_match_the_fock_space():

@@ -1,7 +1,9 @@
 """trace_pairing, the constrained arc scan, against the convolution-join
 sum it replaced (tests/pairing_oracle.py): exact equality on every pair
 of short Wick words, on a non-orthonormal Gram and on the doubled
-coefficient space of the rotation certificates."""
+coefficient space of the rotation certificates; the adjoint-prefix states
+cached on a word, resumed under other lengths and configurations; and
+the independence of the two Gram paths."""
 
 import random
 from fractions import Fraction
@@ -11,9 +13,9 @@ import pytest
 
 from pairing_oracle import pairing_trace_pairing
 from qgauss import moments
-from qgauss.algebra import cyclic_group, group_algebra
+from qgauss.algebra import AlgebraElement, cyclic_group, group_algebra
 from qgauss.copies import FreeHaarBackend, PermGroupBackend, TensorBackend
-from qgauss.partitions import enumerate_pair_singleton
+from qgauss.partitions import Partition12, enumerate_pair_singleton
 from qgauss.qfock import FockConfig
 from qgauss.semigroup import doubled_config
 
@@ -94,3 +96,78 @@ def test_doubled_configuration_matches_join_oracle():
                                                   backend, cfg))
     _assert_all_pairs_agree(words)
 
+
+
+#: <h, h> = 1/2: with it the factors of w2's own closings differ from
+#: those under CFG1 and its doubled configuration.
+CFG_HALF = FockConfig(1, [["1/2"]], 4)
+
+
+@pytest.mark.parametrize("name", ["free_haar", "tensor"])
+def test_cached_adjoint_prefix_matches_a_fresh_word(name):
+    """One w2 paired with w1 of 1 to 4 letters, the lengths and three Fock
+    configurations interleaved, so that its cached prefix states are
+    resumed under each (total length, configuration): every value equals
+    the pairing with a fresh copy of w2 and the join oracle.  w2 pairs
+    two letters (so its prefix carries a factor of its own) before a
+    singleton."""
+    backend, alphabet = BACKENDS[name]
+    u = alphabet[1]
+    w2 = moments.WickWord(Partition12.make(3, [(1, 2)], [3]),
+                          (u, u.star(), u), (H1,) * 3, backend, CFG1)
+    c = Fraction(3, 5)
+    doubled = doubled_config(CFG1, c)
+    vectors = {id(CFG1): [H1], id(CFG_HALF): [H1],
+               id(doubled): [(c, Fraction(1)), (Fraction(1), Fraction(0))]}
+    rng = random.Random(7)
+    nonzero = set()
+    for m in [1, 3, 2, 4, 3, 1, 4, 2] * 3:
+        for cfg in (CFG1, doubled, CFG_HALF):
+            # odd lengths keep w2's one singleton; even ones give zero
+            sigma = rng.choice([s for s in enumerate_pair_singleton(m)
+                                if s.num_singletons == m % 2])
+            # a pair's letters x, x* and a singleton's u: mostly nonzero
+            xs = [u] * m
+            for l, r in sigma.pairs:
+                xs[l - 1] = rng.choice(alphabet)
+                xs[r - 1] = xs[l - 1].star()
+            w1 = moments.WickWord(sigma, tuple(xs),
+                                  tuple(rng.choices(vectors[id(cfg)], k=m)),
+                                  backend, cfg)
+            fresh = moments.WickWord(w2.sigma, w2.xs, w2.hs, backend, CFG1)
+            value = moments.trace_pairing(w1, w2)
+            assert value == moments.trace_pairing(w1, fresh) == \
+                pairing_trace_pairing(w1, w2), (m, cfg, sigma, w1.xs)
+            if not value.is_zero():
+                nonzero.add((m, id(cfg)))
+    assert len(nonzero) == 6
+
+
+def test_the_two_gram_paths_share_nothing(monkeypatch):
+    """wick_inner_product runs without the scan, and trace_pairing without
+    AlgebraElement.inner or the reduced coefficient F_sigma: each is an
+    independent check of the other."""
+    backend, alphabet = BACKENDS["perm_group"]
+    words = _all_words(backend, alphabet, 3)
+    expected = [[moments.trace_pairing(w1, w2) for w2 in words]
+                for w1 in words]
+
+    def broken(*args, **kw):
+        raise AssertionError("shared code")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(moments, "_arc_scan", broken)
+        patch.setattr(moments, "_advance", broken)
+        assert [[moments.wick_inner_product(w1, w2) for w2 in words]
+                for w1 in words] == expected
+        with pytest.raises(AssertionError, match="shared code"):
+            moments.trace_pairing(words[1], words[1])
+    with monkeypatch.context() as patch:
+        patch.setattr(AlgebraElement, "inner", broken)
+        # unreduced copies: no F_sigma to read, and no cache
+        bare = [moments.WickWord(w.sigma, w.xs, w.hs, backend, w.cfg,
+                                 F_sigma=object()) for w in words]
+        assert [[moments.trace_pairing(w1, w2) for w2 in bare]
+                for w1 in bare] == expected
+        with pytest.raises(AssertionError, match="shared code"):
+            moments.wick_inner_product(words[1], words[1])
