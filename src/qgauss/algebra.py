@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import permutations, product
-from math import factorial, inf, prod
+from math import factorial, inf, lcm, prod
 
 from .errors import InvalidGroup, SizeGuard
 
@@ -35,6 +35,13 @@ def exact(c):
         return c
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def common_denominator(values) -> int:
+    """The least common multiple of the denominators of the exact
+    rationals values (ints or Fractions), 1 for none: each value times it
+    is an int."""
+    return lcm(*(c.denominator for c in values))
 
 
 class FiniteTracialAlgebra:

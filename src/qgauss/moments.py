@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from . import qfock
-from .algebra import exact
+from .algebra import common_denominator, exact
 from .copies import pi_word
 from .errors import WindowExceeded
 from .partitions import (Partition12, _check_cap, crossing_number,
@@ -27,10 +27,10 @@ from .qfock import FockConfig
 from .qpoly import QPoly
 
 
-def _pair_product(sigma: Partition12, hs, cfg: FockConfig) -> Fraction:
-    out = Fraction(1)
+def _pair_product(sigma: Partition12, hs, cfg: FockConfig):
+    out = 1
     for l, r in sigma.sorted_pairs():
-        out *= cfg.ip(hs[l - 1], hs[r - 1])
+        out *= exact(cfg.ip(hs[l - 1], hs[r - 1]))
         if not out:
             break
     return out
@@ -233,19 +233,29 @@ def moment(word, backend, cfg: FockConfig) -> QPoly:
     coefficients (see _arc_scan): closing arc i of k open arcs crosses the
     k-1-i arcs opened after it and still open, and pairs the vectors of
     its two legs.
+
+    The scan pairs the vectors by the inner products times their common
+    denominator L, which are ints, and the sum is divided by L^(m/2) once:
+    every pair partition closes exactly m/2 arcs, so each of its terms
+    carries exactly that factor.
     """
     word = list(word)
-    if len(word) % 2:
+    m = len(word)
+    if m % 2:
         return QPoly.zero()
-    _check_window(len(word), backend)
+    _check_window(m, backend)
 
     tags, ip = _vector_ids([h for _, h in word], cfg)
+    L = common_denominator(c for row in ip for c in row)
+    ip = [[exact(c * L) for c in row] for row in ip]
 
     def close(stack, i, h):
         return len(stack) - 1 - i, ip[stack[i]][h]
 
-    return QPoly.from_powers(_arc_scan([x for x, _ in word], tags, backend,
-                                       close))
+    scale = L ** (m // 2)
+    return QPoly.from_powers({
+        p: Fraction(c, scale) for p, c in
+        _arc_scan([x for x, _ in word], tags, backend, close).items()})
 
 
 # ---------------------------------------------------------------------
@@ -429,7 +439,7 @@ class WickWord:
     modified after construction: trace_pairing caches in _pairing, which
     == and repr ignore, the word's data as either side of a pairing
     (keys False and True, see _pairing_side) and its adjoint-prefix scan
-    states (keys (m, id(cfg), id(backend)), see _adjoint_prefix).
+    states (keys (id(cfg), id(backend)), see _adjoint_prefix).
     """
 
     sigma: Partition12
@@ -571,22 +581,27 @@ def _pairing_close(ip):
     return close
 
 
-def _adjoint_prefix(w2: WickWord, m: int, cfg: FockConfig, backend):
-    """The scan states after adj(w2), the first letters of a trace pairing
-    of m letters in all, under cfg and backend, and the inner-product
-    table of adj(w2)'s vectors under cfg; cached on w2.
+def _adjoint_prefix(w2: WickWord, cfg: FockConfig, backend):
+    """The scan states after adj(w2), the first letters of every trace
+    pairing with w2 that scans, under cfg and backend, and the
+    inner-product table of adj(w2)'s vectors under cfg; cached on w2.
 
-    By _arc_scan's docstring the states depend on adj(w2), m, that table
-    and the backend alone.  The cache is keyed by m and by the identity of
-    cfg and backend, whose equality would walk a Fraction matrix; each
-    entry holds both, so neither id is reused while it lives."""
-    key = (m, id(cfg), id(backend))
+    By _arc_scan's docstring the states depend on adj(w2), the number of
+    letters after it, that table and the backend alone.  Only a w1 of
+    w2's degree scans, and then the opening rule prunes no letter of
+    adj(w2): each arc open after it is closed later by a right leg in
+    adj(w2) or by one of the degree-many singletons of w1.  So the scan
+    counts w2's degree as the letters to follow, and the cache is keyed
+    by the identity of cfg and backend alone, whose equality would walk a
+    Fraction matrix; each entry holds both, so neither id is reused while
+    it lives."""
+    key = (id(cfg), id(backend))
     entry = w2._pairing.get(key)
     if entry is None:
         xs, tags, opens, ids = _pairing_side(w2, True)
         ip = _ip_table(ids, cfg)
         states = _advance({((), backend.one()): {0: 1}}, xs, tags, backend,
-                          _pairing_close(ip), opens, m - len(xs))
+                          _pairing_close(ip), opens, w2.degree)
         entry = w2._pairing[key] = cfg, backend, states, ip
     return entry[2:]
 
@@ -602,18 +617,19 @@ def trace_pairing(w1: WickWord, w2: WickWord) -> QPoly:
     singleton of w1 any arc opened by a singleton of adj(w2).  With
     unequal singleton degrees no join is a pair partition.
 
-    The scan resumes from the states after adj(w2), cached on w2 per total
-    length, Fock configuration and backend (_adjoint_prefix).  That is
-    exact because those states depend on nothing else (see _arc_scan):
-    the vectors of adj(w2) take the first ids of the joint table, so the
-    factors of its own closings are the ones a whole scan would use.
+    The scan resumes from the states after adj(w2), cached on w2 per Fock
+    configuration and backend (_adjoint_prefix).  That is exact because
+    those states depend on nothing else (see _arc_scan and
+    _adjoint_prefix): the vectors of adj(w2) take the first ids of the
+    joint table, so the factors of its own closings are the ones a whole
+    scan would use.
     """
     if w1.degree != w2.degree:
         return QPoly.zero()
     m = w2.sigma.m + w1.sigma.m
     backend, cfg = w1.backend, w1.cfg
     _check_window(m, backend)
-    states, ip = _adjoint_prefix(w2, m, cfg, backend)
+    states, ip = _adjoint_prefix(w2, cfg, backend)
     ids = dict(_pairing_side(w2, True)[3])
     xs, tags, opens, ids1 = _pairing_side(w1, False)
     joint = [ids.setdefault(h, len(ids)) for h in ids1]

@@ -1,10 +1,11 @@
 """Brute-force oracle: the truncated q-Fock space over a finite-dimensional
 real inner-product space.
 
-Vectors carry exact QPoly coefficients, so vacuum moments come out as exact
-polynomials in q.  This module is deliberately independent of the partition
-combinatorics in :mod:`qgauss.moments`; the two are checked against each
-other in the test suite.
+A vector keeps int numerators per word and power of q over one common
+denominator, so vacuum moments come out as exact polynomials in q and
+only the final coefficient is a Fraction.  This module is deliberately
+independent of the partition combinatorics in :mod:`qgauss.moments`; the
+two are checked against each other in the test suite.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 
-from .algebra import is_positive_definite
+from .algebra import common_denominator, exact, is_positive_definite
 from .errors import SizeGuard, TruncationExceeded
 from .qpoly import QPoly
 
@@ -87,31 +88,26 @@ class FockConfig:
 
 @dataclass
 class FockVector:
-    """Sparse vector in the truncated tensor algebra.
+    """Sparse vector in the truncated tensor algebra, over one common
+    denominator.
 
-    terms maps words (tuples of basis indices) to QPoly coefficients; zero
-    coefficients are never stored.
+    terms maps words (tuples of basis indices) to {power of q: int}
+    numerators, which denominator divides; zero numerators, and words
+    left without any, are never stored.  coefficient() gives the exact
+    QPoly.
     """
 
     terms: dict = field(default_factory=dict)
+    denominator: int = 1
 
     @staticmethod
     def vacuum() -> "FockVector":
-        return FockVector({(): QPoly.one()})
-
-    def add_term(self, word: tuple, coeff):
-        coeff = QPoly.coerce(coeff)
-        if coeff.is_zero():
-            return
-        cur = self.terms.get(word)
-        new = coeff if cur is None else cur + coeff
-        if new.is_zero():
-            self.terms.pop(word, None)
-        else:
-            self.terms[word] = new
+        return FockVector({(): {0: 1}})
 
     def coefficient(self, word: tuple) -> QPoly:
-        return self.terms.get(word, QPoly.zero())
+        d = self.denominator
+        return QPoly.from_powers({p: Fraction(c, d) for p, c
+                                  in self.terms.get(word, {}).items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -128,18 +124,15 @@ def q_inner(u: tuple, v: tuple, cfg: FockConfig) -> QPoly:
     k = len(u)
     if k > cfg.max_degree:
         raise TruncationExceeded(f"word degree {k} exceeds truncation {cfg.max_degree}")
-    ips = [
-        [cfg.ip(cfg.basis_vector(a), cfg.basis_vector(b)) for b in v]
-        for a in u
-    ]
+    ips = [[cfg.inner[a][b] for b in v] for a in u]
     total = {}
     for pi in permutations(range(k)):
-        prod = Fraction(1)
+        prod = 1
         for i in range(k):
             prod *= ips[i][pi[i]]
-            if prod == 0:
+            if not prod:
                 break
-        if prod == 0:
+        if not prod:
             continue
         inv = sum(1 for i in range(k) for j in range(i + 1, k) if pi[i] > pi[j])
         total[inv] = total.get(inv, 0) + prod
@@ -152,36 +145,67 @@ def apply_field(h, v: FockVector, cfg: FockConfig,
 
     h is a coordinate vector over the configured spanning family.  The
     annihilation part uses l-(h)(h_1 x ... x h_k) =
-    sum_i q^(i-1) <h, h_i> h_1 x ... (drop i) ... x h_k.
+    sum_i q^(i-1) <h, h_i> h_1 x ... (drop i) ... x h_k, with <h, e_b> =
+    sum_i h_i inner[i][b] over the nonzero h_i and inner[i][b].
+
+    Fraction-free: every term of the result takes exactly one factor from
+    h, a creation coordinate h_b or a pairing <h, e_b>.  So with L the
+    common denominator of those factors, the numerators are multiplied by
+    the ints L h_b and L <h, e_b>, and the result's denominator is L times
+    v's.
 
     create_limit, when given, silently drops creation terms above that
     degree (used internally by vacuum_moment where such terms provably do
     not contribute); otherwise creation beyond max_degree is an error.
     """
-    h = tuple(Fraction(x) for x in h)
+    h = [Fraction(x) if x else 0 for x in h]
     if len(h) != cfg.dim_H:
         raise ValueError("vector has wrong dimension")
-    out = FockVector()
-    # <h, e_b> for the annihilation contractions
-    pairings = [cfg.ip(h, cfg.basis_vector(b)) for b in range(cfg.dim_H)]
+    nonzero = [(i, x) for i, x in enumerate(h) if x]
+    pairings = [0] * cfg.dim_H
+    for i, x in nonzero:
+        for b, g in enumerate(cfg.inner[i]):
+            if g:
+                pairings[b] += x * g
+    L = common_denominator([x for _, x in nonzero] + pairings)
+    create = [(b, exact(x * L)) for b, x in nonzero]
+    pairings = [exact(ip * L) for ip in pairings]
+    top = cfg.max_degree if create_limit is None else min(create_limit,
+                                                          cfg.max_degree)
+    out = {}
     for word, coeff in v.terms.items():
-        # creation: prepend h expanded over the basis
         new_len = len(word) + 1
         if new_len > cfg.max_degree and create_limit is None:
             raise TruncationExceeded(
                 f"creation to degree {new_len} exceeds truncation {cfg.max_degree}")
-        if create_limit is None or new_len <= min(create_limit, cfg.max_degree):
-            for b, hb in enumerate(h):
-                if hb:
-                    out.add_term((b,) + word, coeff * hb)
+        # creation: prepend h expanded over the basis
+        if new_len <= top:
+            for b, hb in create:
+                _add_term(out, (b,) + word, coeff, 0, hb)
         # annihilation
         for i, wi in enumerate(word):
             ip = pairings[wi]
-            if ip == 0:
-                continue
-            out.add_term(word[:i] + word[i + 1:],
-                         coeff * QPoly.monomial(i, ip))
-    return out
+            if ip:
+                _add_term(out, word[:i] + word[i + 1:], coeff, i, ip)
+    return FockVector(out, v.denominator * L)
+
+
+def _add_term(terms, word, coeff, shift, factor):
+    """Add q^shift * factor * coeff to the numerators of word in terms,
+    dropping what cancels."""
+    acc = terms.get(word)
+    if acc is None:
+        terms[word] = {p + shift: c * factor for p, c in coeff.items()}
+        return
+    for p, c in coeff.items():
+        p += shift
+        c = acc.get(p, 0) + c * factor
+        if c:
+            acc[p] = c
+        else:
+            del acc[p]
+    if not acc:
+        del terms[word]
 
 
 def vacuum_moment(word, cfg: FockConfig) -> QPoly:

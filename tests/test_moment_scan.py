@@ -79,6 +79,35 @@ def test_random_words_of_length_10_match_pairing_oracle(backends, name):
             pairing_moment(word, backend, CFG2)
 
 
+# Gram entries and coordinates with different denominators: the scan pairs
+# vectors by inner products scaled to ints, and divides once at the end.
+MIXED = FockConfig(2, [[2, Fraction(1, 3)], [Fraction(1, 3), Fraction(3, 5)]], 4)
+MIXED_VECTORS = [(Fraction(2, 7), Fraction(-1, 2)), (Fraction(-1, 2), 3),
+                 (Fraction(1, 3), 0)]
+
+
+@pytest.mark.parametrize("name", ["free_haar", "perm_group", "tensor"])
+def test_mixed_denominators_match_pairing_oracle(backends, name):
+    """Every vector word up to length 6 on unit letters, and 30 seeded
+    words of length 8 over the alphabet; pure words against the Fock
+    space too."""
+    backend, alphabet, _ = backends[name]
+    one = alphabet[0]
+    rng = random.Random(16)
+    words = [list(zip([one] * m, hs)) for m in range(7)
+             for hs in product(MIXED_VECTORS, repeat=m)]
+    words += [[(rng.choice(alphabet), rng.choice(MIXED_VECTORS))
+               for _ in range(8)] for _ in range(30)]
+    words += [[(one, rng.choice(MIXED_VECTORS)) for _ in range(8)]
+              for _ in range(10)]
+    for word in words:
+        poly = moments.moment(word, backend, MIXED)
+        assert poly == pairing_moment(word, backend, MIXED), word
+        assert all(type(c) is Fraction for c in poly.coeffs)
+        if all(x is one for x, _ in word):
+            assert poly == qfock.vacuum_moment([h for _, h in word], MIXED)
+
+
 Q2 = [[Fraction(1, 2), Fraction(-1, 3)], [Fraction(-1, 3), Fraction(1, 4)]]
 Q3 = [[Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5)],
       [Fraction(-1, 3), Fraction(1, 4), Fraction(-3, 4)],

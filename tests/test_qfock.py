@@ -116,6 +116,57 @@ def test_vacuum_moment_with_nontrivial_inner():
         assert vacuum_moment(list(vecs), cfg) == pairing_sum_oracle(list(vecs), cfg)
 
 
+# A non-orthonormal H whose Gram entries and vector coordinates have
+# different denominators, so each field operator scales by its own common
+# denominator.
+MIXED = FockConfig(dim_H=2, inner=[[2, Fraction(1, 3)],
+                                   [Fraction(1, 3), Fraction(3, 5)]],
+                   max_degree=3)
+MIXED_VECTORS = [(Fraction(2, 7), Fraction(-1, 2)), (Fraction(-1, 2), 3),
+                 (Fraction(1, 3), 0)]
+
+
+def test_vacuum_moment_with_mixed_denominators_against_pairing_oracle():
+    fractional = 0
+    for m in range(7):
+        for vecs in product(MIXED_VECTORS, repeat=m):
+            poly = vacuum_moment(list(vecs), MIXED)
+            assert poly == pairing_sum_oracle(list(vecs), MIXED), vecs
+            assert all(type(c) is Fraction for c in poly.coeffs)
+            fractional += any(c.denominator > 1 for c in poly.coeffs)
+    assert fractional > 700  # of the 820 even words
+
+
+def test_field_operator_keeps_one_common_denominator():
+    h, g = MIXED_VECTORS[0], MIXED_VECTORS[2]
+    v = apply_field(g, apply_field(h, FockVector.vacuum(), MIXED), MIXED)
+    assert all(type(c) is int for cs in v.terms.values() for c in cs.values())
+    # s(g) s(h) Omega = g x h + <g, h> Omega, and g x h has g_0 h_0 =
+    # 1/3 * 2/7 on e0 x e0
+    assert v.coefficient((0, 0)) == QPoly.constant(Fraction(2, 21))
+    assert v.coefficient(()) == QPoly.constant(MIXED.ip(g, h))
+    assert all(type(c) is Fraction for w in v.terms
+               for c in v.coefficient(w).coeffs)
+
+
+def test_cancelled_terms_are_not_stored(cfg2):
+    # <s(a)s(b)s(c)s(d) Omega, Omega> = <a,b><c,d> + q<a,c><b,d> +
+    # <a,d><b,c> = -1 + 0 + 1: the two vacuum terms cancel
+    a, b, c, d = (1, 0), (1, 1), (0, 1), (1, -1)
+    v = FockVector.vacuum()
+    for h in (d, c, b, a):
+        v = apply_field(h, v, cfg2)
+    assert () not in v.terms and v.coefficient(()).is_zero()
+    assert all(x for cs in v.terms.values() for x in cs.values())
+
+
+def test_q_inner_on_a_non_orthonormal_basis():
+    # <e0 e1, e1 e0>_q = <e0,e1><e1,e0> + q <e0,e0><e1,e1>
+    assert q_inner((0, 1), (1, 0), MIXED) == \
+        QPoly([Fraction(1, 9), Fraction(6, 5)])
+    assert q_inner((1,), (1,), MIXED) == QPoly.constant(Fraction(3, 5))
+
+
 def test_gram_psd_inside_the_interval():
     cfg = FockConfig(dim_H=2, max_degree=3)
     for q0 in (Fraction(-1, 2), Fraction(0), Fraction(1, 2)):

@@ -107,9 +107,10 @@ CFG_HALF = FockConfig(1, [["1/2"]], 4)
 def test_cached_adjoint_prefix_matches_a_fresh_word(name):
     """One w2 paired with w1 of 1 to 4 letters, the lengths and three Fock
     configurations interleaved, so that its cached prefix states are
-    resumed under each (total length, configuration): every value equals
-    the pairing with a fresh copy of w2 and the join oracle.  w2 pairs
-    two letters (so its prefix carries a factor of its own) before a
+    resumed under each configuration and total length: every value equals
+    the pairing with a fresh copy of w2 and the join oracle, and the
+    prefix is scanned once per configuration, whatever the length.  w2
+    pairs two letters (so its prefix carries a factor of its own) before a
     singleton."""
     backend, alphabet = BACKENDS[name]
     u = alphabet[1]
@@ -141,6 +142,7 @@ def test_cached_adjoint_prefix_matches_a_fresh_word(name):
             if not value.is_zero():
                 nonzero.add((m, id(cfg)))
     assert len(nonzero) == 6
+    assert sum(isinstance(key, tuple) for key in w2._pairing) == 3
 
 
 def test_the_two_gram_paths_share_nothing(monkeypatch):
