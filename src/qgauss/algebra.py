@@ -13,18 +13,13 @@ is enumerated only where a computation asks for its elements.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import permutations, product
 from math import factorial, inf, lcm, prod
 
-from .errors import InvalidGroup, SizeGuard
-
-#: Above this many basis triples, group validation samples instead of
-#: sweeping.
-_EXHAUSTIVE_TRIPLES = 20000
+from .errors import SizeGuard
 
 
 def exact(c):
@@ -194,40 +189,8 @@ class Group:
         return len(self.elements)
 
 
-def validate_group(group: Group):
-    """Check the group axioms; exhaustively for small groups, sampled above
-    the triple budget.  Raises InvalidGroup with a witness on failure.
-    """
-    els = tuple(group.elements)
-    eset = set(els)
-    e = group.identity
-    if e not in eset:
-        raise InvalidGroup("identity not among the elements")
-    for g in els:
-        if group.mul(e, g) != g or group.mul(g, e) != g:
-            raise InvalidGroup(f"identity fails on {g!r}")
-        gi = group.inv(g)
-        if gi not in eset or group.mul(g, gi) != e or group.mul(gi, g) != e:
-            raise InvalidGroup(f"inverse fails on {g!r}")
-    n = len(els)
-    if n ** 3 <= _EXHAUSTIVE_TRIPLES:
-        triples = ((a, b, c) for a in els for b in els for c in els)
-    else:
-        rng = random.Random(0)
-        triples = ((rng.choice(els), rng.choice(els), rng.choice(els))
-                   for _ in range(500))
-    for a, b, c in triples:
-        ab = group.mul(a, b)
-        if ab not in eset:
-            raise InvalidGroup(f"not closed: {a!r}*{b!r}")
-        if group.mul(ab, c) != group.mul(a, group.mul(b, c)):
-            raise InvalidGroup(f"not associative on ({a!r},{b!r},{c!r})")
-
-
-def group_algebra(group: Group, validate: bool = True) -> FiniteTracialAlgebra:
+def group_algebra(group: Group) -> FiniteTracialAlgebra:
     """The group *-algebra with tau(u_g) = [g = e] and u_g* = u_{g^{-1}}."""
-    if validate:
-        validate_group(group)
     return FiniteTracialAlgebra(group, name=f"L(G), |G|={group.order}")
 
 

@@ -280,7 +280,7 @@ class PermGroupBackend:
         self.d = d
         self.window = window
         self.points = list(range(-d, window + 1))  # position p <-> point p-d
-        self.D = group_algebra(symmetric_group(self.points), validate=False)
+        self.D = group_algebra(symmetric_group(self.points))
         self._specs = {}
         u01 = self._transposition(0, 1)
         self.S = {"1": self.D.one, "u01": self.D.basis_element(u01)}

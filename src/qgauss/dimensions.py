@@ -72,7 +72,6 @@ SPAN_WORK_GUARD = 4_000_000
 
 @dataclass
 class SpanReport:
-    backend_id: str
     k: int
     max_m: int
     generators_considered: int
@@ -124,9 +123,8 @@ def span_Dk(backend, k: int, max_m: int, gens=None) -> SpanReport:
             stabilized_at = m
             break
     return SpanReport(
-        backend_id=backend.name, k=k, max_m=max_m,
-        generators_considered=considered, vectors=span.vectors,
-        dim_scalar=dim, bound=backend.dim_bound(k),
+        k=k, max_m=max_m, generators_considered=considered,
+        vectors=span.vectors, dim_scalar=dim, bound=backend.dim_bound(k),
         stabilized_at_m=stabilized_at, dims_by_m=dims_by_m)
 
 

@@ -19,7 +19,3 @@ class TruncationExceeded(QGaussError):
 
 class SizeGuard(QGaussError):
     """A dense computation would exceed its hard size guard."""
-
-
-class InvalidGroup(QGaussError):
-    """A Cayley table failed the group axioms."""

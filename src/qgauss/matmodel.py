@@ -94,7 +94,7 @@ def _injective_assignments(blocks, colors, n):
     yield from assignments
 
 
-def _terms(word, colors, n, backend):
+def _terms(xs, colors, n, backend):
     """The terms of the finite-n trace sum that can be nonzero, in a fixed
     order shared by the exact expectation and the Monte Carlo estimator.
 
@@ -103,8 +103,6 @@ def _terms(word, colors, n, backend):
     injective within each color, yields (tau, letters, sign_pairs) with
     sign_pairs from word_sign_pairs(letters).
     """
-    xs = None if backend is None else [
-        x if x is not None else backend.A_one for x, _ in word]
     for blocks, slots, tau in coincidences(xs, colors, n, backend):
         for assign in _injective_assignments(blocks, colors, n):
             letters = [(assign[t], c) for t, c in zip(slots, colors)]
@@ -113,27 +111,24 @@ def _terms(word, colors, n, backend):
                 yield tau, letters, sign_pairs
 
 
-def _model_inputs(word, Qm, cfg, colors):
-    """(colors, Q, vectors, cfg) with the defaults: every letter of color
-    0, Q entries as rationals, and an orthonormal Fock configuration deep
-    enough for the word."""
+def _model_inputs(word, Qm, cfg, colors, backend):
+    """(xs, hs, colors, Q, cfg, backend) with the defaults: every letter
+    of color 0, Q entries as rationals, an orthonormal Fock configuration
+    deep enough for the word, and the pure word resolved.  Without a
+    backend every letter is the unit of a free Haar window of m/2 copies;
+    with one, a None letter is its unit."""
     m = len(word)
     hs = [h for _, h in word]
     if cfg is None:
         cfg = qfock.FockConfig(dim_H=max(len(h) for h in hs) if m else 1,
                                max_degree=max(1, (m + 1) // 2))
-    return ([0] * m if colors is None else list(colors),
-            [[Fraction(x) for x in row] for row in Qm], hs, cfg)
-
-
-def _limit_target(word, colors, Qm, cfg, backend) -> float:
-    """The exact large-n limit from the Q-moment engine; without a backend,
-    every coefficient is the unit of a free Haar window."""
     if backend is None:
-        backend = FreeHaarBackend(max(1, len(word) // 2))
-        word = [(None, h) for _, h in word]
-    word = [(x if x is not None else backend.A_one, h) for x, h in word]
-    return float(q_matrix_moment(word, colors, Qm, backend, cfg))
+        backend = FreeHaarBackend(max(1, m // 2))
+        xs = [backend.A_one] * m
+    else:
+        xs = [backend.A_one if x is None else x for x, _ in word]
+    return (xs, hs, [0] * m if colors is None else list(colors),
+            [[Fraction(x) for x in row] for row in Qm], cfg, backend)
 
 
 def _estimate(values, target, target_n, n, seed) -> MCEstimate:
@@ -158,11 +153,12 @@ def model_moment_exact(word, Qm, n: int, backend=None, cfg=None,
 
     Sum over coincidence patterns and copy assignments of the sign weight
     (product of Q entries over the exchange pairs), the gaussian moment of
-    the field product (a Wick sum, evaluated as the q=1 Fock moment on
-    l2_n (x) H), and the trace of the pi-word."""
+    the field product (a Wick sum, the q=1 value of moments.slot_moments
+    on l2_n (x) H), and the trace of the pi-word."""
     word = list(word)
     m = len(word)
-    colors, Qm, hs, cfg = _model_inputs(word, Qm, cfg, colors)
+    xs, hs, colors, Qm, cfg, backend = _model_inputs(word, Qm, cfg, colors,
+                                                     backend)
     if m == 0:
         return Fraction(1)
     if m % 2:
@@ -172,7 +168,7 @@ def model_moment_exact(word, Qm, n: int, backend=None, cfg=None,
     gauss = {}
 
     def gauss_moment(jpattern):
-        # E prod_i g_{j_i}(h_i): Wick sum = the q=1 Fock moment with
+        # E prod_i g_{j_i}(h_i): Wick sum = the q=1 vacuum moment with
         # vectors e_{j_i} (x) h_i, which depends only on the slots
         # compacted to 0..r-1, so it is computed once per compacted pattern
         slot_of = {j: s for s, j in enumerate(sorted(set(jpattern)))}
@@ -182,7 +178,7 @@ def model_moment_exact(word, Qm, n: int, backend=None, cfg=None,
         return gauss[key]
 
     total = Fraction(0)
-    for tau, letters, sign_pairs in _terms(word, colors, n, backend):
+    for tau, letters, sign_pairs in _terms(xs, colors, n, backend):
         weight = Fraction(1)
         for a, b in sign_pairs:
             weight *= Qm[a[1]][b[1]]
@@ -212,7 +208,8 @@ def mc_moment(word, Qm, n: int, samples: int, seed: int,
     m = len(word)
     if m > WORD_CAP:
         raise SizeGuard(f"word length {m} exceeds the cap {WORD_CAP}")
-    colors, Qm, hs, cfg = _model_inputs(word, Qm, cfg, colors)
+    xs, hs, colors, Qm, cfg, backend = _model_inputs(word, Qm, cfg, colors,
+                                                     backend)
     # float64 arrays below: gamma (n x d), g_j(h_i) (n x m) and the signs
     # (one per pair of letters), each per sample
     letters = n * len(set(colors))
@@ -221,7 +218,8 @@ def mc_moment(word, Qm, n: int, samples: int, seed: int,
         raise SizeGuard(
             f"{samples} samples at n={n} need about {nbytes:,} bytes of "
             f"Monte Carlo arrays, over the cap {SAMPLE_BYTES_CAP:,}")
-    target = _limit_target(word, colors, Qm, cfg, backend)
+    resolved = list(zip(xs, hs))
+    target = float(q_matrix_moment(resolved, colors, Qm, backend, cfg))
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
 
@@ -247,7 +245,7 @@ def mc_moment(word, Qm, n: int, samples: int, seed: int,
         eps = np.zeros((samples, 0))
 
     sums = np.zeros(samples)
-    for tau, letters, sign_pairs in _terms(word, colors, n, backend):
+    for tau, letters, sign_pairs in _terms(xs, colors, n, backend):
         term = np.full(samples, float(tau))
         for a, b in sign_pairs:
             term = term * eps[:, pair_index[(a, b)]]
@@ -255,6 +253,6 @@ def mc_moment(word, Qm, n: int, samples: int, seed: int,
             term = term * gh[:, letters[pos - 1][0] - 1, pos - 1]
         sums += term
     estimates = sums / float(n) ** (m / 2.0)
-    target_n = float(model_moment_exact(word, Qm, n, backend=backend,
+    target_n = float(model_moment_exact(resolved, Qm, n, backend=backend,
                                         cfg=cfg, colors=colors))
     return _estimate(estimates, target, target_n, n, seed)

@@ -17,9 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from . import qfock
 from .algebra import common_denominator, exact
-from .copies import pi_word
+from .copies import FreeHaarBackend, pi_word
 from .errors import WindowExceeded
 from .partitions import (Partition12, _check_cap, crossing_number,
                          encoding_map)
@@ -306,9 +305,9 @@ def coincidences(xs, colors, n: int, backend):
     with at most n blocks of each color, (blocks, slots, tau), slots[i]
     the block of position i+1 and tau != 0 the trace of the pi-word at the
     representative tuple (block t gets copy t+1), which by exchangeability
-    depends on the partition only; tau = 1 without a backend.  An odd
-    block contributes nothing: the sign-matrix trace vanishes, and the
-    Fock factor on orthogonal slots pairs points only inside one block.
+    depends on the partition only.  An odd block contributes nothing: the
+    sign-matrix trace vanishes, and the Wick factor (slot_moments) pairs
+    points only inside one block.
     """
     for blocks in enumerate_set_partitions(colors):
         if any(c > n for c in Counter(colors[b[0] - 1]
@@ -316,8 +315,7 @@ def coincidences(xs, colors, n: int, backend):
             continue
         block_of = {pos: t for t, b in enumerate(blocks) for pos in b}
         slots = tuple(block_of[pos] for pos in range(1, len(colors) + 1))
-        tau = Fraction(1) if backend is None else backend.trace(
-            pi_word(backend, xs, [t + 1 for t in slots]))
+        tau = backend.trace(pi_word(backend, xs, [t + 1 for t in slots]))
         if tau:
             yield blocks, slots, tau
 
@@ -325,20 +323,24 @@ def coincidences(xs, colors, n: int, backend):
 def slot_moments(hs, cfg: FockConfig):
     """A function of the slot of each position returning the q-Fock vacuum
     moment of the vectors e_slot (x) h on l2_r (x) H, r slots in all and
-    h the vectors hs in order.  Each r's configuration is built once."""
-    d = cfg.dim_H
-    zero = (Fraction(0),) * d
-    configs = {}
+    h the vectors hs in order.
+
+    That moment is the q-Wick sum of q^cr * prod <e_l (x) h_l, e_r (x) h_r>
+    over the pair partitions (Bozejko-Speicher), and the factor is
+    [slot_l = slot_r] <h_l, h_r>.  So it is the scan of _arc_scan over
+    unit letters, every trace 1, with trace_pairing's closing rule keyed
+    by slot: a letter closes only an arc of its own slot, and crosses
+    every arc opened after that one and still open, whatever its slot.
+    """
+    m = len(hs)
+    units = FreeHaarBackend(max(1, m // 2))
+    letters = [units.A_one] * m
+    vids, ip = _vector_ids(hs, cfg)
+    close = _pairing_close(ip)
 
     def vacuum_moment(slots):
-        r = max(slots) + 1
-        if r not in configs:
-            inner = [[cfg.inner[i % d][j % d] if i // d == j // d else 0
-                      for j in range(r * d)] for i in range(r * d)]
-            configs[r] = FockConfig(r * d, inner, (len(hs) + 1) // 2)
-        vecs = [zero * s + tuple(map(Fraction, h)) + zero[len(h):]
-                + zero * (r - 1 - s) for s, h in zip(slots, hs)]
-        return qfock.vacuum_moment(vecs, configs[r])
+        return QPoly.from_powers(_arc_scan(letters, list(zip(slots, vids)),
+                                           units, close))
 
     return vacuum_moment
 

@@ -89,9 +89,7 @@ def build_algebra(spec, path: str):
     if kind == "cyclic":
         return group_algebra(cyclic_group(_group_size(spec, path)))
     if kind == "symmetric":
-        # a group by construction; validation would list all n! elements
-        return group_algebra(symmetric_group(range(_group_size(spec, path))),
-                             validate=False)
+        return group_algebra(symmetric_group(range(_group_size(spec, path))))
     raise ScenarioError(f"{path}.kind: unknown algebra kind {kind!r} "
                         "(expected trivial, cyclic, or symmetric)")
 
@@ -193,7 +191,6 @@ class Scenario:
     """A validated scenario ready for dispatch."""
 
     def __init__(self, data: dict):
-        self.data = data
         self.backend = build_backend(data.get("backend",
                                               {"kind": "free_haar"}))
         self.cfg = build_cfg(data.get("fock", {}))

@@ -10,9 +10,9 @@ from fractions import Fraction
 import numpy as np
 
 from qgauss.errors import SizeGuard
-from qgauss.matmodel import (MCEstimate, _estimate, _limit_target,
-                             _model_inputs, model_moment_exact,
-                             word_sign_pairs)
+from qgauss.matmodel import (MCEstimate, _estimate, _model_inputs,
+                             model_moment_exact, word_sign_pairs)
+from qgauss.moments import q_matrix_moment
 
 #: build_symmetries materializes 2^n x 2^n matrices.
 SYMMETRY_CAP = 10
@@ -115,8 +115,10 @@ def mc_moment_explicit(word, Qm, n: int, samples: int, seed: int,
     matrices and takes actual matrix traces.  Small n only."""
     word = list(word)
     m = len(word)
-    colors, Qm, hs, cfg = _model_inputs(word, Qm, cfg, colors)
-    target = _limit_target(word, colors, Qm, cfg, None)
+    xs, hs, colors, Qm, cfg, backend = _model_inputs(word, Qm, cfg, colors,
+                                                     None)
+    target = float(q_matrix_moment(list(zip(xs, hs)), colors, Qm, backend,
+                                   cfg))
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     d = cfg.dim_H

@@ -56,7 +56,6 @@ def enumerated_span_Dk(backend, k: int, max_m: int, gens=None) -> SpanReport:
             stabilized_at = m
             break
     return SpanReport(
-        backend_id=backend.name, k=k, max_m=max_m,
-        generators_considered=considered, vectors=vectors,
-        dim_scalar=dim, bound=backend.dim_bound(k),
+        k=k, max_m=max_m, generators_considered=considered,
+        vectors=vectors, dim_scalar=dim, bound=backend.dim_bound(k),
         stabilized_at_m=stabilized_at, dims_by_m=dims_by_m)

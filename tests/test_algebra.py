@@ -1,16 +1,18 @@
 """Finite tracial algebras, group algebras, and conditional expectations."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgauss.algebra import (EchelonBasis, Group, SubalgebraSpec,
+from qgauss.algebra import (EchelonBasis, SubalgebraSpec,
                             conditional_expectation, cyclic_group,
-                            free_group, group_algebra, is_positive_definite,
-                            rank, symmetric_group, tensor_algebra,
-                            trivial_algebra, validate_group)
-from qgauss.errors import InvalidGroup, SizeGuard
+                            direct_product, free_group, group_algebra,
+                            is_positive_definite, rank, symmetric_group,
+                            tensor_algebra, trivial_algebra)
+from qgauss.copies import PermGroupBackend
+from qgauss.errors import SizeGuard
 
 
 @pytest.fixture(scope="module")
@@ -45,11 +47,39 @@ def test_trace_is_tracial(s3):
     assert (x * y).trace() == (y * x).trace()
 
 
-def test_validate_group_catches_bad_tables():
-    bad = Group(elements=[0, 1], mul=lambda a, b: 0, inv=lambda a: a,
-                identity=0)
-    with pytest.raises(InvalidGroup):
-        validate_group(bad)
+def assert_group_axioms(group):
+    """Identity, inverses and closure on every element; associativity on
+    every triple of a group of order <= 27, else on 2,000 seeded ones."""
+    els = list(group.elements)
+    e = group.identity
+    assert e in els and len(set(els)) == len(els) == group.order
+    for g in els:
+        assert group.mul(e, g) == g == group.mul(g, e)
+        assert group.inv(g) in els
+        assert group.mul(g, group.inv(g)) == e == group.mul(group.inv(g), g)
+    for a in els:
+        for b in els:
+            assert group.mul(a, b) in els
+    if len(els) <= 27:
+        triples = [(a, b, c) for a in els for b in els for c in els]
+    else:
+        rng = random.Random(0)
+        triples = [rng.choices(els, k=3) for _ in range(2000)]
+    for a, b, c in triples:
+        assert group.mul(group.mul(a, b), c) == group.mul(a, group.mul(b, c))
+
+
+@pytest.mark.parametrize("group", [
+    *(cyclic_group(n) for n in range(1, 7)),
+    symmetric_group(range(3)),
+    symmetric_group(range(4)),
+    direct_product(cyclic_group(2), symmetric_group(range(3))),
+    PermGroupBackend(1, 3).D.group,
+], ids=[*(f"Z{n}" for n in range(1, 7)), "S3", "S4", "Z2xS3", "perm3"])
+def test_built_in_groups_satisfy_the_axioms(group):
+    # no group is validated when its algebra is built: each comes from
+    # these constructors, and is a group by construction
+    assert_group_axioms(group)
 
 
 def test_tensor_algebra_trace_multiplicative():
@@ -113,9 +143,7 @@ def test_free_group_elements_cannot_be_listed():
     assert F.order == float("inf")
     with pytest.raises(SizeGuard):
         iter(F.elements)
-    with pytest.raises(SizeGuard):
-        validate_group(F)
-    alg = group_algebra(F, validate=False)
+    alg = group_algebra(F)
     with pytest.raises(SizeGuard):
         sorted(alg.group.elements)
     u = alg.basis_element((("a", 1),))
@@ -130,7 +158,7 @@ coeff_lists = st.lists(st.fractions(min_value=-6, max_value=6,
 @settings(max_examples=25, deadline=None)
 @given(coeff_lists)
 def test_conditional_expectation_is_projection(cs):
-    alg = group_algebra(symmetric_group(range(1, 4)), validate=False)
+    alg = group_algebra(symmetric_group(range(1, 4)))
     # the copy of S2 fixing the last point
     sub_idx = [g for g in alg.group.elements if g[2] == 2]
     sub = SubalgebraSpec(alg, frozenset(sub_idx))
@@ -144,7 +172,7 @@ def test_conditional_expectation_is_projection(cs):
 @settings(max_examples=25, deadline=None)
 @given(coeff_lists, st.fractions(min_value=-4, max_value=4, max_denominator=3))
 def test_conditional_expectation_module_property(cs, c):
-    alg = group_algebra(symmetric_group(range(1, 4)), validate=False)
+    alg = group_algebra(symmetric_group(range(1, 4)))
     sub_idx = [g for g in alg.group.elements if g[2] == 2]
     sub = SubalgebraSpec(alg, frozenset(sub_idx))
     x = random_element(alg, cs)
@@ -164,7 +192,7 @@ def sparse_element(data, alg, max_size=6):
 
 
 def _s4_subgroups():
-    s4 = group_algebra(symmetric_group(range(4)), validate=False)
+    s4 = group_algebra(symmetric_group(range(4)))
     els = list(s4.group.elements)
     klein = {(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)}
     even = {g for g in els
@@ -248,7 +276,7 @@ def test_positive_definite_test():
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_echelon_basis_matches_rank(data):
-    alg = group_algebra(symmetric_group(range(3)), validate=False)
+    alg = group_algebra(symmetric_group(range(3)))
     keys = sorted(alg.group.elements)
     # few distinct entries, so that dependent elements are common
     xs = data.draw(st.lists(st.dictionaries(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qgauss import matmodel, moments
-from qgauss.copies import FreeHaarBackend
+from qgauss.copies import FreeHaarBackend, PermGroupBackend
 from qgauss.errors import SizeGuard
 from qgauss.qfock import FockConfig
 
@@ -121,6 +121,23 @@ def test_exact_model_converges_to_q_matrix_moment(free8, cfg1):
     errs = [abs(v - target) for v in vals]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] <= Fraction(1, 32)
+
+
+def test_exact_model_pins_a_two_colour_non_orthonormal_word():
+    # distinct vectors that are neither orthogonal nor of unit length, on
+    # the perm backend: the values the Fock-space Wick factor gave before
+    # the slot-keyed arc scan replaced it
+    third = Fraction(1, 3)
+    cfg = FockConfig(2, [[2, third], [third, Fraction(3, 5)]])
+    h1, h2, h3 = (Fraction(2, 7), Fraction(-1, 2)), (3, Fraction(1, 3)), (1, 0)
+    backend = PermGroupBackend(1, 3)
+    u, one = backend.S["u01"], backend.A_one
+    word = [(u, h1), (one, h2), (u, h3), (u, h3), (one, h2), (u, h1)]
+    Qm = [[Fraction(1, 2), Fraction(-1, 3)], [Fraction(-1, 3), Fraction(1, 4)]]
+    colors = [0, 1, 1, 1, 1, 0]
+    assert [matmodel.model_moment_exact(word, Qm, n, backend, cfg, colors)
+            for n in (2, 3)] == [Fraction(8238617, 297675),
+                                 Fraction(3048643, 153090)]
 
 
 def test_mc_estimate_fields_and_z(free8, cfg1):

@@ -2,9 +2,11 @@
 sum it replaced (tests/pairing_oracle.py): exact equality on every pair
 of short Wick words, on a non-orthonormal Gram and on the doubled
 coefficient space of the rotation certificates; the adjoint-prefix states
-cached on a word, resumed under other lengths and configurations; and
-the independence of the two Gram paths."""
+cached on a word, resumed under other lengths and configurations; the
+independence of the two Gram paths; and the digest of the benchmark's
+Gram families."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -173,3 +175,27 @@ def test_the_two_gram_paths_share_nothing(monkeypatch):
                 for w1 in bare] == expected
         with pytest.raises(AssertionError, match="shared code"):
             moments.wick_inner_product(words[1], words[1])
+
+
+def test_the_benchmark_gram_families_keep_their_digest():
+    """The two Wick Gram families of the benchmark's reduced_coefficients
+    workload: every pair-singleton partition of 1 <= m <= 3 points with
+    every word over {1, u} on FreeHaarBackend(6) and over {1, u01} on
+    PermGroupBackend(1, 4), vectors (1,) under FockConfig(1,
+    max_degree=4).  Both Gram paths agree entrywise, and the Gram is
+    pinned by md5(repr((free_rows, perm_rows))), where each family is a
+    tuple of rows and each row a tuple of the entries' QPoly.coeffs."""
+    free, perm = FreeHaarBackend(6), PermGroupBackend(1, 4)
+    rows = []
+    for backend, gens in ((free, [free.A_one, free.S["u"]]),
+                          (perm, [perm.A_one, perm.S["u01"]])):
+        words = [moments.reduce(sigma, xs, [H1] * m, backend, CFG1)
+                 for m in range(1, 4) for sigma in enumerate_pair_singleton(m)
+                 for xs in product(gens, repeat=m)]
+        wick = [[moments.wick_inner_product(w1, w2) for w2 in words]
+                for w1 in words]
+        assert wick == [[moments.trace_pairing(w1, w2) for w2 in words]
+                        for w1 in words]
+        rows.append(tuple(tuple(p.coeffs for p in row) for row in wick))
+    digest = hashlib.md5(repr(tuple(rows)).encode()).hexdigest()
+    assert digest == "35796d94b3e62116ec97f94af5aafe96"
