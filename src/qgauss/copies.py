@@ -382,10 +382,13 @@ def axiom_check(backend, word_len: int = 4) -> dict:
 
     Axioms 2-4 share two memos for the length of the call: each pi-word
     is built once, from its prefix one letter shorter, and each E_K of a
-    pi-word is computed once.  The report is the one that rebuilding every
-    word from the unit and recomputing every expectation would give,
-    provided pi, * and expect are pure functions (they return new
-    elements and never mutate their inputs) and * is associative.
+    pi-word is computed once.  Axiom 2 reads each relabelled word's E_B
+    from a per-word list indexed by labelling; axiom 4 applies each E_I
+    once to each distinct value among the E_K(x) of a word x.  The report
+    is the one that rebuilding every word from the unit and recomputing
+    every expectation would give, provided pi, * and expect are pure
+    functions (they return new elements, never mutate their inputs, and
+    depend only on the values of their arguments) and * is associative.
     """
     if backend.window < AXIOM_INDICES:
         raise WindowExceeded(
@@ -429,18 +432,32 @@ def axiom_check(backend, word_len: int = 4) -> dict:
         else f"pi({j}, b) != b for b={a!r}"
         for j in range(1, AXIOM_INDICES + 1) for a, embedded in B_pairs)
 
-    # (2) exchangeability of E_B under index permutations
+    # (2) exchangeability of E_B under index permutations; the first
+    # relabeling is the identity.  For each length, moved[p][r] is the
+    # position of rho_r o labelings[p] among the labelings, and each
+    # word's E_B values sit in one list indexed by position.
     def axiom2():
-        for w in _words_over(names, word_len):
-            for js in product(range(1, AXIOM_INDICES + 1), repeat=len(w)):
-                base = None
-                for rho in permutations(range(1, AXIOM_INDICES + 1)):
-                    val = expect(frozenset(), tuple(
-                        zip([rho[j - 1] for j in js], w)))
-                    base = val if base is None else base
-                    yield None if val == base else (
-                        f"E_B not invariant: word len {len(w)}, indices {js}, "
-                        f"relabeling {rho}")
+        B = frozenset()
+        indices = range(1, AXIOM_INDICES + 1)
+        rhos = list(permutations(indices))
+        for length in range(1, word_len + 1):
+            labelings = list(product(indices, repeat=length))
+            position = {js: p for p, js in enumerate(labelings)}
+            moved = [[position[tuple([rho[j - 1] for j in js])]
+                      for rho in rhos] for js in labelings]
+            for w in product(names, repeat=length):
+                values = [None] * len(labelings)
+                for js, row in zip(labelings, moved):
+                    base = None
+                    for rho, p in zip(rhos, row):
+                        val = values[p]
+                        if val is None:
+                            val = values[p] = expect(
+                                B, tuple(zip(labelings[p], w)))
+                        base = val if base is None else base
+                        yield None if val == base else (
+                            f"E_B not invariant: word len {length}, "
+                            f"indices {js}, relabeling {rho}")
 
     report["axiom2"] = _first_failure(axiom2())
 
@@ -469,10 +486,26 @@ def axiom_check(backend, word_len: int = 4) -> dict:
     # (4) E_{A_I} E_{A_J} = E_{A_{I cap J}}
     gens = [(j, n) for j in range(1, AXIOM_INDICES + 1) for n in nontrivial]
     xs = [()] + _words_over(gens, AXIOM4_WORD_LEN)
-    report["axiom4"] = _first_failure(
-        None if backend.expect(I, expect(J, x)) == expect(I & J, x)
-        else f"I={set(I)}, J={set(J)}"
-        for I in subsets for J in subsets for x in xs)
+
+    def axiom4():
+        where = {K: k for k, K in enumerate(subsets)}
+        # per x: the distinct values among its E_K(x) over the subsets K,
+        # the position of each E_K(x) among them, and per I the E_I of
+        # each distinct value, taken when first asked for
+        rows = [_distinct_values([expect(K, x) for K in subsets])
+                for x in xs]
+        for I in subsets:
+            images = [[None] * len(values) for values, _ in rows]
+            for J in subsets:
+                j, k = where[J], where[I & J]
+                witness = f"I={set(I)}, J={set(J)}"
+                for (values, at), outer in zip(rows, images):
+                    e = outer[at[j]]
+                    if e is None:
+                        e = outer[at[j]] = backend.expect(I, values[at[j]])
+                    yield None if e == values[at[k]] else witness
+
+    report["axiom4"] = _first_failure(axiom4())
 
     # (5) the union of all A_I is D: true by construction at window scale
     report["axiom5"] = {"ok": True, "checked": 0, "by_construction": True,
@@ -492,6 +525,22 @@ def _first_failure(cases) -> dict:
         if witness is not None:
             return {"ok": False, "checked": count, "witness": witness}
     return {"ok": True, "checked": count, "witness": None}
+
+
+def _distinct_values(elements):
+    """(values, at): the value-distinct elements in first-seen order, and
+    the position in values of each element.  Values are compared by ==
+    within this one list, never hashed."""
+    values, at = [], []
+    for e in elements:
+        for p, v in enumerate(values):
+            if v == e:
+                break
+        else:
+            p = len(values)
+            values.append(e)
+        at.append(p)
+    return values, at
 
 
 def _subsets(it):

@@ -16,7 +16,6 @@ in tests/matmodel_oracle.py cross-checks it at small sizes.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -42,17 +41,17 @@ def word_sign_pairs(letters):
     normalized trace (each with odd multiplicity), or None when a letter
     has odd multiplicity (trace 0).
     """
-    counts = Counter(letters)
-    if any(c % 2 for c in counts.values()):
-        return None
     rest = list(letters)
-    pairs = Counter()
+    pairs = {}
     while rest:
         first = rest[0]
-        nxt = rest.index(first, 1)
-        for i in range(1, nxt):
-            a, b = sorted((rest[i], first))
-            pairs[(a, b)] += 1
+        try:
+            nxt = rest.index(first, 1)
+        except ValueError:  # first has odd multiplicity
+            return None
+        for other in rest[1:nxt]:
+            pair = (other, first) if other < first else (first, other)
+            pairs[pair] = pairs.get(pair, 0) + 1
         del rest[nxt]
         del rest[0]
     return [p for p, c in pairs.items() if c % 2]
@@ -147,50 +146,54 @@ def _estimate(values, target, target_n, n, seed) -> MCEstimate:
                       bias=target_n - target, z=z, n=n, seed=seed)
 
 
+class _ExactSum:
+    """The exact expectation of the finite-n trace, summed term by term
+    over _terms.  A term (tau, letters, sign_pairs) contributes its sign
+    weight (product of Q entries over the exchange pairs) times the
+    gaussian moment of its field product (a Wick sum, the q=1 value of
+    moments.slot_moments on l2_n (x) H) times tau.  Both factors depend
+    only on the colours of the exchange pairs and on which positions share
+    a copy, so add sums tau per such class and expectation weighs each
+    class once; the number of classes is bounded in m, whatever n."""
+
+    def __init__(self, hs, Qm, cfg):
+        self.hs, self.Qm, self.cfg = hs, Qm, cfg
+        self.taus = {}
+
+    def add(self, tau, letters, sign_pairs):
+        first = {}  # copy -> its slot, numbered by first occurrence
+        key = (tuple([(a[1], b[1]) for a, b in sign_pairs]),
+               tuple([first.setdefault(j, len(first)) for j, _ in letters]))
+        self.taus[key] = self.taus.get(key, 0) + tau
+
+    def expectation(self, n: int) -> Fraction:
+        """The sum so far, times n^{-m/2}."""
+        fock = slot_moments(self.hs, self.cfg)
+        gauss = {}
+        total = Fraction(0)
+        for (pairs, slots), tau in self.taus.items():
+            weight = 1
+            for s, t in pairs:
+                weight *= self.Qm[s][t]
+            if not weight or not tau:
+                continue
+            if slots not in gauss:
+                gauss[slots] = fock(slots).eval(1)
+            total += weight * gauss[slots] * tau
+        return total / Fraction(n ** (len(self.hs) // 2))
+
+
 def model_moment_exact(word, Qm, n: int, backend=None, cfg=None,
                        colors=None) -> Fraction:
-    """The exact expectation of the finite-n matrix-model trace.
-
-    Sum over coincidence patterns and copy assignments of the sign weight
-    (product of Q entries over the exchange pairs), the gaussian moment of
-    the field product (a Wick sum, the q=1 value of moments.slot_moments
-    on l2_n (x) H), and the trace of the pi-word."""
-    word = list(word)
-    m = len(word)
-    xs, hs, colors, Qm, cfg, backend = _model_inputs(word, Qm, cfg, colors,
-                                                     backend)
-    if m == 0:
-        return Fraction(1)
-    if m % 2:
-        return Fraction(0)
-
-    fock = slot_moments(hs, cfg)
-    gauss = {}
-
-    def gauss_moment(jpattern):
-        # E prod_i g_{j_i}(h_i): Wick sum = the q=1 vacuum moment with
-        # vectors e_{j_i} (x) h_i, which depends only on the slots
-        # compacted to 0..r-1, so it is computed once per compacted pattern
-        slot_of = {j: s for s, j in enumerate(sorted(set(jpattern)))}
-        key = tuple(slot_of[j] for j in jpattern)
-        if key not in gauss:
-            gauss[key] = fock(key).eval(1)
-        return gauss[key]
-
-    total = Fraction(0)
-    for tau, letters, sign_pairs in _terms(xs, colors, n, backend):
-        weight = Fraction(1)
-        for a, b in sign_pairs:
-            weight *= Qm[a[1]][b[1]]
-            if not weight:
-                break
-        if not weight:
-            continue
-        g = gauss_moment(tuple(l[0] for l in letters))
-        if not g:
-            continue
-        total += weight * g * tau
-    return total / Fraction(n ** (m // 2))
+    """The exact expectation of the finite-n matrix-model trace: the
+    _ExactSum of the coincidence patterns and copy assignments of
+    _terms."""
+    xs, hs, colors, Qm, cfg, backend = _model_inputs(list(word), Qm, cfg,
+                                                     colors, backend)
+    exact = _ExactSum(hs, Qm, cfg)
+    for term in _terms(xs, colors, n, backend):
+        exact.add(*term)
+    return exact.expectation(n)
 
 
 def mc_moment(word, Qm, n: int, samples: int, seed: int,
@@ -218,8 +221,8 @@ def mc_moment(word, Qm, n: int, samples: int, seed: int,
         raise SizeGuard(
             f"{samples} samples at n={n} need about {nbytes:,} bytes of "
             f"Monte Carlo arrays, over the cap {SAMPLE_BYTES_CAP:,}")
-    resolved = list(zip(xs, hs))
-    target = float(q_matrix_moment(resolved, colors, Qm, backend, cfg))
+    target = float(q_matrix_moment(list(zip(xs, hs)), colors, Qm, backend,
+                                   cfg))
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
 
@@ -244,15 +247,18 @@ def mc_moment(word, Qm, n: int, samples: int, seed: int,
     else:
         eps = np.zeros((samples, 0))
 
+    # one walk of the terms feeds the per-sample sums and the exact
+    # finite-n expectation target_n (model_moment_exact's sum)
+    exact = _ExactSum(hs, Qm, cfg)
     sums = np.zeros(samples)
     for tau, letters, sign_pairs in _terms(xs, colors, n, backend):
+        exact.add(tau, letters, sign_pairs)
         term = np.full(samples, float(tau))
         for a, b in sign_pairs:
-            term = term * eps[:, pair_index[(a, b)]]
+            term *= eps[:, pair_index[(a, b)]]
         for pos in range(1, m + 1):
-            term = term * gh[:, letters[pos - 1][0] - 1, pos - 1]
+            term *= gh[:, letters[pos - 1][0] - 1, pos - 1]
         sums += term
     estimates = sums / float(n) ** (m / 2.0)
-    target_n = float(model_moment_exact(resolved, Qm, n, backend=backend,
-                                        cfg=cfg, colors=colors))
+    target_n = float(exact.expectation(n))
     return _estimate(estimates, target, target_n, n, seed)

@@ -1,7 +1,11 @@
 """The explicit sign-matrix model, kept as the test oracle of
 qgauss.matmodel: it materializes the 2^n x 2^n involutions with
 prescribed exchange signs and takes actual matrix traces, where the
-estimator evaluates each trace combinatorially.  Small n only."""
+estimator evaluates each trace combinatorially.  Small n only.
+
+Also the two-pass estimator that mc_moment replaced: one walk of the
+terms for the per-sample sums and a second for the exact finite-n
+target, each term's exact contribution taken by itself."""
 
 import math
 from dataclasses import dataclass
@@ -10,9 +14,9 @@ from fractions import Fraction
 import numpy as np
 
 from qgauss.errors import SizeGuard
-from qgauss.matmodel import (MCEstimate, _estimate, _model_inputs,
+from qgauss.matmodel import (MCEstimate, _estimate, _model_inputs, _terms,
                              model_moment_exact, word_sign_pairs)
-from qgauss.moments import q_matrix_moment
+from qgauss.moments import q_matrix_moment, slot_moments
 
 #: build_symmetries materializes 2^n x 2^n matrices.
 SYMMETRY_CAP = 10
@@ -145,3 +149,63 @@ def mc_moment_explicit(word, Qm, n: int, samples: int, seed: int,
         vals[s] = np.trace(prod) / dim
     target_n = float(model_moment_exact(word, Qm, n, cfg=cfg, colors=colors))
     return _estimate(vals, target, target_n, n, seed)
+
+
+def exact_per_term(xs, hs, colors, Qm, cfg, backend, n: int) -> Fraction:
+    """model_moment_exact of a resolved even word, one term at a time:
+    the sign weight times the gaussian moment (keyed by the copies
+    compacted in sorted order) times tau, over a walk of _terms."""
+    fock = slot_moments(hs, cfg)
+    total = Fraction(0)
+    for tau, letters, sign_pairs in _terms(xs, colors, n, backend):
+        weight = Fraction(1)
+        for a, b in sign_pairs:
+            weight *= Qm[a[1]][b[1]]
+        jpattern = [l[0] for l in letters]
+        slot_of = {j: s for s, j in enumerate(sorted(set(jpattern)))}
+        g = fock(tuple(slot_of[j] for j in jpattern)).eval(1)
+        total += weight * g * tau
+    return total / Fraction(n ** (len(hs) // 2))
+
+
+def mc_moment_two_pass(word, Qm, n: int, samples: int, seed: int,
+                       backend=None, cfg=None, colors=None) -> MCEstimate:
+    """mc_moment with the terms walked twice: the same draws, the same
+    per-term products and the same sequential sum of the samples, then
+    exact_per_term for the target."""
+    word = list(word)
+    m = len(word)
+    xs, hs, colors, Qm, cfg, backend = _model_inputs(word, Qm, cfg, colors,
+                                                     backend)
+    target = float(q_matrix_moment(list(zip(xs, hs)), colors, Qm, backend,
+                                   cfg))
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    d = cfg.dim_H
+    L = np.linalg.cholesky(np.array(cfg.inner, dtype=float))
+    gamma = rng.standard_normal((samples, n, d))
+    coords = np.array([[float(Fraction(x)) for x in h] for h in hs])
+    gh = np.einsum("snd,md->snm", gamma, coords @ L)
+    letter_pool = sorted({(j, t) for j in range(1, n + 1) for t in set(colors)})
+    pair_index = {}
+    probs = []
+    for i, a in enumerate(letter_pool):
+        for b in letter_pool[i + 1:]:
+            pair_index[(a, b)] = len(probs)
+            probs.append(float((1 + Qm[a[1]][b[1]]) / 2))
+    if probs:
+        eps = np.where(rng.random((samples, len(probs))) < np.array(probs),
+                       1.0, -1.0)
+    else:
+        eps = np.zeros((samples, 0))
+
+    sums = np.zeros(samples)
+    for tau, letters, sign_pairs in _terms(xs, colors, n, backend):
+        term = np.full(samples, float(tau))
+        for a, b in sign_pairs:
+            term = term * eps[:, pair_index[(a, b)]]
+        for pos in range(1, m + 1):
+            term = term * gh[:, letters[pos - 1][0] - 1, pos - 1]
+        sums += term
+    estimates = sums / float(n) ** (m / 2.0)
+    target_n = float(exact_per_term(xs, hs, colors, Qm, cfg, backend, n))
+    return _estimate(estimates, target, target_n, n, seed)

@@ -166,14 +166,16 @@ def test_verify_semigroup_suite(capsys):
 
 
 def test_verify_matmodel_catches_a_biased_estimator(capsys, monkeypatch):
-    # sample with Q negated while the target keeps Q: at Q = 1/2 and the
-    # default seed the mean lies about 20 standard errors off its target
-    sample, exact = matmodel.mc_moment, matmodel.model_moment_exact
+    # sample with Q negated while the exact finite-n target keeps Q: at
+    # Q = 1/2 and the default seed the mean lies about 20 standard errors
+    # off its target.  mc_moment's one walk of the terms feeds both, so
+    # the exact sum it builds is handed the unnegated Q.
+    sample, exact_sum = matmodel.mc_moment, matmodel._ExactSum
 
     def biased(word, Qm, **kw):
         with monkeypatch.context() as m:
-            m.setattr(matmodel, "model_moment_exact",
-                      lambda w, _, n, **k: exact(w, Qm, n, **k))
+            m.setattr(matmodel, "_ExactSum",
+                      lambda hs, _, cfg: exact_sum(hs, Qm, cfg))
             return sample(word, [[-x for x in row] for row in Qm], **kw)
 
     monkeypatch.setattr(matmodel, "mc_moment", biased)

@@ -17,6 +17,8 @@ from qgauss.copies import (PROJECTION_GUARD, FreeHaarBackend, FreeWordElement,
 from qgauss.errors import SizeGuard
 from qgauss.qfock import FockConfig
 
+from axiom_oracle import axiom_reports
+
 H1 = (Fraction(1),)
 
 
@@ -290,6 +292,74 @@ def test_axiom_check_reports_injected_faults(cls, want):
     assert [tuple(report[f"axiom{k}"][f] for f in ("ok", "checked", "witness"))
             for k in (1, 2, 3, 4)] == want
     assert not report["passed"]
+
+
+class PermE12WrongOnCopy3(PermGroupBackend):
+    """E_{1,2} adds the unit to any element holding a permutation that
+    moves copy 3's point."""
+
+    def expect(self, I, x):
+        out = super().expect(I, x)
+        p = self._pos(3)
+        if set(I) == {1, 2} and any(g[p] != p for g in x.coeffs):
+            out = out + self.one()
+        return out
+
+
+class TensorE2WrongOnSlot1(TensorBackend):
+    """E_{2} adds the unit to any element with a non-unit C in slot 1."""
+
+    def expect(self, I, x):
+        out = super().expect(I, x)
+        if set(I) == {2} and any(k[1] != self.C.unit for k in x.coeffs):
+            out = out + self.one()
+        return out
+
+
+def _z2_z2(cls=TensorBackend):
+    return cls(group_algebra(cyclic_group(2)), group_algebra(cyclic_group(2)),
+               3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FreeHaarBackend(3), lambda: PermGroupBackend(1, 3), _z2_z2,
+    lambda: EBWrongOnCopy3(3), lambda: E13WrongOn131(3),
+    lambda: MulWrongOn131(3), lambda: PermE12WrongOnCopy3(1, 3),
+    lambda: _z2_z2(TensorE2WrongOnSlot1)],
+    ids=["free", "perm", "tensor", "EBWrongOnCopy3", "E13WrongOn131",
+         "MulWrongOn131", "PermE12WrongOnCopy3", "TensorE2WrongOnSlot1"])
+@pytest.mark.parametrize("word_len", [2, 3])
+def test_axiom_check_agrees_with_the_plain_oracle(make, word_len):
+    report = axiom_check(make(), word_len=word_len)
+    want = axiom_reports(make(), word_len)
+    assert {k: tuple(report[f"axiom{k}"][f]
+                     for f in ("ok", "checked", "witness"))
+            for k in (1, 2, 3, 4)} == want
+    assert report["passed"] == all(ok for ok, _, _ in want.values())
+
+
+def test_new_faults_fail_axioms_3_and_4_only():
+    for backend in (PermE12WrongOnCopy3(1, 3), _z2_z2(TensorE2WrongOnSlot1)):
+        report = axiom_check(backend, word_len=2)
+        assert [report[f"axiom{k}"]["ok"] for k in (1, 2, 3, 4)] == \
+            [True, True, False, False]
+
+
+def test_axiom_check_expect_calls_on_free_haar():
+    # one call per memoized E_K of a pi-word, and in axiom 4 one E_I per
+    # distinct value among the E_K(x) of each word x; a call per case
+    # (more than 16,576 in axiom 4 alone) would be 19,806
+    backend = FreeHaarBackend(3)
+    calls = []
+    expect = backend.expect
+
+    def counted(I, x):
+        calls.append(I)
+        return expect(I, x)
+
+    backend.expect = counted
+    assert axiom_check(backend, word_len=3)["passed"]
+    assert len(calls) == 7318
 
 
 def test_dim_bounds(free3, perm3, tensor3):

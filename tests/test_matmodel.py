@@ -1,6 +1,8 @@
 """Random sign-matrix model: exchange relations, traces, and the Monte
 Carlo estimator with its exact finite-size expectation."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,7 @@ from qgauss.qfock import FockConfig
 
 from matmodel_oracle import (SYMMETRY_CAP, build_symmetries,
                              combinatorial_trace, mc_moment_explicit,
-                             sample_epsilon)
+                             mc_moment_two_pass, sample_epsilon)
 
 H = (Fraction(1),)
 
@@ -181,3 +183,67 @@ def test_mc_colored_word(free8, cfg1):
                              colors=colors)
     assert est.target == pytest.approx(1 / 3)
     assert abs(est.z) <= 4
+
+
+def _dim_h_2_case():
+    # the pinned non-orthonormal word of
+    # test_exact_model_pins_a_two_colour_non_orthonormal_word
+    third = Fraction(1, 3)
+    cfg = FockConfig(2, [[2, third], [third, Fraction(3, 5)]])
+    h1, h2, h3 = (Fraction(2, 7), Fraction(-1, 2)), (3, Fraction(1, 3)), (1, 0)
+    backend = PermGroupBackend(1, 3)
+    u, one = backend.S["u01"], backend.A_one
+    word = [(u, h1), (one, h2), (u, h3), (u, h3), (one, h2), (u, h1)]
+    Qm = [[Fraction(1, 2), Fraction(-1, 3)], [Fraction(-1, 3), Fraction(1, 4)]]
+    return (word, Qm, 3), {"backend": backend, "cfg": cfg,
+                           "colors": [0, 1, 1, 1, 1, 0]}
+
+
+@pytest.mark.parametrize("case", [
+    *[((pure_word(4), [[q]], 8), {})
+      for q in (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1))],
+    ((pure_word(6), [[Fraction(1, 3)]], 4), {}),
+    ((pure_word(4), [[Fraction(1, 2), Fraction(1, 3)],
+                     [Fraction(1, 3), Fraction(1, 4)]], 8),
+     {"colors": [0, 1, 0, 1]}),
+    _dim_h_2_case()],
+    ids=["Q=-1", "Q=0", "Q=1/2", "Q=1", "pure6", "two-colour", "dim_H=2"])
+def test_mc_moment_equals_the_two_pass_estimator(case):
+    (word, Qm, n), kw = case
+    fast = matmodel.mc_moment(word, Qm, n=n, samples=2000, seed=42, **kw)
+    slow = mc_moment_two_pass(word, Qm, n=n, samples=2000, seed=42, **kw)
+    assert (fast.mean, fast.stderr, fast.target_n) == \
+        (slow.mean, slow.stderr, slow.target_n)
+    assert fast == slow
+
+
+def test_mc_moment_walks_the_terms_once(monkeypatch):
+    walks = {"_terms": 0, "coincidences": 0}
+    for name in walks:
+        inner = getattr(matmodel, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            walks[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(matmodel, name, counted)
+    est = matmodel.mc_moment(pure_word(4), [[Fraction(1, 2)]], n=4,
+                             samples=100, seed=1)
+    assert walks == {"_terms": 1, "coincidences": 1}
+    assert est.target_n == float(Fraction(2) + Fraction(1, 2) + Fraction(1, 8))
+
+
+def test_mc_moment_holds_no_list_of_terms():
+    # 5,888 terms, whose list alone would take about 4 MB; the float
+    # arrays of the samples take about 134 kB
+    word, n, samples = pure_word(6), 8, 200
+    sample_bytes = 8 * samples * (n + n * 6 + math.comb(n, 2))
+    matmodel.mc_moment(word, [[Fraction(1, 3)]], n=n, samples=10, seed=1)
+    tracemalloc.start()
+    try:
+        matmodel.mc_moment(word, [[Fraction(1, 3)]], n=n, samples=samples,
+                           seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * sample_bytes
