@@ -25,7 +25,7 @@ from .errors import SizeGuard, WindowExceeded
 WINDOW_GUARD = 1024
 
 #: Most basis elements of a proper A_I: its spec lists them all and
-#: checks them for closure under product, |A_I|^2 multiplications.
+#: checks them for the unit and *-closure.
 PROJECTION_GUARD = 1024
 
 
@@ -35,6 +35,14 @@ def check_size(name: str, value: int):
     if value > WINDOW_GUARD:
         raise SizeGuard(f"{name}: {value} exceeds the window guard "
                         f"{WINDOW_GUARD}")
+
+
+def require_window(backend, needed: int, subject: str):
+    """Refuse a computation whose copy indices need more than the
+    backend's window; the message starts with the subject."""
+    if backend.window < needed:
+        raise WindowExceeded(f"{subject} needs window >= {needed}, "
+                             f"backend has {backend.window}")
 
 
 def _complete_relabel(gamma: dict, window: int) -> dict:
@@ -170,7 +178,7 @@ class TensorBackend:
     unit, since tau_C(u_c) = [c = e]."""
 
     name = "tensor"
-    span_cost = 1  # as on free Haar, measured on Z2 (x) Z3
+    span_cost = 1  # measured on Z2 (x) Z3; 2-4x too high there
 
     def __init__(self, B: FiniteTracialAlgebra, C: FiniteTracialAlgebra,
                  window: int):
@@ -268,7 +276,7 @@ class PermGroupBackend:
     union I, which has (d+1+|I|)! elements."""
 
     name = "perm_group"
-    span_cost = 10  # measured at d = 1; 2-4x too high at d = 2
+    span_cost = 10  # measured at d = 1; 4-10x too high at d = 2
 
     def __init__(self, d: int, window: int):
         if d < 0:
@@ -390,10 +398,8 @@ def axiom_check(backend, word_len: int = 4) -> dict:
     functions (they return new elements, never mutate their inputs, and
     depend only on the values of their arguments) and * is associative.
     """
-    if backend.window < AXIOM_INDICES:
-        raise WindowExceeded(
-            f"axiom check over {AXIOM_INDICES} indices needs window >= "
-            f"{AXIOM_INDICES}")
+    require_window(backend, AXIOM_INDICES,
+                   f"axiom check over {AXIOM_INDICES} indices")
     report = {}
     names = list(backend.S)
     nontrivial = [n for n in names if n != "1"] or names

@@ -18,10 +18,7 @@ element P of a state
     k+i+1, k+j), which projects its label away and keeps the open labels
     1..k+j-1.
 After m letters the basis of state (k, 0) joins a cumulative basis, whose
-size is dims_by_m[m].  A state entered tight, where every letter left
-must close an arc or place a singleton, is not stored: it is the widest
-of the scan, and its images pass straight through the next letter (see
-_step).
+size is dims_by_m[m].
 
 Why this is exact: a word of length m with a partition of k singletons
 is one path of moves from (0, 0) to (k, 0), and the pruning drops only
@@ -42,7 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import EchelonBasis
-from .errors import SizeGuard, WindowExceeded
+from .copies import require_window
+from .errors import SizeGuard
 from .moments import close_arc
 
 #: Largest dim_bound(k_max) that growth_report accepts: k_max up to 5 on
@@ -50,23 +48,24 @@ from .moments import close_arc
 SPAN_GUARD = 1024
 
 #: Longest word, k_max + max_m_offset, that growth_report spans.  At 12
-#: letters on 2 CPU cores: free Haar k_max 1 takes 1.8 s, 2 or 3 10-15 s,
-#: and perm d = 1 k_max 10 1.3 s; two more letters cost 4-8x.
+#: letters (CPU time, 2-core container, Python 3.11): free Haar k_max 1
+#: takes 0.5 s, k_max 2 3.5 s, and perm d = 1 k_max 10 0.7 s; two more
+#: letters cost 3-8x.
 WORD_GUARD = 12
 
 #: Most span work over k = 0..k_max that growth_report accepts, estimated
 #: as span_cost * (k+1) * dim_bound(k) * |S|^(max_m - k), which follows the
 #: growth of span_Dk's generators_considered in k and in the length
-#: together.  On free Haar the estimate is 2-3x the count, where a
-#: transition takes about 6.5 us.  The backend's span_cost weighs one
+#: together.  On free Haar the estimate is 1.7-3.3x the count, where a
+#: transition takes 3.6-6 us.  The backend's span_cost weighs one
 #: estimate unit by its time relative to free Haar, from span_Dk timed
-#: over k 0-5 and offsets 4-8 (2-core container, Python 3.11): at the
-#: larger estimates a unit took 1.4-2.7 us on free Haar, 1.7-3.9 us on
-#: tensor Z2 (x) Z3, 3-8 us on perm d = 2, and 16-30 us on perm d = 1,
-#: whose count runs 2-3.6x the estimate.  Free Haar k_max 3 at offset 8
-#: (2.1e6, 5 s) passes; k_max 5 at offset 6 (5.6e6) and k_max 4 at offset
-#: 8 (1.0e7), which took 35 and 65 s, do not, nor does perm d = 1 k_max 5
-#: at offset 12 (1.3e7), about 30 s by extrapolation.
+#: over k 0-5 and offsets 4-8 (CPU time, best of 3, 2-core container,
+#: Python 3.11): at estimates of 2e4 to 2e6 a unit took 1.4-3.3 us on
+#: free Haar, 0.4-1.3 us on tensor Z2 (x) Z3, 1.4-3.4 us on perm d = 2,
+#: and 13-16 us on perm d = 1, whose count runs 2.4-2.8x the estimate.
+#: Free Haar k_max 3 at offset 8 (2.1e6, 3.8 s) passes; k_max 5 at offset
+#: 6 (5.6e6) and k_max 4 at offset 8 (1.0e7), which take 8 and 11 s, do
+#: not, nor does perm d = 1 k_max 5 at offset 12 (1.3e7), 18 s.
 SPAN_WORK_GUARD = 4_000_000
 
 
@@ -95,33 +94,24 @@ def span_Dk(backend, k: int, max_m: int, gens=None) -> SpanReport:
     if gens is None:
         gens = list(backend.S.values())
     needed = k + (max_m - k) // 2
-    if backend.window < needed:
-        raise WindowExceeded(
-            f"span up to m={max_m} with k={k} needs window >= {needed}, "
-            f"backend has {backend.window}")
+    require_window(backend, needed, f"span up to m={max_m} with k={k}")
     # labels stay within k + j <= needed, since k - t + j <= max_m - m
     pis = [[None] + [backend.pi(j, x) for j in range(1, needed + 1)]
            for x in gens]
     states = {(0, 0): [backend.one()]}
-    ahead = {}
     span = EchelonBasis()
     considered = 0
     dims_by_m = {}
     for m in range(max_m + 1):
         if m:
-            states, ahead, tried = _step(backend, k, max_m - m, states,
-                                         ahead, pis)
+            states, tried = _step(backend, k, max_m - m, states, pis)
             considered += tried
         if m >= k and (m - k) % 2 == 0:
             for F in states.get((k, 0), ()):
                 span.add(F)
             dims_by_m[m] = len(span.vectors)
-    dim = dims_by_m[max(dims_by_m)] if dims_by_m else 0
-    stabilized_at = max(dims_by_m) if dims_by_m else k
-    for m in sorted(dims_by_m):
-        if dims_by_m[m] == dim:
-            stabilized_at = m
-            break
+    dim = len(span.vectors)
+    stabilized_at = min(m for m, d in dims_by_m.items() if d == dim)
     return SpanReport(
         k=k, max_m=max_m, generators_considered=considered,
         vectors=span.vectors, dim_scalar=dim, bound=backend.dim_bound(k),
@@ -141,41 +131,21 @@ def _images(backend, k: int, left: int, t: int, j: int, P, pis: list):
                                         k + j)
 
 
-def _step(backend, k: int, left: int, states: dict, ahead: dict,
-          pis: list):
-    """One letter of the span scan, with left letters after it.
-
-    Returns the states after it, as {(t, j): basis}; the images one letter
-    further on, as {(t, j): EchelonBasis}, which the next call takes as
-    ahead and adds to; and the number of transitions tried.
-
-    A state is tight when every letter left must close an arc or place a
-    singleton (k - t + j == left).  The first tight state of a scan is its
-    widest, so a tight state entered from a loose one is not kept: each
-    image passes at once through the next letter into the bases ahead,
-    which by linearity span the same.  states is emptied as it goes, so
-    that each basis element is freed once its images are taken.
-    """
-    nxt, after = ahead, {}
+def _step(backend, k: int, left: int, states: dict, pis: list):
+    """One letter of the span scan, with left letters after it: the states
+    after it, as {(t, j): basis}, and the number of transitions tried.
+    states is emptied as it goes, so that each basis element is freed once
+    its images are taken."""
+    nxt = {}
     tried = 0
     while states:
         (t, j), basis = states.popitem()
-        loose = k - t + j <= left
         while basis:
-            for (t2, j2), R in _images(backend, k, left, t, j, basis.pop(),
-                                       pis):
+            for s, R in _images(backend, k, left, t, j, basis.pop(), pis):
                 tried += 1
-                if R.is_zero():
-                    continue
-                if loose and k - t2 + j2 == left:
-                    for s, R2 in _images(backend, k, left - 1, t2, j2, R,
-                                         pis):
-                        tried += 1
-                        if not R2.is_zero():
-                            after.setdefault(s, EchelonBasis()).add(R2)
-                else:
-                    nxt.setdefault((t2, j2), EchelonBasis()).add(R)
-    return {s: b.vectors for s, b in nxt.items() if b.vectors}, after, tried
+                if not R.is_zero():
+                    nxt.setdefault(s, EchelonBasis()).add(R)
+    return {s: b.vectors for s, b in nxt.items() if b.vectors}, tried
 
 
 def growth_report(backend, k_max: int, max_m_offset: int = 4) -> dict:
@@ -183,11 +153,8 @@ def growth_report(backend, k_max: int, max_m_offset: int = 4) -> dict:
     log-linear fit of dim against k as an empirical growth-base estimate.
     The window, the size of the largest span, the longest word and the
     estimated span work are checked before any span is computed."""
-    needed = k_max + max_m_offset // 2
-    if backend.window < needed:
-        raise WindowExceeded(
-            f"dims up to k={k_max} with max_m_offset {max_m_offset} need "
-            f"window >= {needed}, backend has {backend.window}")
+    require_window(backend, k_max + max_m_offset // 2,
+                   f"dims up to k={k_max} with max_m_offset {max_m_offset}")
     if backend.dim_bound(k_max) > SPAN_GUARD:
         raise SizeGuard(f"dims.k_max: {k_max} allows spans of dimension up "
                         f"to {backend.dim_bound(k_max)}, over {SPAN_GUARD}")
@@ -217,4 +184,4 @@ def growth_report(backend, k_max: int, max_m_offset: int = 4) -> dict:
         fit_slope = float(np.polyfit(ks, logs, 1)[0])
         d_estimate = math.exp(fit_slope)
     return {"backend": backend.name, "rows": rows, "fit_slope": fit_slope,
-            "d_estimate": d_estimate, "reports": reports}
+            "d_estimate": d_estimate}

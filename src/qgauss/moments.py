@@ -18,8 +18,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .algebra import common_denominator, exact
-from .copies import FreeHaarBackend, pi_word
-from .errors import WindowExceeded
+from .copies import FreeHaarBackend, pi_word, require_window
 from .partitions import (Partition12, _check_cap, crossing_number,
                          encoding_map)
 from .qfock import FockConfig
@@ -217,13 +216,6 @@ def _ip_table(vectors, cfg: FockConfig):
     return [[exact(cfg.ip(u, v)) for v in vectors] for u in vectors]
 
 
-def _check_window(m, backend):
-    if backend.window < m // 2:
-        raise WindowExceeded(
-            f"word of length {m} needs window >= {m // 2}, "
-            f"backend has {backend.window}")
-
-
 def moment(word, backend, cfg: FockConfig) -> QPoly:
     """tau(s(x_1,h_1)...s(x_m,h_m)) as an exact polynomial in q.
 
@@ -242,7 +234,7 @@ def moment(word, backend, cfg: FockConfig) -> QPoly:
     m = len(word)
     if m % 2:
         return QPoly.zero()
-    _check_window(m, backend)
+    require_window(backend, m // 2, f"word of length {m}")
 
     tags, ip = _vector_ids([h for _, h in word], cfg)
     L = common_denominator(c for row in ip for c in row)
@@ -362,10 +354,7 @@ def finite_n_moment(word, backend, n: int, cfg: FockConfig) -> QPoly:
     if m % 2:
         return QPoly.zero()
     # blocks are even, so a partition uses at most m/2 copies
-    if backend.window < min(n, m // 2):
-        raise WindowExceeded(
-            f"finite-n moment needs window >= {min(n, m // 2)}, "
-            f"backend has {backend.window}")
+    require_window(backend, min(n, m // 2), "finite-n moment")
     fock = slot_moments([h for _, h in word], cfg)
     total = {}
     for blocks, slots, tau in coincidences([x for x, _ in word], [0] * m,
@@ -411,7 +400,7 @@ def q_matrix_moment(word, colors, Qm, backend, cfg: FockConfig) -> Fraction:
         raise ValueError("color out of range for the Q matrix")
     if m % 2:
         return Fraction(0)
-    _check_window(m, backend)
+    require_window(backend, m // 2, f"word of length {m}")
     vids, ip = _vector_ids([h for _, h in word], cfg)
 
     def close(stack, i, tag):
@@ -481,10 +470,7 @@ def reduce(sigma: Partition12, xs, hs, backend, cfg: FockConfig) -> WickWord:
     hs = tuple(hs)
     s = sigma.num_singletons
     p = sigma.num_pairs
-    if backend.window < s + p:
-        raise WindowExceeded(
-            f"reduction needs window >= s+p = {s + p}, "
-            f"backend has {backend.window}")
+    require_window(backend, s + p, "reduction")
     F = reduced_coefficient(sigma, xs, backend)
     f = QPoly.monomial(crossing_number(sigma), _pair_product(sigma, hs, cfg))
     return WickWord(sigma, xs, hs, backend, cfg, f_sigma=f, F_sigma=F)
@@ -630,7 +616,7 @@ def trace_pairing(w1: WickWord, w2: WickWord) -> QPoly:
         return QPoly.zero()
     m = w2.sigma.m + w1.sigma.m
     backend, cfg = w1.backend, w1.cfg
-    _check_window(m, backend)
+    require_window(backend, m // 2, f"word of length {m}")
     states, ip = _adjoint_prefix(w2, cfg, backend)
     ids = dict(_pairing_side(w2, True)[3])
     xs, tags, opens, ids1 = _pairing_side(w1, False)

@@ -240,9 +240,8 @@ def test_subalgebra_spec_requires_unit_and_closure(s3):
     with pytest.raises(ValueError):
         SubalgebraSpec(s3, frozenset({(0, 2, 1)}))  # no unit
     with pytest.raises(ValueError):
-        # unit plus one transposition: not multiplicatively closed with
-        # a 3-cycle thrown in
-        SubalgebraSpec(s3, frozenset({s3.unit, (0, 2, 1), (1, 0, 2)}))
+        # unit plus a 3-cycle without its inverse: not *-closed
+        SubalgebraSpec(s3, frozenset({s3.unit, (1, 2, 0)}))
 
 
 # ---------------------------------------------------------------------

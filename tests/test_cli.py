@@ -112,9 +112,9 @@ def test_bad_dims_fields_name_the_field(tmp_path, capsys, dims, field):
 
 @pytest.mark.parametrize("backend, dims, message", [
     ({"kind": "free_haar", "window": 1024}, {"k_max": 1000000},
-     "need window >="),
+     "needs window >="),
     ({"kind": "perm_group", "d": 1, "window": 6},
-     {"k_max": 5, "max_m_offset": 4}, "need window >="),
+     {"k_max": 5, "max_m_offset": 4}, "needs window >="),
     # inside the window, but a span of words of length 31 would not finish
     ({"kind": "free_haar", "window": 1024}, {"k_max": 1, "max_m_offset": 30},
      "error: dims.max_m_offset:"),

@@ -10,7 +10,8 @@ import pytest
 
 from qgauss import moments
 from qgauss.algebra import (AlgebraElement, conditional_expectation,
-                            cyclic_group, group_algebra)
+                            cyclic_group, group_algebra, symmetric_group,
+                            trivial_algebra)
 from qgauss.copies import (PROJECTION_GUARD, FreeHaarBackend, FreeWordElement,
                            PermGroupBackend, TensorBackend, axiom_check,
                            pi_word)
@@ -496,3 +497,28 @@ def test_subalgebra_specs_are_cached_and_guarded():
     whole = backend.subalgebra_spec(range(1, 7))
     x = pi_word(backend, [backend.S["u01"]] * 2, [3, 6])
     assert conditional_expectation(x, whole) is x
+
+
+def _spec_backends():
+    z2, z3 = group_algebra(cyclic_group(2)), group_algebra(cyclic_group(3))
+    s3 = group_algebra(symmetric_group(range(3)))
+    for window in range(1, 5):
+        for d in (1, 2):
+            yield PermGroupBackend(d, window)
+        yield TensorBackend(z2, z3, window)
+        yield TensorBackend(trivial_algebra(), s3, window)
+
+
+def test_every_backend_spec_is_closed_under_product():
+    # SubalgebraSpec checks only the unit and *-closure; the conditional
+    # expectation needs the index set to be a subgroup, which rests on the
+    # backends' own listing of each A_I
+    for backend in _spec_backends():
+        group = backend.D.group
+        for I in _subsets(range(1, backend.window + 1)):
+            spec = backend.subalgebra_spec(I)
+            if spec.whole:
+                continue
+            idx = spec.indices
+            assert all(group.mul(g, h) in idx for g in idx for h in idx), (
+                backend.name, backend.window, sorted(I))

@@ -120,3 +120,9 @@ def test_transitions_are_counted():
     # k = 0, max_m = 2 over {1, u, u*}: three opens, then three closes of
     # each of the three basis elements of state (0, 1)
     assert span_Dk(FREE, 0, 2).generators_considered == 3 + 9
+    # only a state's reduced basis is expanded, never an image before its
+    # reduction, so no state is expanded twice
+    for backend, k, max_m, tried in [(FREE, 1, 5, 582), (FREE, 2, 6, 2799),
+                                     (PERM1, 2, 6, 416),
+                                     (FreeHaarBackend(16), 1, 11, 70521)]:
+        assert span_Dk(backend, k, max_m).generators_considered == tried
