@@ -290,6 +290,7 @@ class PermGroupBackend:
         self.points = list(range(-d, window + 1))  # position p <-> point p-d
         self.D = group_algebra(symmetric_group(self.points))
         self._specs = {}
+        self._swaps = {}  # j -> the transposition (1 j), built on first use
         u01 = self._transposition(0, 1)
         self.S = {"1": self.D.one, "u01": self.D.basis_element(u01)}
         self.A_one = self.D.one
@@ -330,7 +331,9 @@ class PermGroupBackend:
             raise ValueError("pi expects an element carried by D")
         if j == 1:
             return a
-        t = self._transposition(1, j)
+        t = self._swaps.get(j)
+        if t is None:
+            t = self._swaps[j] = self._transposition(1, j)
         return AlgebraElement(self.D, {_conjugate(t, g): c
                                        for g, c in a.coeffs.items()})
 

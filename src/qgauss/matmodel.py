@@ -231,9 +231,11 @@ def mc_moment(word, Qm, n: int, samples: int, seed: int,
     L = np.linalg.cholesky(np.array(cfg.inner, dtype=float))
     gamma = rng.standard_normal((samples, n, d))
     coords = np.array([[float(Fraction(x)) for x in h] for h in hs])  # m x d
-    gh = np.einsum("snd,md->snm", gamma, coords @ L)  # g_j(h_i) per sample
+    # g_j(h_i) as gh[j-1, i-1], a contiguous row over the samples
+    gh = np.einsum("snd,md->nms", gamma, coords @ L, order="C")
 
-    # sign entries, one stream per unordered letter pair
+    # sign entries, one stream per unordered letter pair, as a contiguous
+    # row over the samples
     letter_pool = sorted({(j, t) for j in range(1, n + 1) for t in set(colors)})
     pair_index = {}
     probs = []
@@ -242,10 +244,11 @@ def mc_moment(word, Qm, n: int, samples: int, seed: int,
             pair_index[(a, b)] = len(probs)
             probs.append(float((1 + Qm[a[1]][b[1]]) / 2))
     if probs:
-        eps = np.where(rng.random((samples, len(probs))) < np.array(probs),
+        eps = np.where(np.less(rng.random((samples, len(probs))).T,
+                               np.array(probs)[:, None], order="C"),
                        1.0, -1.0)
     else:
-        eps = np.zeros((samples, 0))
+        eps = np.zeros((0, samples))
 
     # one walk of the terms feeds the per-sample sums and the exact
     # finite-n expectation target_n (model_moment_exact's sum)
@@ -255,9 +258,9 @@ def mc_moment(word, Qm, n: int, samples: int, seed: int,
         exact.add(tau, letters, sign_pairs)
         term = np.full(samples, float(tau))
         for a, b in sign_pairs:
-            term *= eps[:, pair_index[(a, b)]]
+            term *= eps[pair_index[(a, b)]]
         for pos in range(1, m + 1):
-            term *= gh[:, letters[pos - 1][0] - 1, pos - 1]
+            term *= gh[letters[pos - 1][0] - 1, pos - 1]
         sums += term
     estimates = sums / float(n) ** (m / 2.0)
     target_n = float(exact.expectation(n))

@@ -427,10 +427,14 @@ class WickWord:
     f_sigma and F_sigma are filled by reduce(): f_sigma is the scalar
     q^cr * prod<h_l,h_r>, F_sigma the reduced coefficient
     E_{A_{1..s}}(pi_{phi(1)}(x_1)...pi_{phi(m)}(x_m)).  A word is not
-    modified after construction: trace_pairing caches in _pairing, which
-    == and repr ignore, the word's data as either side of a pairing
-    (keys False and True, see _pairing_side) and its adjoint-prefix scan
-    states (keys (id(cfg), id(backend)), see _adjoint_prefix).
+    modified after construction: the Gram paths cache in _pairing, which
+    == and repr ignore.  trace_pairing keeps there the word's data as
+    either side of a pairing (keys False and True, see _pairing_side) and
+    its adjoint-prefix scan states (keys (id(cfg), id(backend)), see
+    _adjoint_prefix); when those states are empty, every pairing of the
+    word with a word of its degree vanishes, on either side
+    (trace_pairing).  wick_inner_product keeps F_sigma relabeled by each
+    gamma in S_k, as {gamma: element} under the one key "relabel".
     """
 
     sigma: Partition12
@@ -491,7 +495,8 @@ def wick_inner_product(w1: WickWord, w2: WickWord) -> QPoly:
     * tau_D(relabel(t -> gamma(t))(F2)* F1).
     The last factor is AlgebraElement.inner of the relabeled F2 and F1,
     read from their supports without forming the product; the k x k
-    singleton inner products are tabled once per pair of words.
+    singleton inner products are tabled once per pair of words, and each
+    relabeled F2 is built once per word (cached in w2._pairing).
     """
     if w1.degree != w2.degree:
         return QPoly.zero()
@@ -506,6 +511,7 @@ def wick_inner_product(w1: WickWord, w2: WickWord) -> QPoly:
     ip = [[exact(cfg.ip(u, v)) for v in w2.singleton_vectors()]
           for u in w1.singleton_vectors()]
     identity = tuple(range(1, k + 1))
+    relabels = w2._pairing.setdefault("relabel", {})
     total = {}
     for gamma in permutations(identity):
         vec = 1
@@ -515,8 +521,10 @@ def wick_inner_product(w1: WickWord, w2: WickWord) -> QPoly:
                 break
         if not vec:
             continue
-        relabeled = F2 if gamma == identity else w1.backend.relabel(
-            {t: gamma[t - 1] for t in identity}, F2)
+        relabeled = F2 if gamma == identity else relabels.get(gamma)
+        if relabeled is None:
+            relabeled = relabels[gamma] = w2.backend.relabel(
+                dict(zip(identity, gamma)), F2)
         tr = relabeled.inner(F1)
         if not tr:
             continue
@@ -573,6 +581,8 @@ def _adjoint_prefix(w2: WickWord, cfg: FockConfig, backend):
     """The scan states after adj(w2), the first letters of every trace
     pairing with w2 that scans, under cfg and backend, and the
     inner-product table of adj(w2)'s vectors under cfg; cached on w2.
+    trace_pairing reads them for either of its words, to find a pairing
+    that vanishes.
 
     By _arc_scan's docstring the states depend on adj(w2), the number of
     letters after it, that table and the backend alone.  Only a w1 of
@@ -611,6 +621,16 @@ def trace_pairing(w1: WickWord, w2: WickWord) -> QPoly:
     _adjoint_prefix): the vectors of adj(w2) take the first ids of the
     joint table, so the factors of its own closings are the ones a whole
     scan would use.
+
+    The pairing is zero, with no scan of w1's letters, when either word's
+    cached adjoint-prefix states are empty.  Empty states after adj(w2)
+    mean that every join's term has vanished before w1 is read.  Empty
+    states after adj(w1) mean, by the same reasoning, that tau(w1* y) = 0
+    for every y of w1's degree, w2 among them.  And tau(w2* w1) =
+    tau(w1* w2): the mirror image of a join of adj(w2) w1 is a join of
+    adj(w1) w2 with the same crossing number and inner products, and its
+    pi-word is the starred reverse, whose tau_D is the complex conjugate;
+    every coefficient, inner product and tau_D value is a real rational.
     """
     if w1.degree != w2.degree:
         return QPoly.zero()
@@ -618,6 +638,8 @@ def trace_pairing(w1: WickWord, w2: WickWord) -> QPoly:
     backend, cfg = w1.backend, w1.cfg
     require_window(backend, m // 2, f"word of length {m}")
     states, ip = _adjoint_prefix(w2, cfg, backend)
+    if not states or not _adjoint_prefix(w1, cfg, backend)[0]:
+        return QPoly.zero()
     ids = dict(_pairing_side(w2, True)[3])
     xs, tags, opens, ids1 = _pairing_side(w1, False)
     joint = [ids.setdefault(h, len(ids)) for h in ids1]

@@ -52,7 +52,8 @@ class QPoly:
 
     @staticmethod
     def zero() -> "QPoly":
-        return QPoly()
+        """The zero polynomial, one shared instance."""
+        return _ZERO
 
     @staticmethod
     def one() -> "QPoly":
@@ -134,9 +135,10 @@ class QPoly:
     # -- queries ------------------------------------------------------
 
     def eval(self, q0) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
+        """Exact Horner evaluation at a rational point; the zero
+        polynomial gives one shared Fraction(0)."""
         q0 = _as_fraction(q0)
-        acc = Fraction(0)
+        acc = _FRACTION_ZERO
         for c in reversed(self.coeffs):
             acc = acc * q0 + c
         return acc
@@ -189,6 +191,9 @@ class QPoly:
                 parts.append(f"{c}*q^{k}" if c != 1 else f"q^{k}")
         return "QPoly(" + " + ".join(parts) + ")"
 
+
+_ZERO = QPoly()
+_FRACTION_ZERO = Fraction(0)
 
 #: The generator q itself, for building polynomials by arithmetic.
 Q = QPoly.monomial(1)

@@ -3,7 +3,8 @@ word, and the requested computation.
 
 Rational numbers are written as "p/q" strings (plain integers also
 accepted).  Word coefficients name generators from the backend's S set,
-or give {name: coefficient} combinations of them.
+or give {name: coefficient} combinations of them.  A key that its object
+does not accept is refused, naming its path and the accepted keys.
 """
 
 from __future__ import annotations
@@ -65,6 +66,17 @@ def _list(spec, path: str) -> list:
     return spec
 
 
+def _known_keys(spec: dict, accepted, path: str):
+    """Refuse a key of spec outside accepted, naming its path and the
+    accepted keys: a misspelled or misplaced key would otherwise be
+    dropped without a word."""
+    for key in spec:
+        if key not in accepted:
+            where = f"{path}.{key}" if path else key
+            raise ScenarioError(f"{where}: unknown key (accepted: "
+                                f"{', '.join(accepted)})")
+
+
 def _matrix(spec, path: str) -> list:
     return [[_frac(x, f"{path}[{i}][{j}]")
              for j, x in enumerate(_list(row, f"{path}[{i}]"))]
@@ -81,9 +93,26 @@ def _group_size(spec: dict, path: str) -> int:
     return n
 
 
+#: The keys each kind of backend and of algebra B or C accepts.
+BACKEND_KEYS = {"free_haar": ("kind", "window"),
+                "perm_group": ("kind", "window", "d"),
+                "tensor": ("kind", "window", "B", "C")}
+ALGEBRA_KEYS = {"trivial": ("kind",), "cyclic": ("kind", "n"),
+                "symmetric": ("kind", "n")}
+
+
+def _kind(spec: dict, keys: dict, path: str):
+    """spec["kind"], after refusing the keys that kind does not accept; an
+    unknown kind is left to the caller."""
+    kind = spec.get("kind")
+    if isinstance(kind, str) and kind in keys:
+        _known_keys(spec, keys[kind], path)
+    return kind
+
+
 def build_algebra(spec, path: str):
     spec = _object(spec, path)
-    kind = spec.get("kind")
+    kind = _kind(spec, ALGEBRA_KEYS, path)
     if kind == "trivial":
         return trivial_algebra()
     if kind == "cyclic":
@@ -96,7 +125,7 @@ def build_algebra(spec, path: str):
 
 def build_backend(spec):
     spec = _object(spec, "backend")
-    kind = spec.get("kind")
+    kind = _kind(spec, BACKEND_KEYS, "backend")
     window = _int(spec, "window", "backend", 4)
     if kind == "tensor":
         B = build_algebra(spec.get("B", {"kind": "trivial"}), "backend.B")
@@ -119,6 +148,7 @@ def build_backend(spec):
 
 def build_cfg(spec) -> FockConfig:
     spec = _object(spec, "fock")
+    _known_keys(spec, ("dim_H", "inner", "max_degree"), "fock")
     dim_H = _int(spec, "dim_H", "fock", 1)
     inner = spec.get("inner")
     if inner is not None:
@@ -158,6 +188,7 @@ def build_word(word_spec, backend, cfg: FockConfig):
     for i, letter in enumerate(_list(word_spec, "word")):
         path = f"word[{i}]"
         letter = _object(letter, path)
+        _known_keys(letter, ("coeff", "vector", "color"), path)
         x = _coefficient(letter.get("coeff", "1"), backend, f"{path}.coeff")
         if "vector" not in letter:
             raise ScenarioError(f"{path}.vector: missing")
@@ -191,6 +222,8 @@ class Scenario:
     """A validated scenario ready for dispatch."""
 
     def __init__(self, data: dict):
+        _known_keys(data, ("backend", "fock", "word", "q_values", "n", "Q",
+                           "dims"), "")
         self.backend = build_backend(data.get("backend",
                                               {"kind": "free_haar"}))
         self.cfg = build_cfg(data.get("fock", {}))
@@ -214,7 +247,9 @@ class Scenario:
                         f"word[{i}].color: {c} is outside the "
                         f"{len(self.Q)}x{len(self.Q)} Q matrix")
         dims = _object(data.get("dims", {}), "dims")
-        for key, default in (("k_max", 2), ("max_m_offset", 4)):
+        defaults = {"k_max": 2, "max_m_offset": 4}
+        _known_keys(dims, tuple(defaults), "dims")
+        for key, default in defaults.items():
             value = _int(dims, key, "dims", default)
             if value < 0:
                 raise ScenarioError(f"dims.{key}: must be >= 0, got {value}")

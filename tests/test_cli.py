@@ -255,6 +255,35 @@ def test_malformed_scenario_names_the_field(tmp_path, capsys, change, field):
     assert captured.err.startswith(f"error: {field}:") and not captured.out
 
 
+@pytest.mark.parametrize("change, field, accepted", [
+    # a two-colour Q-matrix word whose colours were misspelled
+    ({"Q": [["1", "0"], ["0", "1"]],
+      "word": [{"vector": ["1"], "colour": 0}, {"vector": ["1"], "colour": 1},
+               {"vector": ["1"], "colour": 0}, {"vector": ["1"], "colour": 1}]},
+     "word[0].colour", "coeff, vector, color"),
+    ({"dims": {"kmax": 0}}, "dims.kmax", "k_max, max_m_offset"),
+    ({"colour": 1}, "colour", "backend, fock, word, q_values, n, Q, dims"),
+    ({"fock": {"dim_H": 1, "maxdegree": 4}}, "fock.maxdegree",
+     "dim_H, inner, max_degree"),
+    ({"backend": {"kind": "free_haar", "d": 2}}, "backend.d", "kind, window"),
+    ({"backend": _perm_backend(B={"kind": "trivial"})}, "backend.B",
+     "kind, window, d"),
+    ({"backend": _tensor_backend({"kind": "trivial", "n": 3})}, "backend.C.n",
+     "kind"),
+    ({"backend": {"kind": "tensor", "B": {"kind": "cyclic", "n": 2,
+                                          "order": 2}}}, "backend.B.order",
+     "kind, n"),
+])
+def test_unknown_scenario_key_names_its_path(tmp_path, capsys, change, field,
+                                             accepted):
+    path = write_scenario(tmp_path, dict(BASE, **change))
+    code = main(["moment", "--scenario", path])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == (f"error: {field}: unknown key (accepted: "
+                            f"{accepted})\n")
+
+
 def test_symmetric_algebra_is_never_listed(tmp_path, capsys, monkeypatch):
     # S_10 has 10! elements; TensorBackend draws only the first two from
     # C, to find its generator, and nothing else lists the group

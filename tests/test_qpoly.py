@@ -18,6 +18,17 @@ def test_basic_constructors():
     assert Q.eval(Fraction(3, 4)) == Fraction(3, 4)
 
 
+def test_eval_returns_a_fraction():
+    # the zero polynomial answers without the Horner loop, still exactly
+    for p in (QPoly.zero(), QPoly(), QPoly.one(), Q, QPoly([1, "1/2"])):
+        assert type(p.eval(Fraction(1, 3))) is Fraction
+        assert type(p.eval(2)) is Fraction
+    assert QPoly.zero().eval(Fraction(1, 3)) == 0
+    assert QPoly.zero() is QPoly.zero()
+    with pytest.raises(TypeError):
+        QPoly.zero().eval(0.5)
+
+
 def test_trailing_zeros_stripped():
     assert QPoly([1, 2, 0, 0]) == QPoly([1, 2])
     assert QPoly([0, 0]).degree == -1  # the zero polynomial
