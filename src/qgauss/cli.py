@@ -47,6 +47,9 @@ def cmd_moment(args) -> int:
                                 f"got {args.q!r}") from None
     result = {"word_length": len(sc.word), "backend": sc.backend.name}
     if sc.Q is not None:
+        if sc.q_values:
+            raise ScenarioError("q_values: a Q-matrix moment has no q to "
+                                "evaluate; give q_values (or --q) or Q")
         value = moments.q_matrix_moment(sc.word, sc.colors, sc.Q,
                                         sc.backend, sc.cfg)
         result["value"] = str(value)

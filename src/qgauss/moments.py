@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 
 from .algebra import common_denominator, exact
@@ -424,17 +424,13 @@ def q_matrix_moment(word, colors, Qm, backend, cfg: FockConfig) -> Fraction:
 class WickWord:
     """A partition-indexed generator x_sigma(x_1..x_m; h_1..h_m).
 
-    f_sigma and F_sigma are filled by reduce(): f_sigma is the scalar
-    q^cr * prod<h_l,h_r>, F_sigma the reduced coefficient
-    E_{A_{1..s}}(pi_{phi(1)}(x_1)...pi_{phi(m)}(x_m)).  A word is not
-    modified after construction: the Gram paths cache in _pairing, which
-    == and repr ignore.  trace_pairing keeps there the word's data as
-    either side of a pairing (keys False and True, see _pairing_side) and
-    its adjoint-prefix scan states (keys (id(cfg), id(backend)), see
-    _adjoint_prefix); when those states are empty, every pairing of the
-    word with a word of its degree vanishes, on either side
-    (trace_pairing).  wick_inner_product keeps F_sigma relabeled by each
-    gamma in S_k, as {gamma: element} under the one key "relabel".
+    The five fields define the word, and == and repr read only them.  A
+    word is not modified after construction, so what derives from it is
+    computed when first read and kept on the word: f_sigma, the scalar
+    q^cr * prod<h_l,h_r>; F_sigma, the reduced coefficient
+    E_{A_{1..s}}(pi_{phi(1)}(x_1)...pi_{phi(m)}(x_m)); and the data of
+    the two Gram paths, each under the word's own cfg and backend
+    (pairing_left, adjoint_prefix and relabeled).
     """
 
     sigma: Partition12
@@ -442,14 +438,50 @@ class WickWord:
     hs: tuple
     backend: object
     cfg: FockConfig
-    f_sigma: QPoly = None
-    F_sigma: object = None
-    _pairing: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
 
-    @property
+    @cached_property
     def degree(self) -> int:
         return self.sigma.num_singletons
+
+    @cached_property
+    def F_sigma(self):
+        require_window(self.backend, self.degree + self.sigma.num_pairs,
+                       "reduction")
+        return reduced_coefficient(self.sigma, self.xs, self.backend)
+
+    @cached_property
+    def f_sigma(self) -> QPoly:
+        return QPoly.monomial(crossing_number(self.sigma),
+                              _pair_product(self.sigma, self.hs, self.cfg))
+
+    @cached_property
+    def relabeled(self) -> dict:
+        """{gamma: F_sigma relabeled by gamma}, filled by the pairings."""
+        return {}
+
+    @cached_property
+    def pairing_left(self):
+        """trace_pairing's data for the word as its left word."""
+        return _pairing_side(self, False)
+
+    @cached_property
+    def adjoint_prefix(self):
+        """The scan states after adj(w), with {vector: id} over adj(w)'s
+        vectors and their inner-product table: the start of every trace
+        pairing with w that scans.
+
+        By _arc_scan's docstring the states depend on adj(w), the number
+        of letters after it, that table and the backend alone.  A scan
+        pairs w only with a word of its degree, and then the opening rule
+        prunes no letter of adj(w): each arc open after it is closed later
+        by a right leg in adj(w) or by one of the degree-many singletons
+        of the other word.  So the scan counts w's degree as the letters
+        to follow."""
+        xs, tags, opens, ids = _pairing_side(self, True)
+        ip = _ip_table(ids, self.cfg)
+        return _advance({((), self.backend.one()): {0: 1}}, xs, tags,
+                        self.backend, _pairing_close(ip), opens,
+                        self.degree), ids, ip
 
     def singleton_vectors(self):
         return [self.hs[k - 1] for k in self.sigma.sorted_singletons()]
@@ -464,26 +496,25 @@ class WickWord:
 
 
 def reduce(sigma: Partition12, xs, hs, backend, cfg: FockConfig) -> WickWord:
-    """Compute the reduced form x_sigma = f_sigma * W_sigma.
+    """Compute the reduced form x_sigma = f_sigma * W_sigma now.
 
     The encoding map sends the t-th singleton to copy index t and the t-th
     pair to s+t; F_sigma is the conditional expectation onto the first s
     copies of the resulting pi-word.
     """
-    xs = tuple(xs)
-    hs = tuple(hs)
-    s = sigma.num_singletons
-    p = sigma.num_pairs
-    require_window(backend, s + p, "reduction")
-    F = reduced_coefficient(sigma, xs, backend)
-    f = QPoly.monomial(crossing_number(sigma), _pair_product(sigma, hs, cfg))
-    return WickWord(sigma, xs, hs, backend, cfg, f_sigma=f, F_sigma=F)
-
-
-def _reduced(w: WickWord) -> WickWord:
-    if w.F_sigma is None:
-        return reduce(w.sigma, w.xs, w.hs, w.backend, w.cfg)
+    w = WickWord(sigma, tuple(xs), tuple(hs), backend, cfg)
+    w.F_sigma  # the window check comes first
+    w.f_sigma
     return w
+
+
+def _same_setting(w1: WickWord, w2: WickWord):
+    """Refuse to pair words under different backends or Fock configs;
+    identity first, as equality walks the configs' Fraction matrices."""
+    if w1.backend is not w2.backend or not (w1.cfg is w2.cfg
+                                            or w1.cfg == w2.cfg):
+        raise ValueError("paired words need one backend and one Fock "
+                         "configuration")
 
 
 def wick_inner_product(w1: WickWord, w2: WickWord) -> QPoly:
@@ -496,22 +527,19 @@ def wick_inner_product(w1: WickWord, w2: WickWord) -> QPoly:
     The last factor is AlgebraElement.inner of the relabeled F2 and F1,
     read from their supports without forming the product; the k x k
     singleton inner products are tabled once per pair of words, and each
-    relabeled F2 is built once per word (cached in w2._pairing).
+    relabeled F2 is built once per word (w2.relabeled).
     """
+    _same_setting(w1, w2)
     if w1.degree != w2.degree:
         return QPoly.zero()
-    w1 = _reduced(w1)
-    w2 = _reduced(w2)
     F1, F2 = w1.F_sigma, w2.F_sigma
     if (F1.is_zero() or F2.is_zero() or w1.f_sigma.is_zero()
             or w2.f_sigma.is_zero()):
         return QPoly.zero()
     k = w1.degree
-    cfg = w1.cfg
-    ip = [[exact(cfg.ip(u, v)) for v in w2.singleton_vectors()]
+    ip = [[exact(w1.cfg.ip(u, v)) for v in w2.singleton_vectors()]
           for u in w1.singleton_vectors()]
     identity = tuple(range(1, k + 1))
-    relabels = w2._pairing.setdefault("relabel", {})
     total = {}
     for gamma in permutations(identity):
         vec = 1
@@ -521,9 +549,9 @@ def wick_inner_product(w1: WickWord, w2: WickWord) -> QPoly:
                 break
         if not vec:
             continue
-        relabeled = F2 if gamma == identity else relabels.get(gamma)
+        relabeled = F2 if gamma == identity else w2.relabeled.get(gamma)
         if relabeled is None:
-            relabeled = relabels[gamma] = w2.backend.relabel(
+            relabeled = w2.relabeled[gamma] = w2.backend.relabel(
                 dict(zip(identity, gamma)), F2)
         tr = relabeled.inner(F1)
         if not tr:
@@ -538,7 +566,7 @@ def wick_inner_product(w1: WickWord, w2: WickWord) -> QPoly:
 
 def _pairing_side(w: WickWord, adjoint: bool):
     """trace_pairing's data for w as its left word, or, with adjoint, for
-    adj(w) as the prefix of the scan; built once per word and side.
+    adj(w) as the prefix of the scan.
 
     Returns the letters; for each letter its tag, (key, id), and whether
     it opens an arc; and {vector: id} over the distinct vectors, in order
@@ -546,22 +574,19 @@ def _pairing_side(w: WickWord, adjoint: bool):
     its pair's left leg, negated in the left word so that the keys of the
     two words differ whatever their lengths; a singleton's key is None.
     """
-    data = w._pairing.get(adjoint)
-    if data is None:
-        src = w.adjoint() if adjoint else w
-        left_leg = {}
-        for l, r in src.sigma.pairs:
-            left_leg[l] = left_leg[r] = l if adjoint else -l
-        ids = {}
-        tags, opens = [], []
-        for p, h in enumerate(src.hs, 1):
-            key = left_leg.get(p)
-            tags.append((key, ids.setdefault(tuple(h), len(ids))))
-            # a left leg opens, a right leg closes; a singleton of adj(w)
-            # opens and one of the left word closes
-            opens.append(adjoint if key is None else abs(key) == p)
-        data = w._pairing[adjoint] = src.xs, tags, opens, ids
-    return data
+    src = w.adjoint() if adjoint else w
+    left_leg = {}
+    for l, r in src.sigma.pairs:
+        left_leg[l] = left_leg[r] = l if adjoint else -l
+    ids = {}
+    tags, opens = [], []
+    for p, h in enumerate(src.hs, 1):
+        key = left_leg.get(p)
+        tags.append((key, ids.setdefault(tuple(h), len(ids))))
+        # a left leg opens, a right leg closes; a singleton of adj(w)
+        # opens and one of the left word closes
+        opens.append(adjoint if key is None else abs(key) == p)
+    return src.xs, tags, opens, ids
 
 
 def _pairing_close(ip):
@@ -577,33 +602,6 @@ def _pairing_close(ip):
     return close
 
 
-def _adjoint_prefix(w2: WickWord, cfg: FockConfig, backend):
-    """The scan states after adj(w2), the first letters of every trace
-    pairing with w2 that scans, under cfg and backend, and the
-    inner-product table of adj(w2)'s vectors under cfg; cached on w2.
-    trace_pairing reads them for either of its words, to find a pairing
-    that vanishes.
-
-    By _arc_scan's docstring the states depend on adj(w2), the number of
-    letters after it, that table and the backend alone.  Only a w1 of
-    w2's degree scans, and then the opening rule prunes no letter of
-    adj(w2): each arc open after it is closed later by a right leg in
-    adj(w2) or by one of the degree-many singletons of w1.  So the scan
-    counts w2's degree as the letters to follow, and the cache is keyed
-    by the identity of cfg and backend alone, whose equality would walk a
-    Fraction matrix; each entry holds both, so neither id is reused while
-    it lives."""
-    key = (id(cfg), id(backend))
-    entry = w2._pairing.get(key)
-    if entry is None:
-        xs, tags, opens, ids = _pairing_side(w2, True)
-        ip = _ip_table(ids, cfg)
-        states = _advance({((), backend.one()): {0: 1}}, xs, tags, backend,
-                          _pairing_close(ip), opens, w2.degree)
-        entry = w2._pairing[key] = cfg, backend, states, ip
-    return entry[2:]
-
-
 def trace_pairing(w1: WickWord, w2: WickWord) -> QPoly:
     """tau(w2* w1), an independent path to the Wick Gram: the sum over the
     convolution joins of adj(w2) and w1 that are pair partitions of
@@ -615,37 +613,37 @@ def trace_pairing(w1: WickWord, w2: WickWord) -> QPoly:
     singleton of w1 any arc opened by a singleton of adj(w2).  With
     unequal singleton degrees no join is a pair partition.
 
-    The scan resumes from the states after adj(w2), cached on w2 per Fock
-    configuration and backend (_adjoint_prefix).  That is exact because
-    those states depend on nothing else (see _arc_scan and
-    _adjoint_prefix): the vectors of adj(w2) take the first ids of the
-    joint table, so the factors of its own closings are the ones a whole
-    scan would use.
+    The scan resumes from the states after adj(w2), kept on w2
+    (WickWord.adjoint_prefix).  That is exact because those states depend
+    on nothing else (see _arc_scan and WickWord.adjoint_prefix): the
+    vectors of adj(w2) take the first ids of the joint table, so the
+    factors of its own closings are the ones a whole scan would use.
 
     The pairing is zero, with no scan of w1's letters, when either word's
-    cached adjoint-prefix states are empty.  Empty states after adj(w2)
-    mean that every join's term has vanished before w1 is read.  Empty
-    states after adj(w1) mean, by the same reasoning, that tau(w1* y) = 0
-    for every y of w1's degree, w2 among them.  And tau(w2* w1) =
+    adjoint-prefix states are empty.  Empty states after adj(w2) mean
+    that every join's term has vanished before w1 is read.  Empty states
+    after adj(w1) mean, by the same reasoning, that tau(w1* y) = 0 for
+    every y of w1's degree, w2 among them.  And tau(w2* w1) =
     tau(w1* w2): the mirror image of a join of adj(w2) w1 is a join of
     adj(w1) w2 with the same crossing number and inner products, and its
     pi-word is the starred reverse, whose tau_D is the complex conjugate;
     every coefficient, inner product and tau_D value is a real rational.
     """
+    _same_setting(w1, w2)
     if w1.degree != w2.degree:
         return QPoly.zero()
     m = w2.sigma.m + w1.sigma.m
-    backend, cfg = w1.backend, w1.cfg
+    backend = w1.backend
     require_window(backend, m // 2, f"word of length {m}")
-    states, ip = _adjoint_prefix(w2, cfg, backend)
-    if not states or not _adjoint_prefix(w1, cfg, backend)[0]:
+    states, ids, ip = w2.adjoint_prefix
+    if not states or not w1.adjoint_prefix[0]:
         return QPoly.zero()
-    ids = dict(_pairing_side(w2, True)[3])
-    xs, tags, opens, ids1 = _pairing_side(w1, False)
+    ids = dict(ids)
+    xs, tags, opens, ids1 = w1.pairing_left
     joint = [ids.setdefault(h, len(ids)) for h in ids1]
     tags = [(key, joint[v]) for key, v in tags]
     if len(ids) > len(ip):  # w1 brings vectors of its own
-        ip = _ip_table(ids, cfg)
+        ip = _ip_table(ids, w1.cfg)
     states = _advance(states, xs, tags, backend, _pairing_close(ip), opens,
                       0)
     return QPoly.from_powers(_traces(states, backend))

@@ -76,6 +76,9 @@ class FockConfig:
         key = (tuple(u), tuple(v))
         acc = self._ip_memo.get(key)
         if acc is None:
+            if len(key[0]) != self.dim_H or len(key[1]) != self.dim_H:
+                raise ValueError(f"vectors of {len(key[0])} and {len(key[1])}"
+                                 f" coordinates under dim_H {self.dim_H}")
             acc = self._ip_memo[key] = sum(
                 (Fraction(ui) * self.inner[i][j] * Fraction(vj)
                  for i, ui in enumerate(key[0]) if ui

@@ -17,47 +17,31 @@ from .qpoly import QPoly
 
 
 class WickSpanElement:
-    """Formal combination of Wick words with QPoly coefficients, stored by
-    singleton degree."""
+    """Formal combination of Wick words with QPoly coefficients, as a list
+    of (coefficient, word) terms whose coefficients are nonzero."""
 
-    def __init__(self):
-        self.graded = {}  # degree -> list of (QPoly, WickWord)
+    def __init__(self, terms=()):
+        self._terms = [(c, w) for c, w in terms if not c.is_zero()]
 
     @staticmethod
     def from_word(w: WickWord, coeff=1) -> "WickSpanElement":
-        out = WickSpanElement()
-        out.add_term(w, coeff)
-        return out
-
-    def add_term(self, w: WickWord, coeff=1):
-        coeff = QPoly.coerce(coeff)
-        if not coeff.is_zero():
-            self.graded.setdefault(w.degree, []).append((coeff, w))
+        return WickSpanElement([(QPoly.coerce(coeff), w)])
 
     def __add__(self, other: "WickSpanElement") -> "WickSpanElement":
-        out = WickSpanElement()
-        for g in (self, other):
-            for deg, terms in g.graded.items():
-                for coeff, w in terms:
-                    out.add_term(w, coeff)
-        return out
+        return WickSpanElement(self._terms + other._terms)
 
     def scale_by_degree(self, factor) -> "WickSpanElement":
         """Multiply each degree-s component by factor(s)."""
-        out = WickSpanElement()
-        for deg, terms in self.graded.items():
-            f = QPoly.coerce(factor(deg))
-            for coeff, w in terms:
-                out.add_term(w, coeff * f)
-        return out
+        return WickSpanElement((c * QPoly.coerce(factor(w.degree)), w)
+                               for c, w in self._terms)
 
     def degrees(self):
-        return sorted(self.graded)
+        return sorted({w.degree for _, w in self._terms})
 
     def terms(self):
-        for deg in sorted(self.graded):
-            for coeff, w in self.graded[deg]:
-                yield deg, coeff, w
+        """(degree, coefficient, word) for each term, by degree."""
+        for coeff, w in sorted(self._terms, key=lambda t: t[1].degree):
+            yield w.degree, coeff, w
 
 
 def apply_Tt(x: WickSpanElement, c) -> WickSpanElement:

@@ -64,13 +64,29 @@ def test_moment_finite_n(tmp_path, capsys):
 
 
 def test_moment_q_matrix(tmp_path, capsys):
-    doc = dict(BASE)
+    doc = {key: v for key, v in BASE.items() if key != "q_values"}
     doc["Q"] = [["1/2"]]
     path = write_scenario(tmp_path, doc)
     code, out = run(capsys, "moment", "--scenario", path)
     parsed = json.loads(out)
     assert parsed["kind"] == "q_matrix"
     assert parsed["value"] == "5/2"
+
+
+def test_q_matrix_moment_refuses_q_values(tmp_path, capsys):
+    """A Q-matrix moment has no q to evaluate at: q_values, or --q, with
+    Q exits 2 and names q_values, where it was once ignored."""
+    doc = {"Q": [["1/2"]], "word": [{"vector": ["1"]}] * 2}
+    for extra, argv in (({"q_values": ["1/3"]}, []), ({}, ["--q=1/3"])):
+        path = write_scenario(tmp_path, dict(doc, **extra))
+        code = main(["moment", "--scenario", path] + argv)
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert captured.err.startswith("error: q_values:")
+        assert "--q" in captured.err
+    path = write_scenario(tmp_path, dict(doc, q_values=[]))
+    code, out = run(capsys, "moment", "--scenario", path)
+    assert code == 0 and json.loads(out)["value"] == "1"
 
 
 def test_moment_out_file(tmp_path, capsys):

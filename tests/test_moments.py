@@ -232,6 +232,37 @@ def test_adjoint_is_involutive(free8, cfg1):
     assert moments.trace_pairing(back, w) == moments.trace_pairing(w, w)
 
 
+def test_a_wick_word_is_reduced_once(free8, cfg1, monkeypatch):
+    """Five inner products of a directly built degree-2 word with itself
+    compute its reduced coefficient once, and its relabeling by the swap
+    once: the word keeps both."""
+    calls = {"reduce": 0, "relabel": 0}
+
+    def counted(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(moments, "reduced_coefficient",
+                        counted("reduce", moments.reduced_coefficient))
+    monkeypatch.setattr(free8, "relabel", counted("relabel", free8.relabel))
+    u = free8.S["u"]
+    w = moments.WickWord(Partition12.make(2, [], [1, 2]), (u, u.star()),
+                         ((Fraction(1),),) * 2, free8, cfg1)
+    values = [moments.wick_inner_product(w, w) for _ in range(5)]
+    assert calls == {"reduce": 1, "relabel": 1}
+    assert values == [moments.trace_pairing(w, w)] * 5
+
+
+def test_vectors_must_have_dim_H_coordinates(free8):
+    """A letter's vector is read under its Fock configuration's dim_H,
+    never padded with zeros."""
+    word = [(free8.A_one, (Fraction(1),))] * 2
+    with pytest.raises(ValueError, match="dim_H 2"):
+        moments.moment(word, free8, FockConfig(dim_H=2))
+
+
 def test_convolution_expand_term_count():
     sigma = Partition12.make(2, [], [1, 2])
     # 2 singletons against 2: r=0 gives 1, r=1 gives 4, r=2 gives 2

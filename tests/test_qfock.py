@@ -205,3 +205,14 @@ def test_ip_is_exact_and_shared_by_lists_and_tuples():
     assert cfg.ip((0.1, 0), (1, 0)) == 2 * Fraction(0.1) != Fraction(2, 10)
     assert cfg.ip([0.1, 0], [1, 0]) == 2 * Fraction(0.1)
     assert cfg.ip((Fraction(1, 10), 0), (1, 0)) == Fraction(2, 10)
+
+
+def test_ip_refuses_vectors_of_the_wrong_length():
+    """A vector shorter than dim_H is not padded with zeros, and a longer
+    one raises no bare IndexError: both name the lengths and dim_H."""
+    cfg = FockConfig(dim_H=2)
+    for u, v in (((1,), (1, 5)), ((1, 5), (1,)), ((1, 0, 2), (1, 0))):
+        with pytest.raises(ValueError, match=f"{len(u)} and {len(v)} "
+                           "coordinates under dim_H 2"):
+            cfg.ip(u, v)
+    assert cfg.ip((1, 0), (1, 5)) == 1

@@ -2,10 +2,10 @@
 sum it replaced (tests/pairing_oracle.py): exact equality on every pair
 of short Wick words, on a non-orthonormal Gram and on the doubled
 coefficient space of the rotation certificates; the adjoint-prefix states
-cached on a word, resumed under other lengths and configurations; the
-independence of the two Gram paths; the pairings that an empty
-adjoint prefix zeroes without a scan; and the digest of the benchmark's
-Gram families."""
+kept on a word, resumed under other lengths; the refusal of pairings
+across configurations; the independence of the two Gram paths; the
+pairings that an empty adjoint prefix zeroes without a scan; and the
+digest of the benchmark's Gram families."""
 
 import hashlib
 import random
@@ -20,6 +20,7 @@ from qgauss.algebra import AlgebraElement, cyclic_group, group_algebra
 from qgauss.copies import FreeHaarBackend, PermGroupBackend, TensorBackend
 from qgauss.partitions import Partition12, enumerate_pair_singleton
 from qgauss.qfock import FockConfig
+from qgauss.qpoly import QPoly
 from qgauss.semigroup import doubled_config
 
 H1 = (Fraction(1),)
@@ -101,51 +102,95 @@ def test_doubled_configuration_matches_join_oracle():
 
 
 
-#: <h, h> = 1/2: with it the factors of w2's own closings differ from
-#: those under CFG1 and its doubled configuration.
+#: <h, h> = 1/2: with it the factors of a word's own closings differ from
+#: those under CFG1.
 CFG_HALF = FockConfig(1, [["1/2"]], 4)
 
 
+def _counted_advance(monkeypatch):
+    """A list that gets one entry per call of moments._advance."""
+    calls = []
+    advance = moments._advance
+
+    def counted(*args):
+        calls.append(1)
+        return advance(*args)
+
+    monkeypatch.setattr(moments, "_advance", counted)
+    return calls
+
+
 @pytest.mark.parametrize("name", ["free_haar", "tensor"])
-def test_cached_adjoint_prefix_matches_a_fresh_word(name):
-    """One w2 paired with w1 of 1 to 4 letters, the lengths and three Fock
-    configurations interleaved, so that its cached prefix states are
-    resumed under each configuration and total length: every value equals
-    the pairing with a fresh copy of w2 and the join oracle, and the
-    prefix is scanned once per configuration, whatever the length.  w2
-    pairs two letters (so its prefix carries a factor of its own) before a
-    singleton."""
+def test_cached_adjoint_prefix_matches_a_fresh_word(name, monkeypatch):
+    """One w2 paired with w1 of 1 to 4 letters, the lengths interleaved, so
+    that its kept prefix states are resumed under each total length:
+    every value equals the pairing with a fresh copy of w2 and the join
+    oracle.  w2's prefix is scanned once in all, whatever the length: with
+    w1's own prefix scanned beforehand, each pairing of equal degrees
+    with a fresh copy scans one prefix more than the one with w2, except
+    the first (unequal degrees scan nothing).
+    w2 pairs two letters (so its prefix carries a factor of its own)
+    before a singleton."""
     backend, alphabet = BACKENDS[name]
     u = alphabet[1]
     w2 = moments.WickWord(Partition12.make(3, [(1, 2)], [3]),
-                          (u, u.star(), u), (H1,) * 3, backend, CFG1)
-    c = Fraction(3, 5)
-    doubled = doubled_config(CFG1, c)
-    vectors = {id(CFG1): [H1], id(CFG_HALF): [H1],
-               id(doubled): [(c, Fraction(1)), (Fraction(1), Fraction(0))]}
+                          (u, u.star(), u), (H1,) * 3, backend, CFG_HALF)
     rng = random.Random(7)
+    calls = _counted_advance(monkeypatch)
+    lengths = [1, 3, 2, 4, 3, 1, 4, 2] * 3
+    extra_scans = 0
     nonzero = set()
-    for m in [1, 3, 2, 4, 3, 1, 4, 2] * 3:
-        for cfg in (CFG1, doubled, CFG_HALF):
-            # odd lengths keep w2's one singleton; even ones give zero
-            sigma = rng.choice([s for s in enumerate_pair_singleton(m)
-                                if s.num_singletons == m % 2])
-            # a pair's letters x, x* and a singleton's u: mostly nonzero
-            xs = [u] * m
-            for l, r in sigma.pairs:
-                xs[l - 1] = rng.choice(alphabet)
-                xs[r - 1] = xs[l - 1].star()
-            w1 = moments.WickWord(sigma, tuple(xs),
-                                  tuple(rng.choices(vectors[id(cfg)], k=m)),
-                                  backend, cfg)
-            fresh = moments.WickWord(w2.sigma, w2.xs, w2.hs, backend, CFG1)
-            value = moments.trace_pairing(w1, w2)
-            assert value == moments.trace_pairing(w1, fresh) == \
-                pairing_trace_pairing(w1, w2), (m, cfg, sigma, w1.xs)
-            if not value.is_zero():
-                nonzero.add((m, id(cfg)))
-    assert len(nonzero) == 6
-    assert sum(isinstance(key, tuple) for key in w2._pairing) == 3
+    for m in lengths:
+        # odd lengths keep w2's one singleton; even ones give zero
+        sigma = rng.choice([s for s in enumerate_pair_singleton(m)
+                            if s.num_singletons == m % 2])
+        # a pair's letters x, x* and a singleton's u: mostly nonzero
+        xs = [u] * m
+        for l, r in sigma.pairs:
+            xs[l - 1] = rng.choice(alphabet)
+            xs[r - 1] = xs[l - 1].star()
+        w1 = moments.WickWord(sigma, tuple(xs), (H1,) * m, backend,
+                              CFG_HALF)
+        fresh = moments.WickWord(w2.sigma, w2.xs, w2.hs, backend, CFG_HALF)
+        w1.adjoint_prefix  # scanned here, before the count
+        before = len(calls)
+        value = moments.trace_pairing(w1, w2)
+        middle = len(calls)
+        assert value == moments.trace_pairing(w1, fresh) == \
+            pairing_trace_pairing(w1, w2), (m, sigma, w1.xs)
+        extra_scans += (len(calls) - middle) - (middle - before)
+        if not value.is_zero():
+            nonzero.add(m)
+    assert nonzero == {1, 3}
+    assert extra_scans == sum(m % 2 for m in lengths) - 1
+
+
+def test_pairings_across_configurations_are_refused():
+    """Both Gram paths refuse words under different Fock configurations
+    or backends, in either order and whatever their degrees, where they
+    once read one word's vectors under the other's configuration; an
+    equal configuration built apart is the same configuration."""
+    free, alphabet = BACKENDS["free_haar"]
+    perm = BACKENDS["perm_group"][0]
+    one = Partition12.make(1, [], [1])
+    w = moments.WickWord(one, (alphabet[1],), (H1,), free, CFG1)
+    doubled = doubled_config(CFG1, Fraction(3, 5))
+    others = [moments.WickWord(one, (alphabet[1],), (H1,), free, CFG_HALF),
+              moments.WickWord(one, (alphabet[1],), ((1, 0),), free,
+                               doubled),
+              moments.WickWord(Partition12.make(0), (), (), free, CFG_HALF),
+              moments.WickWord(one, (perm.A_one,), (H1,), perm, CFG1)]
+    for other in others:
+        for pairing in (moments.trace_pairing, moments.wick_inner_product):
+            for w1, w2 in ((w, other), (other, w)):
+                with pytest.raises(ValueError, match="Fock configuration"):
+                    pairing(w1, w2)
+    twin = moments.WickWord(one, (alphabet[1],), (H1,), free,
+                            FockConfig(1, max_degree=4))
+    assert twin.cfg is not CFG1
+    for pairing in (moments.trace_pairing, moments.wick_inner_product):
+        assert pairing(w, twin) == pairing(twin, w) == pairing(w, w) == \
+            QPoly.one()
 
 
 def test_the_two_gram_paths_share_nothing(monkeypatch):
@@ -169,13 +214,15 @@ def test_the_two_gram_paths_share_nothing(monkeypatch):
             moments.trace_pairing(words[1], words[1])
     with monkeypatch.context() as patch:
         patch.setattr(AlgebraElement, "inner", broken)
-        # unreduced copies: no F_sigma to read, and no cache
-        bare = [moments.WickWord(w.sigma, w.xs, w.hs, backend, w.cfg,
-                                 F_sigma=object()) for w in words]
+        patch.setattr(moments, "reduced_coefficient", broken)
+        # fresh copies: no F_sigma computed, and no pairing data kept
+        bare = [moments.WickWord(w.sigma, w.xs, w.hs, backend, w.cfg)
+                for w in words]
         assert [[moments.trace_pairing(w1, w2) for w2 in bare]
                 for w1 in bare] == expected
-        with pytest.raises(AssertionError, match="shared code"):
-            moments.wick_inner_product(words[1], words[1])
+        for w in (words[1], bare[1]):
+            with pytest.raises(AssertionError, match="shared code"):
+                moments.wick_inner_product(w, w)
 
 
 def _benchmark_gram_families():
@@ -196,14 +243,7 @@ def test_empty_adjoint_prefixes_spare_the_gram_its_scans(monkeypatch):
     resumes only the pairings where neither prefix ends without states:
     187 scans on free Haar and 295 on perm_group, where resuming every
     one of the 772 pairs of equal degree took 814."""
-    calls = []
-    advance = moments._advance
-
-    def counted(*args):
-        calls.append(1)
-        return advance(*args)
-
-    monkeypatch.setattr(moments, "_advance", counted)
+    calls = _counted_advance(monkeypatch)
     scans = {}
     for name, words in _benchmark_gram_families().items():
         calls.clear()
@@ -233,8 +273,7 @@ def test_pairings_zeroed_by_an_empty_prefix_are_zero():
                 rng.choice(enumerate_pair_singleton(m)),
                 [rng.choice(alphabet) for _ in range(m)],
                 [rng.choice(vectors) for _ in range(m)], backend, CFG2))
-        empty = {id(w): not moments._adjoint_prefix(w, CFG2, backend)[0]
-                 for w in words}
+        empty = {id(w): not w.adjoint_prefix[0] for w in words}
         fired = {"adj(w2)": 0, "adj(w1)": 0}
         for w1 in words:
             for w2 in words:
