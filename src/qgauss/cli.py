@@ -38,7 +38,7 @@ def _json(doc) -> str:
 
 
 def cmd_moment(args) -> int:
-    sc = Scenario.load(args.scenario)
+    sc = Scenario.load(args.scenario, "moment")
     if args.q:
         try:
             sc.q_values = [Fraction(x) for x in args.q.split(",")]
@@ -70,7 +70,7 @@ def cmd_moment(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    sc = Scenario.load(args.scenario)
+    sc = Scenario.load(args.scenario, "dims")
     report = dimensions.growth_report(sc.backend, sc.k_max,
                                       max_m_offset=sc.max_m_offset)
     if args.format == "csv":
@@ -157,17 +157,13 @@ MATMODEL_Z = NormalDist().inv_cdf(1 - MATMODEL_ALARM_RATE / 8)
 
 
 def _suite_matmodel(seed, samples):
-    checks = []
-    h = (Fraction(1),)
-    word = [(None, h)] * 4
-    for q0, label in ((Fraction(-1), "-1"), (Fraction(0), "0"),
-                      (Fraction(1, 2), "1/2"), (Fraction(1), "1")):
-        est = matmodel.mc_moment(word, [[q0]], n=8, samples=samples,
-                                 seed=seed)
-        checks.append({"check": f"mc s^4 Q={label}",
-                       "ok": abs(est.z) <= MATMODEL_Z,
-                       "mean": est.mean, "target": est.target, "z": est.z})
-    return checks
+    labels = ("-1", "0", "1/2", "1")
+    word = [(None, (Fraction(1),))] * 4
+    estimates = matmodel.mc_moment(word, [[[Fraction(q)]] for q in labels],
+                                   n=8, samples=samples, seed=seed)
+    return [{"check": f"mc s^4 Q={label}", "ok": abs(est.z) <= MATMODEL_Z,
+             "mean": est.mean, "target": est.target, "z": est.z}
+            for label, est in zip(labels, estimates)]
 
 
 def cmd_verify(args) -> int:

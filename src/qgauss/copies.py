@@ -45,15 +45,20 @@ def require_window(backend, needed: int, subject: str):
                              f"backend has {backend.window}")
 
 
-def _complete_relabel(gamma: dict, window: int) -> dict:
-    """Extend an injective partial map on {1..window} by the identity and
-    verify the result is a permutation."""
-    out = {}
-    for j in range(1, window + 1):
-        out[j] = gamma.get(j, j)
-    if sorted(out.values()) != list(range(1, window + 1)):
-        raise ValueError(f"relabeling {gamma} is not injective on the window")
-    return out
+def _complete_relabel(backend, gamma: dict) -> dict:
+    """The permutation of {1..window} that extends the injective partial
+    map gamma by the identity, built and checked once per map's items and
+    kept on the backend; shared, so never modified."""
+    key = tuple(gamma.items())
+    g = backend._relabels.get(key)
+    if g is None:
+        window = backend.window
+        g = {j: gamma.get(j, j) for j in range(1, window + 1)}
+        if sorted(g.values()) != list(range(1, window + 1)):
+            raise ValueError(f"relabeling {gamma} is not injective on the "
+                             "window")
+        backend._relabels[key] = g
+    return g
 
 
 def pi_word(backend, xs, labels):
@@ -108,6 +113,7 @@ class FreeHaarBackend:
         check_size("window", window)
         self.window = window
         self.D = D
+        self._relabels = {}
         one, u = D.one, D.basis_element(((1, 1),))
         self.A_one = one
         self.S = {"1": one, "u": u, "u*": u.star()}
@@ -135,7 +141,7 @@ class FreeHaarBackend:
         return x.trace()
 
     def relabel(self, gamma: dict, x: AlgebraElement) -> AlgebraElement:
-        g = _complete_relabel(gamma, self.window)
+        g = _complete_relabel(self, gamma)
         return AlgebraElement(D, {tuple([(g.get(l, l), e) for l, e in w]): c
                                   for w, c in x.coeffs.items()})
 
@@ -191,6 +197,7 @@ class TensorBackend:
         self.A = tensor_algebra(B, C)
         self.D = tensor_algebra(B, *[C] * window)
         self._specs = {}
+        self._relabels = {}
         self.S = {"1": self.A.one}
         # the generator: unit-B tensor the first non-unit C element
         for c in C.group.elements:
@@ -235,7 +242,7 @@ class TensorBackend:
         return x.trace()
 
     def relabel(self, gamma: dict, x: AlgebraElement) -> AlgebraElement:
-        g = _complete_relabel(gamma, self.window)
+        g = _complete_relabel(self, gamma)
         out = {}
         for k, c in x.coeffs.items():
             new = [k[0]] + [None] * self.window
@@ -290,6 +297,7 @@ class PermGroupBackend:
         self.points = list(range(-d, window + 1))  # position p <-> point p-d
         self.D = group_algebra(symmetric_group(self.points))
         self._specs = {}
+        self._relabels = {}
         self._swaps = {}  # j -> the transposition (1 j), built on first use
         u01 = self._transposition(0, 1)
         self.S = {"1": self.D.one, "u01": self.D.basis_element(u01)}
@@ -349,7 +357,7 @@ class PermGroupBackend:
         return x.trace()
 
     def relabel(self, gamma: dict, x: AlgebraElement) -> AlgebraElement:
-        g = _complete_relabel(gamma, self.window)
+        g = _complete_relabel(self, gamma)
         phi = list(range(len(self.points)))
         for j, jg in g.items():
             phi[self._pos(j)] = self._pos(jg)
@@ -395,11 +403,13 @@ def axiom_check(backend, word_len: int = 4) -> dict:
     is built once, from its prefix one letter shorter, and each E_K of a
     pi-word is computed once.  Axiom 2 reads each relabelled word's E_B
     from a per-word list indexed by labelling; axiom 4 applies each E_I
-    once to each distinct value among the E_K(x) of a word x.  The report
-    is the one that rebuilding every word from the unit and recomputing
-    every expectation would give, provided pi, * and expect are pure
-    functions (they return new elements, never mutate their inputs, and
-    depend only on the values of their arguments) and * is associative.
+    once to each distinct value among the E_K(x) of all words x, found
+    through a table keyed by element.  The report is the one that
+    rebuilding every word from the unit and recomputing every expectation
+    would give, provided pi, * and expect are pure functions (they return
+    new elements, never mutate their inputs, and depend only on the values
+    of their arguments), * is associative and elements hash consistently
+    with ==.
     """
     require_window(backend, AXIOM_INDICES,
                    f"axiom check over {AXIOM_INDICES} indices")
@@ -498,21 +508,23 @@ def axiom_check(backend, word_len: int = 4) -> dict:
 
     def axiom4():
         where = {K: k for k, K in enumerate(subsets)}
-        # per x: the distinct values among its E_K(x) over the subsets K,
-        # the position of each E_K(x) among them, and per I the E_I of
-        # each distinct value, taken when first asked for
-        rows = [_distinct_values([expect(K, x) for K in subsets])
+        # each distinct value among the E_K(x), over every word x and
+        # subset K, gets an id; per x, the id of each E_K(x); per I, the
+        # E_I of each value, taken when first asked for
+        ids = {}
+        rows = [[ids.setdefault(expect(K, x), len(ids)) for K in subsets]
                 for x in xs]
+        values = list(ids)
         for I in subsets:
-            images = [[None] * len(values) for values, _ in rows]
+            images = [None] * len(values)
             for J in subsets:
                 j, k = where[J], where[I & J]
                 witness = f"I={set(I)}, J={set(J)}"
-                for (values, at), outer in zip(rows, images):
-                    e = outer[at[j]]
+                for row in rows:
+                    e = images[row[j]]
                     if e is None:
-                        e = outer[at[j]] = backend.expect(I, values[at[j]])
-                    yield None if e == values[at[k]] else witness
+                        e = images[row[j]] = backend.expect(I, values[row[j]])
+                    yield None if e == values[row[k]] else witness
 
     report["axiom4"] = _first_failure(axiom4())
 
@@ -534,22 +546,6 @@ def _first_failure(cases) -> dict:
         if witness is not None:
             return {"ok": False, "checked": count, "witness": witness}
     return {"ok": True, "checked": count, "witness": None}
-
-
-def _distinct_values(elements):
-    """(values, at): the value-distinct elements in first-seen order, and
-    the position in values of each element.  Values are compared by ==
-    within this one list, never hashed."""
-    values, at = [], []
-    for e in elements:
-        for p, v in enumerate(values):
-            if v == e:
-                break
-        else:
-            p = len(values)
-            values.append(e)
-        at.append(p)
-    return values, at
 
 
 def _subsets(it):

@@ -110,12 +110,12 @@ def _terms(xs, colors, n, backend):
                 yield tau, letters, sign_pairs
 
 
-def _model_inputs(word, Qm, cfg, colors, backend):
-    """(xs, hs, colors, Q, cfg, backend) with the defaults: every letter
-    of color 0, Q entries as rationals, an orthonormal Fock configuration
-    deep enough for the word, and the pure word resolved.  Without a
-    backend every letter is the unit of a free Haar window of m/2 copies;
-    with one, a None letter is its unit."""
+def _model_inputs(word, Qms, cfg, colors, backend):
+    """(xs, hs, colors, Qms, cfg, backend) with the defaults: every letter
+    of color 0, the entries of each Q matrix as rationals, an orthonormal
+    Fock configuration deep enough for the word, and the pure word
+    resolved.  Without a backend every letter is the unit of a free Haar
+    window of m/2 copies; with one, a None letter is its unit."""
     m = len(word)
     hs = [h for _, h in word]
     if cfg is None:
@@ -127,7 +127,8 @@ def _model_inputs(word, Qm, cfg, colors, backend):
     else:
         xs = [backend.A_one if x is None else x for x, _ in word]
     return (xs, hs, [0] * m if colors is None else list(colors),
-            [[Fraction(x) for x in row] for row in Qm], cfg, backend)
+            [[[Fraction(x) for x in row] for row in Qm] for Qm in Qms],
+            cfg, backend)
 
 
 def _estimate(values, target, target_n, n, seed) -> MCEstimate:
@@ -153,12 +154,16 @@ class _ExactSum:
     gaussian moment of its field product (a Wick sum, the q=1 value of
     moments.slot_moments on l2_n (x) H) times tau.  Both factors depend
     only on the colours of the exchange pairs and on which positions share
-    a copy, so add sums tau per such class and expectation weighs each
-    class once; the number of classes is bounded in m, whatever n."""
+    a copy, so add sums tau per such class, whatever Q, and expectation
+    weighs each class by a given Q; the gaussian factor of a class is
+    computed once for every Q.  The number of classes is bounded in m,
+    whatever n."""
 
-    def __init__(self, hs, Qm, cfg):
-        self.hs, self.Qm, self.cfg = hs, Qm, cfg
+    def __init__(self, hs, cfg):
+        self.m = len(hs)
+        self.fock = slot_moments(hs, cfg)
         self.taus = {}
+        self.gauss = {}  # class slots -> gaussian factor
 
     def add(self, tau, letters, sign_pairs):
         first = {}  # copy -> its slot, numbered by first occurrence
@@ -166,21 +171,34 @@ class _ExactSum:
                tuple([first.setdefault(j, len(first)) for j, _ in letters]))
         self.taus[key] = self.taus.get(key, 0) + tau
 
-    def expectation(self, n: int) -> Fraction:
-        """The sum so far, times n^{-m/2}."""
-        fock = slot_moments(self.hs, self.cfg)
-        gauss = {}
+    def expectation(self, Qm, n: int) -> Fraction:
+        """The sum so far with the sign weights of Qm, times n^{-m/2}."""
         total = Fraction(0)
         for (pairs, slots), tau in self.taus.items():
             weight = 1
             for s, t in pairs:
-                weight *= self.Qm[s][t]
+                weight *= Qm[s][t]
             if not weight or not tau:
                 continue
-            if slots not in gauss:
-                gauss[slots] = fock(slots).eval(1)
-            total += weight * gauss[slots] * tau
-        return total / Fraction(n ** (len(self.hs) // 2))
+            gauss = self.gauss.get(slots)
+            if gauss is None:
+                gauss = self.gauss[slots] = self.fock(slots).eval(1)
+            total += weight * gauss * tau
+        return total / Fraction(n ** (self.m // 2))
+
+
+def _sign_masks(rng, pairs, Qms, samples):
+    """flip[p, k], true per sample where the sign entry of the letter pair
+    p is -1 under Qms[k], each a contiguous row over the samples: one
+    uniform per pair and sample, drawn once for every Q, gives -1 where it
+    is at least (1 + Q_{s,t})/2, so that E[eps] = Q_{s,t}."""
+    uniforms = rng.random((samples, len(pairs))).T
+    flip = np.empty((len(pairs), len(Qms), samples), dtype=bool)
+    for k, Qm in enumerate(Qms):
+        probs = [float((1 + Qm[a[1]][b[1]]) / 2) for a, b in pairs]
+        np.greater_equal(uniforms, np.array(probs).reshape(-1, 1),
+                         out=flip[:, k])
+    return flip
 
 
 def model_moment_exact(word, Qm, n: int, backend=None, cfg=None,
@@ -188,80 +206,85 @@ def model_moment_exact(word, Qm, n: int, backend=None, cfg=None,
     """The exact expectation of the finite-n matrix-model trace: the
     _ExactSum of the coincidence patterns and copy assignments of
     _terms."""
-    xs, hs, colors, Qm, cfg, backend = _model_inputs(list(word), Qm, cfg,
-                                                     colors, backend)
-    exact = _ExactSum(hs, Qm, cfg)
+    xs, hs, colors, (Qm,), cfg, backend = _model_inputs(
+        list(word), [Qm], cfg, colors, backend)
+    exact = _ExactSum(hs, cfg)
     for term in _terms(xs, colors, n, backend):
         exact.add(*term)
-    return exact.expectation(n)
+    return exact.expectation(Qm, n)
 
 
-def mc_moment(word, Qm, n: int, samples: int, seed: int,
-              backend=None, cfg=None, colors=None) -> MCEstimate:
-    """Monte Carlo estimate of the Q-gaussian moment at n copies, with the
-    exact engine's limit value as the comparison target.
+def mc_moment(word, Qms, n: int, samples: int, seed: int,
+              backend=None, cfg=None, colors=None) -> list[MCEstimate]:
+    """Monte Carlo estimates of the Q-gaussian moment at n copies, one per
+    Q matrix of Qms (a list of matrices of one shape), each with the exact
+    engine's limit value as its comparison target.
 
     word is a list of (x, h) letters; x may be None for the pure case.
     Per sample the sign matrix and the gaussian fields are redrawn; the
     estimate averages n^{-m/2} sum over index tuples of
     trace(v-word) * prod g * tau_D(pi-word), the tuple sum grouped by
     coincidence pattern and evaluated exactly per sample.
+
+    One draw and one walk of the terms serve every Q: the gaussian fields
+    and the uniforms of the sign masks (_sign_masks) are drawn once, and
+    each term's tau * g_1 ... g_m is formed once and added to each Q's
+    sums with that Q's sign product, an exact negation, so each estimate
+    equals that of a call with its Q alone.
     """
     word = list(word)
     m = len(word)
     if m > WORD_CAP:
         raise SizeGuard(f"word length {m} exceeds the cap {WORD_CAP}")
-    xs, hs, colors, Qm, cfg, backend = _model_inputs(word, Qm, cfg, colors,
-                                                     backend)
-    # float64 arrays below: gamma (n x d), g_j(h_i) (n x m) and the signs
-    # (one per pair of letters), each per sample
-    letters = n * len(set(colors))
-    nbytes = 8 * samples * (n * cfg.dim_H + n * m + math.comb(letters, 2))
+    if len({len(Qm) for Qm in Qms}) != 1:
+        raise ValueError("mc_moment needs Q matrices of one shape")
+    xs, hs, colors, Qms, cfg, backend = _model_inputs(word, Qms, cfg, colors,
+                                                      backend)
+    # per sample: float64 gamma (n x d), g_j(h_i) (n x m) and the pair
+    # uniforms; per Q a float64 sum and a boolean sign mask per pair
+    letter_pool = sorted({(j, t) for j in range(1, n + 1) for t in set(colors)})
+    pairs = [(a, b) for i, a in enumerate(letter_pool)
+             for b in letter_pool[i + 1:]]
+    nbytes = samples * (8 * (n * cfg.dim_H + n * m + len(pairs))
+                        + len(Qms) * (8 + len(pairs)))
     if nbytes > SAMPLE_BYTES_CAP:
         raise SizeGuard(
-            f"{samples} samples at n={n} need about {nbytes:,} bytes of "
-            f"Monte Carlo arrays, over the cap {SAMPLE_BYTES_CAP:,}")
-    target = float(q_matrix_moment(list(zip(xs, hs)), colors, Qm, backend,
-                                   cfg))
+            f"{samples} samples at n={n} for {len(Qms)} Q matrices need "
+            f"about {nbytes:,} bytes of Monte Carlo arrays, over the cap "
+            f"{SAMPLE_BYTES_CAP:,}")
+    targets = [float(q_matrix_moment(list(zip(xs, hs)), colors, Qm, backend,
+                                     cfg)) for Qm in Qms]
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
 
-    # gaussian fields: g_j(h) = gamma_j . (L^T h), E g(h)g(h') = <h,h'>
+    # gaussian fields: g_j(h) = gamma_j . (L^T h), E g(h)g(h') = <h,h'>;
+    # the sign masks draw next, before g is formed, so that the uniforms
+    # are gone by then
     d = cfg.dim_H
     L = np.linalg.cholesky(np.array(cfg.inner, dtype=float))
     gamma = rng.standard_normal((samples, n, d))
+    flip = _sign_masks(rng, pairs, Qms, samples)
+    pair_index = {pair: p for p, pair in enumerate(pairs)}
     coords = np.array([[float(Fraction(x)) for x in h] for h in hs])  # m x d
     # g_j(h_i) as gh[j-1, i-1], a contiguous row over the samples
     gh = np.einsum("snd,md->nms", gamma, coords @ L, order="C")
 
-    # sign entries, one stream per unordered letter pair, as a contiguous
-    # row over the samples
-    letter_pool = sorted({(j, t) for j in range(1, n + 1) for t in set(colors)})
-    pair_index = {}
-    probs = []
-    for i, a in enumerate(letter_pool):
-        for b in letter_pool[i + 1:]:
-            pair_index[(a, b)] = len(probs)
-            probs.append(float((1 + Qm[a[1]][b[1]]) / 2))
-    if probs:
-        eps = np.where(np.less(rng.random((samples, len(probs))).T,
-                               np.array(probs)[:, None], order="C"),
-                       1.0, -1.0)
-    else:
-        eps = np.zeros((0, samples))
-
-    # one walk of the terms feeds the per-sample sums and the exact
-    # finite-n expectation target_n (model_moment_exact's sum)
-    exact = _ExactSum(hs, Qm, cfg)
-    sums = np.zeros(samples)
+    # one walk of the terms feeds the per-sample sums of every Q and the
+    # exact finite-n expectations target_n (model_moment_exact's sum)
+    exact = _ExactSum(hs, cfg)
+    sums = np.zeros((len(Qms), samples))
     for tau, letters, sign_pairs in _terms(xs, colors, n, backend):
         exact.add(tau, letters, sign_pairs)
         term = np.full(samples, float(tau))
-        for a, b in sign_pairs:
-            term *= eps[pair_index[(a, b)]]
-        for pos in range(1, m + 1):
-            term *= gh[letters[pos - 1][0] - 1, pos - 1]
-        sums += term
+        for pos, (j, _) in enumerate(letters):
+            term *= gh[j - 1, pos]
+        if sign_pairs:
+            odd = np.bitwise_xor.reduce(
+                flip[[pair_index[pair] for pair in sign_pairs]])
+            sums += np.where(odd, -term, term)
+        else:
+            sums += term
     estimates = sums / float(n) ** (m / 2.0)
-    target_n = float(exact.expectation(n))
-    return _estimate(estimates, target, target_n, n, seed)
+    return [_estimate(values, target, float(exact.expectation(Qm, n)), n,
+                      seed)
+            for values, target, Qm in zip(estimates, targets, Qms)]

@@ -218,12 +218,18 @@ def _q_matrix(spec) -> list:
     return Q
 
 
-class Scenario:
-    """A validated scenario ready for dispatch."""
+#: The top-level keys each command reads.
+COMMAND_KEYS = {"moment": ("backend", "fock", "word", "q_values", "n", "Q"),
+                "dims": ("backend", "dims")}
 
-    def __init__(self, data: dict):
-        _known_keys(data, ("backend", "fock", "word", "q_values", "n", "Q",
-                           "dims"), "")
+
+class Scenario:
+    """A validated scenario ready for dispatch.  Given a command, it
+    also refuses, after every other check, a top-level key that command
+    does not read: it would be ignored without a word."""
+
+    def __init__(self, data: dict, command=None):
+        _known_keys(data, COMMAND_KEYS["moment"] + ("dims",), "")
         self.backend = build_backend(data.get("backend",
                                               {"kind": "free_haar"}))
         self.cfg = build_cfg(data.get("fock", {}))
@@ -254,9 +260,15 @@ class Scenario:
             if value < 0:
                 raise ScenarioError(f"dims.{key}: must be >= 0, got {value}")
             setattr(self, key, value)
+        if command is not None:
+            reads = COMMAND_KEYS[command]
+            for key in data:
+                if key not in reads:
+                    raise ScenarioError(f"{key}: not read by qgauss {command} "
+                                        f"(it reads: {', '.join(reads)})")
 
     @staticmethod
-    def load(path: str) -> "Scenario":
+    def load(path: str, command=None) -> "Scenario":
         with open(path) as f:
             try:
                 data = json.load(f)
@@ -264,4 +276,4 @@ class Scenario:
                 raise ScenarioError(f"scenario is not valid JSON: {e}") from e
         if not isinstance(data, dict):
             raise ScenarioError("scenario must be a JSON object")
-        return Scenario(data)
+        return Scenario(data, command)

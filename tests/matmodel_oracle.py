@@ -119,8 +119,8 @@ def mc_moment_explicit(word, Qm, n: int, samples: int, seed: int,
     matrices and takes actual matrix traces.  Small n only."""
     word = list(word)
     m = len(word)
-    xs, hs, colors, Qm, cfg, backend = _model_inputs(word, Qm, cfg, colors,
-                                                     None)
+    xs, hs, colors, (Qm,), cfg, backend = _model_inputs(word, [Qm], cfg,
+                                                        colors, None)
     target = float(q_matrix_moment(list(zip(xs, hs)), colors, Qm, backend,
                                    cfg))
 
@@ -175,8 +175,8 @@ def mc_moment_two_pass(word, Qm, n: int, samples: int, seed: int,
     exact_per_term for the target."""
     word = list(word)
     m = len(word)
-    xs, hs, colors, Qm, cfg, backend = _model_inputs(word, Qm, cfg, colors,
-                                                     backend)
+    xs, hs, colors, (Qm,), cfg, backend = _model_inputs(word, [Qm], cfg,
+                                                        colors, backend)
     target = float(q_matrix_moment(list(zip(xs, hs)), colors, Qm, backend,
                                    cfg))
     rng = np.random.Generator(np.random.Philox(key=int(seed)))

@@ -222,13 +222,14 @@ def test_criterion_8_matrix_model_monte_carlo():
     details = []
     ok = True
     for q0 in (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1)):
-        est = matmodel.mc_moment(word, [[q0]], n=8, samples=5000, seed=7)
+        est = matmodel.mc_moment(word, [[[q0]]], n=8, samples=5000,
+                                 seed=7)[0]
         ok = ok and abs(est.z) <= 3 and est.target == float(2 + q0)
         details.append(f"Q={q0}: mean {est.mean:.3f} -> {est.target} "
                        f"(bias {est.bias:+.4f}), z={est.z:+.2f}")
     Qm = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 4)]]
-    est = matmodel.mc_moment(word, Qm, n=8, samples=5000, seed=7,
-                             colors=[0, 1, 0, 1])
+    est = matmodel.mc_moment(word, [Qm], n=8, samples=5000, seed=7,
+                             colors=[0, 1, 0, 1])[0]
     # color-alternating word: only the color-matched crossing pairing
     # survives, so the limit is the off-diagonal entry Q_12
     ok = ok and abs(est.z) <= 3 and est.target == pytest.approx(1 / 3)

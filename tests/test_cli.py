@@ -182,17 +182,21 @@ def test_verify_semigroup_suite(capsys):
 
 
 def test_verify_matmodel_catches_a_biased_estimator(capsys, monkeypatch):
-    # sample with Q negated while the exact finite-n target keeps Q: at
-    # Q = 1/2 and the default seed the mean lies about 20 standard errors
-    # off its target.  mc_moment's one walk of the terms feeds both, so
-    # the exact sum it builds is handed the unnegated Q.
-    sample, exact_sum = matmodel.mc_moment, matmodel._ExactSum
+    # sample with every Q negated while the exact finite-n targets keep
+    # Q: at Q = 1/2 and the default seed the mean lies about 20 standard
+    # errors off its target.  mc_moment's one walk of the terms feeds
+    # both, so the exact sum it builds is made to weigh its classes by
+    # the unnegated Q.
+    sample, expectation = matmodel.mc_moment, matmodel._ExactSum.expectation
 
-    def biased(word, Qm, **kw):
+    def negated(Qm):
+        return [[-x for x in row] for row in Qm]
+
+    def biased(word, Qms, **kw):
         with monkeypatch.context() as m:
-            m.setattr(matmodel, "_ExactSum",
-                      lambda hs, _, cfg: exact_sum(hs, Qm, cfg))
-            return sample(word, [[-x for x in row] for row in Qm], **kw)
+            m.setattr(matmodel._ExactSum, "expectation",
+                      lambda self, Qm, n: expectation(self, negated(Qm), n))
+            return sample(word, [negated(Qm) for Qm in Qms], **kw)
 
     monkeypatch.setattr(matmodel, "mc_moment", biased)
     code, out = run(capsys, "verify", "matmodel")
@@ -300,6 +304,29 @@ def test_unknown_scenario_key_names_its_path(tmp_path, capsys, change, field,
                             f"{accepted})\n")
 
 
+DIMS = {"backend": {"kind": "free_haar", "window": 4},
+        "dims": {"k_max": 1, "max_m_offset": 2}}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("dims", "word", BASE["word"]), ("dims", "fock", BASE["fock"]),
+    ("dims", "n", 2), ("dims", "Q", [["1/2"]]), ("dims", "q_values", ["1/3"]),
+    ("moment", "dims", DIMS["dims"])])
+def test_each_command_refuses_the_keys_it_does_not_read(tmp_path, capsys,
+                                                        command, key, value):
+    doc, reads = {"dims": (DIMS, "backend, dims"),
+                  "moment": (BASE, "backend, fock, word, q_values, n, Q")}[
+                      command]
+    path = write_scenario(tmp_path, dict(doc, **{key: value}))
+    code = main([command, "--scenario", path])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == (f"error: {key}: not read by qgauss {command} "
+                            f"(it reads: {reads})\n")
+    # without the key, the command runs
+    assert main([command, "--scenario", write_scenario(tmp_path, doc)]) == 0
+
+
 def test_symmetric_algebra_is_never_listed(tmp_path, capsys, monkeypatch):
     # S_10 has 10! elements; TensorBackend draws only the first two from
     # C, to find its generator, and nothing else lists the group
@@ -327,10 +354,11 @@ def test_size_guards_name_the_estimate(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "ground set size 14 exceeds the enumeration cap 12" in captured.err
     assert not captured.out
-    # 8 bytes x 10^12 samples x (8 gaussians + 32 field values + 28 signs),
+    # 10^12 samples x (8 bytes x (8 gaussians + 32 field values + 28
+    # uniforms) + 4 Q values x (an 8-byte sum + 28 one-byte signs)),
     # refused before anything is allocated
     assert main(["verify", "matmodel", "--samples", str(10 ** 12)]) == 2
-    assert "544,000,000,000,000 bytes" in capsys.readouterr().err
+    assert "688,000,000,000,000 bytes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("change, field", [

@@ -92,10 +92,10 @@ def test_no_engine_calls_the_fock_oracle(monkeypatch):
                                             cfg=MIXED, colors=colors),
         lambda: matmodel.model_moment_exact(pure, [[Fraction(1, 2)]], 3,
                                             cfg=MIXED),
-        lambda: matmodel.mc_moment(short, Q, 2, 20, 7, backend=backend,
-                                   cfg=MIXED, colors=[0, 1, 1, 0]),
-        lambda: matmodel.mc_moment(pure, [[Fraction(1, 2)]], 2, 20, 7,
-                                   cfg=MIXED),
+        lambda: matmodel.mc_moment(short, [Q], 2, 20, 7, backend=backend,
+                                   cfg=MIXED, colors=[0, 1, 1, 0])[0],
+        lambda: matmodel.mc_moment(pure, [[[Fraction(1, 2)]]], 2, 20, 7,
+                                   cfg=MIXED)[0],
     ]
     expected = [run() for run in runs]
 

@@ -348,8 +348,9 @@ def test_new_faults_fail_axioms_3_and_4_only():
 
 def test_axiom_check_expect_calls_on_free_haar():
     # one call per memoized E_K of a pi-word, and in axiom 4 one E_I per
-    # distinct value among the E_K(x) of each word x; a call per case
-    # (more than 16,576 in axiom 4 alone) would be 19,806
+    # distinct value among the E_K(x) of all words x; one per distinct
+    # value within each word would be 7,318, and a call per case (more
+    # than 16,576 in axiom 4 alone) 19,806
     backend = FreeHaarBackend(3)
     calls = []
     expect = backend.expect
@@ -360,7 +361,25 @@ def test_axiom_check_expect_calls_on_free_haar():
 
     backend.expect = counted
     assert axiom_check(backend, word_len=3)["passed"]
-    assert len(calls) == 7318
+    assert len(calls) == 4734
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FreeHaarBackend(3), lambda: PermGroupBackend(1, 3), _z2_z2],
+    ids=["free", "perm", "tensor"])
+def test_relabel_completes_each_map_once(make):
+    # equal maps share one completed permutation, kept on the backend; a
+    # map that is not injective on the window is refused on every call
+    backend = make()
+    a = backend.S[next(name for name in backend.S if name != "1")]
+    for _ in range(3):
+        assert backend.relabel({1: 2, 2: 1}, backend.pi(1, a)) == \
+            backend.pi(2, a)
+    assert len(backend._relabels) == 1
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not injective"):
+            backend.relabel({1: 2}, backend.pi(1, a))
+    assert len(backend._relabels) == 1
 
 
 def test_dim_bounds(free3, perm3, tensor3):

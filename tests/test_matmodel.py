@@ -143,8 +143,8 @@ def test_exact_model_pins_a_two_colour_non_orthonormal_word():
 
 
 def test_mc_estimate_fields_and_z(free8, cfg1):
-    est = matmodel.mc_moment(pure_word(4), [[Fraction(1, 2)]], n=4,
-                             samples=400, seed=3)
+    [est] = matmodel.mc_moment(pure_word(4), [[[Fraction(1, 2)]]], n=4,
+                               samples=400, seed=3)
     assert est.samples == 400 and est.n == 4 and est.seed == 3
     assert est.target == 2.5
     assert est.target_n == float(
@@ -155,18 +155,19 @@ def test_mc_estimate_fields_and_z(free8, cfg1):
 
 
 def test_mc_is_reproducible(free8, cfg1):
-    a = matmodel.mc_moment(pure_word(4), [[Fraction(0)]], n=4, samples=200,
-                           seed=9)
-    b = matmodel.mc_moment(pure_word(4), [[Fraction(0)]], n=4, samples=200,
-                           seed=9)
+    [a] = matmodel.mc_moment(pure_word(4), [[[Fraction(0)]]], n=4,
+                             samples=200, seed=9)
+    [b] = matmodel.mc_moment(pure_word(4), [[[Fraction(0)]]], n=4,
+                             samples=200, seed=9)
     assert a.mean == b.mean
-    assert a.mean != matmodel.mc_moment(pure_word(4), [[Fraction(0)]], n=4,
-                                        samples=200, seed=10).mean
+    assert a.mean != matmodel.mc_moment(pure_word(4), [[[Fraction(0)]]], n=4,
+                                        samples=200, seed=10)[0].mean
 
 
 def test_mc_agrees_with_explicit_small_model(free8, cfg1):
     Qm = [[Fraction(1, 2)]]
-    fast = matmodel.mc_moment(pure_word(4), Qm, n=2, samples=300, seed=21)
+    [fast] = matmodel.mc_moment(pure_word(4), [Qm], n=2, samples=300,
+                                seed=21)
     slow = mc_moment_explicit(pure_word(4), Qm, n=2, samples=300, seed=21)
     assert fast.target_n == slow.target_n
     # independent streams, same distribution: compare means within noise
@@ -179,8 +180,8 @@ def test_mc_colored_word(free8, cfg1):
     Qm = [[Fraction(1, 2), Fraction(1, 3)],
           [Fraction(1, 3), Fraction(1, 4)]]
     colors = [0, 1, 0, 1]
-    est = matmodel.mc_moment(pure_word(4), Qm, n=8, samples=800, seed=5,
-                             colors=colors)
+    [est] = matmodel.mc_moment(pure_word(4), [Qm], n=8, samples=800, seed=5,
+                               colors=colors)
     assert est.target == pytest.approx(1 / 3)
     assert abs(est.z) <= 4
 
@@ -195,29 +196,38 @@ def _dim_h_2_case():
     u, one = backend.S["u01"], backend.A_one
     word = [(u, h1), (one, h2), (u, h3), (u, h3), (one, h2), (u, h1)]
     Qm = [[Fraction(1, 2), Fraction(-1, 3)], [Fraction(-1, 3), Fraction(1, 4)]]
-    return (word, Qm, 3), {"backend": backend, "cfg": cfg,
-                           "colors": [0, 1, 1, 1, 1, 0]}
+    return (word, [Qm], 3), {"backend": backend, "cfg": cfg,
+                             "colors": [0, 1, 1, 1, 1, 0]}
+
+
+#: The Q values of `qgauss verify matmodel`, which estimates them in one
+#: call.
+SUITE_QS = [[[Fraction(q)]] for q in ("-1", "0", "1/2", "1")]
 
 
 @pytest.mark.parametrize("case", [
-    *[((pure_word(4), [[q]], 8), {})
-      for q in (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1))],
-    ((pure_word(6), [[Fraction(1, 3)]], 4), {}),
-    ((pure_word(4), [[Fraction(1, 2), Fraction(1, 3)],
-                     [Fraction(1, 3), Fraction(1, 4)]], 8),
+    *[((pure_word(4), [Qm], 8), {}) for Qm in SUITE_QS],
+    ((pure_word(4), SUITE_QS, 8), {}),
+    ((pure_word(6), [[[Fraction(1, 3)]]], 4), {}),
+    ((pure_word(4), [[[Fraction(1, 2), Fraction(1, 3)],
+                      [Fraction(1, 3), Fraction(1, 4)]]], 8),
      {"colors": [0, 1, 0, 1]}),
     _dim_h_2_case()],
-    ids=["Q=-1", "Q=0", "Q=1/2", "Q=1", "pure6", "two-colour", "dim_H=2"])
+    ids=["Q=-1", "Q=0", "Q=1/2", "Q=1", "suite", "pure6", "two-colour",
+         "dim_H=2"])
 def test_mc_moment_equals_the_two_pass_estimator(case):
-    (word, Qm, n), kw = case
-    fast = matmodel.mc_moment(word, Qm, n=n, samples=2000, seed=42, **kw)
-    slow = mc_moment_two_pass(word, Qm, n=n, samples=2000, seed=42, **kw)
-    assert (fast.mean, fast.stderr, fast.target_n) == \
-        (slow.mean, slow.stderr, slow.target_n)
+    # each estimate of one call over several Q equals, field for field,
+    # that of the two-pass estimator at its Q alone
+    (word, Qms, n), kw = case
+    fast = matmodel.mc_moment(word, Qms, n=n, samples=2000, seed=42, **kw)
+    slow = [mc_moment_two_pass(word, Qm, n=n, samples=2000, seed=42, **kw)
+            for Qm in Qms]
+    assert [(e.mean, e.stderr, e.target_n) for e in fast] == \
+        [(e.mean, e.stderr, e.target_n) for e in slow]
     assert fast == slow
 
 
-def test_mc_moment_walks_the_terms_once(monkeypatch):
+def _count_walks(monkeypatch):
     walks = {"_terms": 0, "coincidences": 0}
     for name in walks:
         inner = getattr(matmodel, name)
@@ -227,10 +237,22 @@ def test_mc_moment_walks_the_terms_once(monkeypatch):
             return _inner(*args)
 
         monkeypatch.setattr(matmodel, name, counted)
-    est = matmodel.mc_moment(pure_word(4), [[Fraction(1, 2)]], n=4,
-                             samples=100, seed=1)
+    return walks
+
+
+def test_mc_moment_walks_the_terms_once(monkeypatch):
+    walks = _count_walks(monkeypatch)
+    [est] = matmodel.mc_moment(pure_word(4), [[[Fraction(1, 2)]]], n=4,
+                               samples=100, seed=1)
     assert walks == {"_terms": 1, "coincidences": 1}
     assert est.target_n == float(Fraction(2) + Fraction(1, 2) + Fraction(1, 8))
+    # four Q matrices share the one walk
+    walks.update(_terms=0, coincidences=0)
+    ests = matmodel.mc_moment(pure_word(4), SUITE_QS, n=4, samples=100,
+                              seed=1)
+    assert walks == {"_terms": 1, "coincidences": 1}
+    assert [e.target_n for e in ests] == [
+        float(2 + q + (1 - q) / 4) for q in (Fraction(-1), 0, Fraction(1, 2), 1)]
 
 
 def test_mc_moment_holds_no_list_of_terms():
@@ -238,12 +260,46 @@ def test_mc_moment_holds_no_list_of_terms():
     # arrays of the samples take about 134 kB
     word, n, samples = pure_word(6), 8, 200
     sample_bytes = 8 * samples * (n + n * 6 + math.comb(n, 2))
-    matmodel.mc_moment(word, [[Fraction(1, 3)]], n=n, samples=10, seed=1)
+    matmodel.mc_moment(word, [[[Fraction(1, 3)]]], n=n, samples=10, seed=1)
     tracemalloc.start()
     try:
-        matmodel.mc_moment(word, [[Fraction(1, 3)]], n=n, samples=samples,
+        matmodel.mc_moment(word, [[[Fraction(1, 3)]]], n=n, samples=samples,
                            seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 4 * sample_bytes
+
+
+def test_mc_moment_over_four_q_holds_no_list_of_terms():
+    # the shared arrays as above, plus per Q a float sum and a boolean
+    # sign mask per letter pair, per sample
+    word, n, samples, pairs = pure_word(6), 8, 200, math.comb(8, 2)
+    Qms = [[[Fraction(q, 3)]] for q in (-2, -1, 1, 2)]
+    sample_bytes = samples * (8 * (n + n * 6 + pairs) + 4 * (8 + pairs))
+    matmodel.mc_moment(word, Qms, n=n, samples=10, seed=1)
+    tracemalloc.start()
+    try:
+        matmodel.mc_moment(word, Qms, n=n, samples=samples, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * sample_bytes
+
+
+def test_mc_moment_guards_the_arrays_of_every_q():
+    # 1,851,279 samples of a pure quartic at n = 8 fit the cap with one Q
+    # (580 bytes each) but not with four (688 bytes each), and the guard
+    # refuses before anything is drawn
+    word, samples = pure_word(4), 1_851_279
+    assert samples * 580 <= matmodel.SAMPLE_BYTES_CAP < samples * 688
+    with pytest.raises(SizeGuard, match="1,273,679,952 bytes"):
+        matmodel.mc_moment(word, SUITE_QS, n=8, samples=samples, seed=1)
+
+
+def test_mc_moment_refuses_q_matrices_of_different_shapes():
+    with pytest.raises(ValueError, match="one shape"):
+        matmodel.mc_moment(pure_word(4), [[[0]], [[0, 0], [0, 0]]], n=2,
+                           samples=10, seed=1)
+    with pytest.raises(ValueError, match="one shape"):
+        matmodel.mc_moment(pure_word(4), [], n=2, samples=10, seed=1)
