@@ -97,10 +97,19 @@ class AlgebraElement:
                 out.pop(g, None)
         return AlgebraElement(self.parent, out)
 
-    def __mul__(self, other):
+    def times(self, other, key=None):
+        """self * other, with each product key k = gh replaced by key(k),
+        or dropped where key(k) is None, before terms merge.
+
+        Exact when key is injective on the keys it keeps: equal mapped
+        keys then come only from equal product keys, so the terms merge
+        and cancel exactly as in the product, and the result is the
+        product's terms with their keys mapped.  A backend closes an arc
+        this way (copies: close), without forming the product first."""
         self._check(other)
         mul = self.parent.group.mul
-        if len(other.coeffs) == 1:  # g -> gh is injective: no terms merge
+        if key is None and len(other.coeffs) == 1:
+            # g -> gh is injective: no terms merge
             (h, ch), = other.coeffs.items()
             return AlgebraElement(self.parent, {mul(g, h): cg if ch == 1 else cg * ch
                                                 for g, cg in self.coeffs.items()})
@@ -108,6 +117,10 @@ class AlgebraElement:
         for g, cg in self.coeffs.items():
             for h, ch in other.coeffs.items():
                 k = mul(g, h)
+                if key is not None:
+                    k = key(k)
+                    if k is None:
+                        continue
                 c = cg * ch
                 if k in out:
                     c += out[k]
@@ -116,6 +129,10 @@ class AlgebraElement:
                         continue
                 out[k] = c
         return AlgebraElement(self.parent, out)
+
+    # one product: * is times without a key, defined here by name, where
+    # perfbench/spans.py looks it up
+    __mul__ = times
 
     def scale(self, c) -> "AlgebraElement":
         c = exact(c)
@@ -247,12 +264,16 @@ def free_group() -> Group:
 
 
 def direct_product(*groups) -> Group:
-    """G_1 x ... x G_n with componentwise operations on element tuples."""
-    muls = [g.mul for g in groups]
+    """G_1 x ... x G_n with componentwise operations on element tuples.
+    The product calls a factor's mul only where neither side holds that
+    factor's identity, and elsewhere takes the other side's entry
+    (e y = y = y e)."""
+    muls = [(g.mul, g.identity) for g in groups]
     invs = [g.inv for g in groups]
 
     def mul(a, b):
-        return tuple([f(x, y) for f, x, y in zip(muls, a, b)])
+        return tuple([y if x == e else x if y == e else f(x, y)
+                      for (f, e), x, y in zip(muls, a, b)])
 
     def inv(a):
         return tuple([f(x) for f, x in zip(invs, a)])

@@ -3,15 +3,17 @@
 Three backends share one interface: pi(j, a) embeds A-elements as the j-th
 copy inside D, expect(I, x) is the conditional expectation onto the
 algebra generated by copies with indices in I (expect(()) is E_B), trace
-is the trace of D, and relabel applies the index-permutation automorphism.
+is the trace of D, relabel applies the index-permutation automorphism,
+and close(P, pi_x, label, top) closes a scan's arc (moments.close_arc).
 All arithmetic is exact.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import permutations, product
 from math import factorial
+from operator import itemgetter
 
 from .algebra import (AlgebraElement, FiniteTracialAlgebra, SubalgebraSpec,
                       free_group, group_algebra, symmetric_group,
@@ -59,6 +61,37 @@ def _complete_relabel(backend, gamma: dict) -> dict:
                              "window")
         backend._relabels[key] = g
     return g
+
+
+def _outside(backend, I, offset=0) -> tuple:
+    """The copies of the window outside I, each plus offset (its slot or
+    position in a key), built once per index set and cached on the
+    backend; shared, so never modified."""
+    I = frozenset(I)
+    out = backend._outside.get(I)
+    if out is None:
+        out = backend._outside[I] = tuple(
+            s + offset for s in range(1, backend.window + 1) if s not in I)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _closing(label, top):
+    """The labels an arc's closing keeps, 1..top but label, and the
+    relabeling that shifts label to top and the labels above it down one;
+    shared, so never modified."""
+    return (tuple(j for j in range(1, top + 1) if j != label),
+            {j: top if j == label else j - 1 for j in range(label, top + 1)})
+
+
+def _keyed_close(backend, P, pi_x, label, top):
+    """close(P, pi_x, label, top) as one keyed product, with the key map
+    of (label, top) built once by backend._closing_key and cached."""
+    key = backend._closings.get((label, top))
+    if key is None:
+        key = backend._closings[label, top] = backend._closing_key(label,
+                                                                  top)
+    return P.times(pi_x, key)
 
 
 def pi_word(backend, xs, labels):
@@ -145,6 +178,16 @@ class FreeHaarBackend:
         return AlgebraElement(D, {tuple([(g.get(l, l), e) for l, e in w]): c
                                   for w, c in x.coeffs.items()})
 
+    def close(self, P, pi_x, label, top) -> AlgebraElement:
+        """The two passes of moments.close_arc: the product projected onto
+        1..top but label, then relabeled.  Projecting first leaves fewer
+        terms to relabel."""
+        keep, shift = _closing(label, top)
+        R = self.expect(keep, P * pi_x)
+        if label < top and R.coeffs:
+            R = self.relabel(shift, R)
+        return R
+
     def dim_bound(self, k: int) -> int:
         return 4 ** k
 
@@ -198,6 +241,8 @@ class TensorBackend:
         self.D = tensor_algebra(B, *[C] * window)
         self._specs = {}
         self._relabels = {}
+        self._outside = {}
+        self._closings = {}
         self.S = {"1": self.A.one}
         # the generator: unit-B tensor the first non-unit C element
         for c in C.group.elements:
@@ -231,8 +276,7 @@ class TensorBackend:
         return AlgebraElement(self.D, out)
 
     def expect(self, I, x: AlgebraElement) -> AlgebraElement:
-        keep = set(I)
-        outside = [s for s in range(1, self.window + 1) if s not in keep]
+        outside = _outside(self, I)
         cu = self.C.unit
         return AlgebraElement(self.D, {
             k: c for k, c in x.coeffs.items()
@@ -250,6 +294,23 @@ class TensorBackend:
                 new[g[s]] = k[s]
             out[tuple(new)] = c
         return AlgebraElement(self.D, out)
+
+    #: P * pi_x keyed by _closing_key(label, top)
+    close = _keyed_close
+
+    def _closing_key(self, label, top):
+        """The key map of closing label under top: it keeps a key whose
+        slot label and slots above top hold the unit, as the expectation
+        onto 1..top but label does, and moves slot label to top by
+        dropping it and appending a unit slot, which is the shifting
+        relabeling on such a key.  Injective on the keys it keeps."""
+        cu = self.C.unit
+        tail, last = (cu,) * (self.window - top), (cu,)
+
+        def key(k):
+            if k[label] == cu and k[top + 1:] == tail:
+                return k[:label] + k[label + 1:] + last
+        return key
 
     def subalgebra_spec(self, I) -> SubalgebraSpec:
         B, C, J = self.B, self.C, self.window
@@ -298,6 +359,8 @@ class PermGroupBackend:
         self.D = group_algebra(symmetric_group(self.points))
         self._specs = {}
         self._relabels = {}
+        self._outside = {}
+        self._closings = {}
         self._swaps = {}  # j -> the transposition (1 j), built on first use
         u01 = self._transposition(0, 1)
         self.S = {"1": self.D.one, "u01": self.D.basis_element(u01)}
@@ -346,9 +409,7 @@ class PermGroupBackend:
                                        for g, c in a.coeffs.items()})
 
     def expect(self, I, x: AlgebraElement) -> AlgebraElement:
-        keep = set(I)
-        fixed = [self._pos(p) for p in range(1, self.window + 1)
-                 if p not in keep]
+        fixed = _outside(self, I, self.d)
         return AlgebraElement(self.D, {
             g: c for g, c in x.coeffs.items()
             if all(g[p] == p for p in fixed)})
@@ -363,6 +424,30 @@ class PermGroupBackend:
             phi[self._pos(j)] = self._pos(jg)
         return AlgebraElement(self.D, {_conjugate(phi, h): c
                                        for h, c in x.coeffs.items()})
+
+    #: P * pi_x keyed by _closing_key(label, top)
+    close = _keyed_close
+
+    def _closing_key(self, label, top):
+        """The key map of closing label under top: it keeps a permutation
+        that fixes label and every label above top, as the expectation
+        onto 1..top but label does, and conjugates it by the shift phi of
+        label to top and of label+1..top down one, as relabel does:
+        (phi g phi^-1)(x) = phi(g(phi^-1(x))), with phi and its inverse
+        as image tuples.  Conjugation is injective."""
+        phi = list(range(len(self.points)))
+        fixed = itemgetter(*(self._pos(p) for p in
+                             (label, *range(top + 1, self.window + 1))))
+        want = fixed(phi)
+        for j, jg in _closing(label, top)[1].items():
+            phi[self._pos(j)] = self._pos(jg)
+        image = tuple(phi).__getitem__
+        inverse = self.D.group.inv(phi)
+
+        def key(g):
+            if fixed(g) == want:
+                return tuple(map(image, map(g.__getitem__, inverse)))
+        return key
 
     def subalgebra_spec(self, I) -> SubalgebraSpec:
         return _subalgebra_spec(self, I, lambda k: factorial(self.d + 1 + k),

@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import permutations
 
 from .algebra import common_denominator, exact
@@ -159,8 +159,12 @@ def _traces(states, backend) -> dict:
 def close_arc(backend, P, pi_x, label, top):
     """P * pi_label(x) with the arc at label closed: the product projected
     onto the open labels 1..top but label, then relabeled onto 1..top-1
-    by shifting the labels above label down.  Projecting first leaves
-    fewer terms to relabel.
+    by shifting label to top and the labels above it down one.  Each
+    backend's close(P, pi_x, label, top) equals that two-pass form:
+    free Haar takes the two passes, and perm and tensor one product whose
+    key map keeps the projection's terms and relabels their keys
+    (AlgebraElement.times; tests/closing_oracle.py checks each against
+    the two passes).
 
     Give every arc its own label and let X be the prefix pi-word; then
     P = E_L(X), where L = 1..top are the labels still open (a span scan's
@@ -176,18 +180,7 @@ def close_arc(backend, P, pi_x, label, top):
     so by exchangeability it leaves E_I unchanged while the open labels
     stay 1..top-1 and a new arc reuses the freed label.
     """
-    keep, shift = _closing(label, top)
-    R = backend.expect(keep, P * pi_x)
-    if label < top and R.coeffs:
-        R = backend.relabel(shift, R)
-    return R
-
-
-@lru_cache(maxsize=None)
-def _closing(label, top):
-    """close_arc's kept labels and relabeling; shared, so never modified."""
-    return (tuple(j for j in range(1, top + 1) if j != label),
-            {j: top if j == label else j - 1 for j in range(label, top + 1)})
+    return backend.close(P, pi_x, label, top)
 
 
 def _add_state(states, stack, P, weight, power=0, factor=1):
