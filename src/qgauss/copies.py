@@ -6,6 +6,19 @@ algebra generated by copies with indices in I (expect(()) is E_B), trace
 is the trace of D, relabel applies the index-permutation automorphism,
 and close(P, pi_x, label, top) closes a scan's arc (moments.close_arc).
 All arithmetic is exact.
+
+Each D is a group algebra, on whose keys a permutation g of the copies
+acts by an injective renaming.  So the operations follow from which keys
+lie in each A_I and how g renames a key:
+- pi_j is the renaming by the transposition (1 j) on A = A_{1}: the
+  copies are exchangeable, so pi_j = alpha_g pi_1 for any g sending 1 to
+  j, and pi_1 is the inclusion of A;
+- E_{A_I} keeps the terms whose keys lie in A_I: A_I is spanned by the
+  u_h of a subgroup H, and tau(u_g* u_h) = [g = h] makes them orthonormal;
+- relabel renames every key, and close filters and renames the keys of
+  one product (AlgebraElement.times), exact because renaming is injective.
+_Copies derives them once for perm and tensor; free Haar's keys are words
+of any length, so it writes its own word maps.
 """
 
 from __future__ import annotations
@@ -47,34 +60,6 @@ def require_window(backend, needed: int, subject: str):
                              f"backend has {backend.window}")
 
 
-def _complete_relabel(backend, gamma: dict) -> dict:
-    """The permutation of {1..window} that extends the injective partial
-    map gamma by the identity, built and checked once per map's items and
-    kept on the backend; shared, so never modified."""
-    key = tuple(gamma.items())
-    g = backend._relabels.get(key)
-    if g is None:
-        window = backend.window
-        g = {j: gamma.get(j, j) for j in range(1, window + 1)}
-        if sorted(g.values()) != list(range(1, window + 1)):
-            raise ValueError(f"relabeling {gamma} is not injective on the "
-                             "window")
-        backend._relabels[key] = g
-    return g
-
-
-def _outside(backend, I, offset=0) -> tuple:
-    """The copies of the window outside I, each plus offset (its slot or
-    position in a key), built once per index set and cached on the
-    backend; shared, so never modified."""
-    I = frozenset(I)
-    out = backend._outside.get(I)
-    if out is None:
-        out = backend._outside[I] = tuple(
-            s + offset for s in range(1, backend.window + 1) if s not in I)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _closing(label, top):
     """The labels an arc's closing keeps, 1..top but label, and the
@@ -84,16 +69,6 @@ def _closing(label, top):
             {j: top if j == label else j - 1 for j in range(label, top + 1)})
 
 
-def _keyed_close(backend, P, pi_x, label, top):
-    """close(P, pi_x, label, top) as one keyed product, with the key map
-    of (label, top) built once by backend._closing_key and cached."""
-    key = backend._closings.get((label, top))
-    if key is None:
-        key = backend._closings[label, top] = backend._closing_key(label,
-                                                                  top)
-    return P.times(pi_x, key)
-
-
 def pi_word(backend, xs, labels):
     """The product pi_{j_1}(x_1) ... pi_{j_m}(x_m) in D, multiplied from
     the unit left to right; labels gives the copy index j of each letter."""
@@ -101,6 +76,154 @@ def pi_word(backend, xs, labels):
     for x, j in zip(xs, labels):
         prod = prod * backend.pi(j, x)
     return prod
+
+
+class _Copies:
+    """A backend over copies 1..window, D keyed by its group elements.
+
+    A subclass sets D, its generators S, which lie in A = A_{1} inside D,
+    and _offset, lists each A_I for its spec (_size, _listing), and gives
+    _renamer.  The two key maps, built once per index set or permutation
+    and cached, are then:
+    - _keeps(I): a key lies in A_I when its entries at the copies outside
+      I are the unit's; copy j's entry sits at index j + _offset;
+    - _renamer(g): the key under g, given as {j: g(j)} for every j.
+    The operations follow (the module docstring says why): pi(j, a)
+    checks that a lies in A and renames it by (1 j); expect(I, x) keeps
+    the terms whose keys lie in A_I; relabel renames every key; and
+    close(P, pi_x, label, top) is P.times(pi_x, key), whose key keeps what
+    _keeps(1..top but label) keeps and renames it by the shift of label to
+    top, as moments.close_arc's two passes would.  Every cache is shared,
+    so its entries are never modified.
+    """
+
+    def __init__(self, window: int):
+        if window < 1:
+            raise ValueError("window must be >= 1")
+        check_size("window", window)
+        self.window = window
+        self._specs = {}
+        self._kept = {}
+        self._relabels = {}
+        self._pis = {}  # j -> the renamer of (1 j)
+        self._closings = {}
+        self._in_A = set()  # keys found to lie in A
+
+    @property
+    def A_one(self) -> AlgebraElement:
+        return self.S["1"]
+
+    @property
+    def B_pairs(self):
+        """(b in A, b in D), one element, for each basis element b of B,
+        listed from the spec of A_() = B, which holds the guard."""
+        return [(self.D.basis_element(b),) * 2
+                for b in sorted(self.subalgebra_spec(()).indices)]
+
+    def one(self) -> AlgebraElement:
+        return self.D.one
+
+    def trace(self, x: AlgebraElement):
+        return x.trace()
+
+    def _pos(self, j: int) -> int:
+        return j + self._offset
+
+    def _keeps(self, I) -> tuple:
+        """(get, want): a key k lies in A_I when get(k) == want."""
+        I = frozenset(I)
+        kept = self._kept.get(I)
+        if kept is None:
+            at = [self._pos(j) for j in range(1, self.window + 1)
+                  if j not in I]
+            get = itemgetter(*at) if at else lambda k: ()
+            kept = self._kept[I] = (get, get(self.D.unit))
+        return kept
+
+    def _relabeling(self, gamma: dict):
+        """The _renamer of the permutation of 1..window that extends the
+        injective partial map gamma by the identity, checked and built
+        once per map's items."""
+        key = tuple(gamma.items())
+        rename = self._relabels.get(key)
+        if rename is None:
+            window = self.window
+            g = {j: gamma.get(j, j) for j in range(1, window + 1)}
+            if sorted(g.values()) != list(range(1, window + 1)):
+                raise ValueError(f"relabeling {gamma} is not injective on "
+                                 "the window")
+            rename = self._relabels[key] = self._renamer(g)
+        return rename
+
+    def pi(self, j: int, a: AlgebraElement) -> AlgebraElement:
+        if a.parent is not self.D:
+            raise ValueError("pi expects an element of A inside D")
+        if not self._in_A.issuperset(a.coeffs):
+            get, want = self._keeps((1,))
+            if any(get(k) != want for k in a.coeffs):
+                raise ValueError("pi expects an element of A = A_{1}")
+            self._in_A.update(a.coeffs)
+        if j == 1:
+            return a
+        rename = self._pis.get(j)
+        if rename is None:
+            if not 1 <= j <= self.window:
+                raise WindowExceeded(f"copy index {j} outside window "
+                                     f"{self.window}")
+            rename = self._pis[j] = self._relabeling({1: j, j: 1})
+        return AlgebraElement(self.D, {rename(k): c
+                                       for k, c in a.coeffs.items()})
+
+    def expect(self, I, x: AlgebraElement) -> AlgebraElement:
+        get, want = self._keeps(I)
+        return AlgebraElement(self.D, {k: c for k, c in x.coeffs.items()
+                                       if get(k) == want})
+
+    def relabel(self, gamma: dict, x: AlgebraElement) -> AlgebraElement:
+        rename = self._relabeling(gamma)
+        return AlgebraElement(self.D, {rename(k): c
+                                       for k, c in x.coeffs.items()})
+
+    def close(self, P, pi_x, label, top) -> AlgebraElement:
+        key = self._closings.get((label, top))
+        if key is None:
+            key = self._closings[label, top] = self._closing_key(label, top)
+        return P.times(pi_x, key)
+
+    def _closing_key(self, label, top):
+        """The key map of closing label under top."""
+        keep, shift = _closing(label, top)
+        get, want = self._keeps(keep)
+        rename = self._relabeling(shift)
+
+        def key(k):
+            if get(k) == want:
+                return rename(k)
+        return key
+
+    def subalgebra_spec(self, I) -> SubalgebraSpec:
+        """The spec of A_I, built once per index set and cached.
+
+        I covering the window gives the whole of D and enumerates nothing;
+        otherwise _size(k) is |A_I| for k = |I within the window|, checked
+        against the projection guard before _listing(I) lists A_I.
+        """
+        I = frozenset(I)
+        spec = self._specs.get(I)
+        if spec is None:
+            inside = I & set(range(1, self.window + 1))
+            if len(inside) == self.window:
+                idx = self.D.group.elements
+            else:
+                n = self._size(len(inside))
+                if n > PROJECTION_GUARD:
+                    raise SizeGuard(
+                        f"subalgebra for copies {sorted(inside)} has {n} "
+                        f"basis elements, over the projection guard "
+                        f"{PROJECTION_GUARD}")
+                idx = frozenset(self._listing(inside))
+            spec = self._specs[I] = SubalgebraSpec(self.D, idx)
+        return spec
 
 
 # ---------------------------------------------------------------------
@@ -129,31 +252,24 @@ class FreeWordElement(AlgebraElement):
 D = FiniteTracialAlgebra(free_group(), name="L(F)")
 
 
-class FreeHaarBackend:
+class FreeHaarBackend(_Copies):
     """B = scalars, A generated by one Haar unitary, pi_j(u_1) = u_j in
     D = L(F).  pi and relabel rename letters injectively, which keeps
     every word reduced and distinct words distinct, so neither re-reduces
-    nor merges terms."""
+    nor merges terms.  A key is a word of any length, so these word maps
+    are written here, and only the skeleton comes from _Copies."""
 
     name = "free_haar"
     #: Time of one unit of dimensions.growth_report's span-work estimate,
     #: relative to free Haar (see SPAN_WORK_GUARD there).
     span_cost = 1
+    B_pairs = property(lambda self: [(self.A_one,) * 2])  # B = scalars
 
     def __init__(self, window: int):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        check_size("window", window)
-        self.window = window
+        super().__init__(window)
         self.D = D
-        self._relabels = {}
-        one, u = D.one, D.basis_element(((1, 1),))
-        self.A_one = one
-        self.S = {"1": one, "u": u, "u*": u.star()}
-        self.B_pairs = [(one, one)]
-
-    def one(self) -> AlgebraElement:
-        return D.one
+        u = D.basis_element(((1, 1),))
+        self.S = {"1": D.one, "u": u, "u*": u.star()}
 
     def pi(self, j: int, a: AlgebraElement) -> AlgebraElement:
         if not 1 <= j <= self.window:
@@ -170,13 +286,15 @@ class FreeHaarBackend:
         return AlgebraElement(D, {w: c for w, c in x.coeffs.items()
                                   if allowed.issuperset([l for l, _ in w])})
 
-    def trace(self, x: AlgebraElement):
-        return x.trace()
-
     def relabel(self, gamma: dict, x: AlgebraElement) -> AlgebraElement:
-        g = _complete_relabel(self, gamma)
+        g = self._relabeling(gamma)
         return AlgebraElement(D, {tuple([(g.get(l, l), e) for l, e in w]): c
                                   for w, c in x.coeffs.items()})
+
+    @staticmethod
+    def _renamer(g: dict) -> dict:
+        """relabel reads the permutation itself, letter by letter."""
+        return g
 
     def close(self, P, pi_x, label, top) -> AlgebraElement:
         """The two passes of moments.close_arc: the product projected onto
@@ -188,160 +306,68 @@ class FreeHaarBackend:
             R = self.relabel(shift, R)
         return R
 
+    # perfbench/spans.py wraps these in each backend class's own vars
+    trace = _Copies.trace
+
     def dim_bound(self, k: int) -> int:
         return 4 ** k
 
 
 # ---------------------------------------------------------------------
-# tensor and permutation backends: D is a group algebra keyed by element
+# tensor and permutation backends
 
 
-def _subalgebra_spec(backend, I, size, elements) -> SubalgebraSpec:
-    """The spec of A_I, built once per index set and cached on the backend.
-
-    I covering the window gives the whole of D and enumerates nothing;
-    otherwise size(k) is |A_I| for k = |I within the window|, checked
-    against the projection guard before elements(I) lists A_I.
-    """
-    I = frozenset(I)
-    spec = backend._specs.get(I)
-    if spec is None:
-        inside = I & set(range(1, backend.window + 1))
-        if len(inside) == backend.window:
-            idx = backend.D.group.elements
-        else:
-            n = size(len(inside))
-            if n > PROJECTION_GUARD:
-                raise SizeGuard(
-                    f"subalgebra for copies {sorted(inside)} has {n} basis "
-                    f"elements, over the projection guard {PROJECTION_GUARD}")
-            idx = frozenset(elements(inside))
-        spec = backend._specs[I] = SubalgebraSpec(backend.D, idx)
-    return spec
-
-
-class TensorBackend:
-    """D = B (x) C^{(x)J}, keyed by slot tuples (b, c_1, ..., c_J); pi_j
-    places the C-part of A = B (x) C in slot j; expect traces out the slots
-    outside I, which keeps exactly the terms whose slots there hold the
-    unit, since tau_C(u_c) = [c = e]."""
+class TensorBackend(_Copies):
+    """D = B (x) C^{(x)J}, keyed by slot tuples (b, c_1, ..., c_J), and
+    A = B (x) C is the keys whose slots 2..J hold the unit; g moves slot
+    j's entry to slot g(j).  So pi_j places the C-part of A in slot j, and
+    expect traces out the slots outside I, since tau_C(u_c) = [c = e]."""
 
     name = "tensor"
     span_cost = 1  # measured on Z2 (x) Z3; 2-4x too high there
+    _offset = 0
 
     def __init__(self, B: FiniteTracialAlgebra, C: FiniteTracialAlgebra,
                  window: int):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        check_size("window", window)
-        self.window = window
-        self.B = B
-        self.C = C
-        self.A = tensor_algebra(B, C)
+        super().__init__(window)
+        self.B, self.C = B, C
         self.D = tensor_algebra(B, *[C] * window)
-        self._specs = {}
-        self._relabels = {}
-        self._outside = {}
-        self._closings = {}
-        self.S = {"1": self.A.one}
+        self.S = {"1": self.D.one}
         # the generator: unit-B tensor the first non-unit C element
         for c in C.group.elements:
             if c != C.unit:
-                self.S["g"] = self.A.basis_element((B.unit, c))
+                self.S["g"] = self.D.basis_element(
+                    (B.unit, c) + (C.unit,) * (window - 1))
                 break
-        self.A_one = self.A.one
 
-    @property
-    def B_pairs(self):
-        """(b in A, b in D) for each basis element b of B, listed on demand
-        from the spec of A_() = B, which holds the projection guard."""
-        return [(self.A.basis_element((key[0], self.C.unit)),
-                 self.D.basis_element(key))
-                for key in sorted(self.subalgebra_spec(()).indices)]
+    # perfbench/spans.py wraps these in each backend class's own vars
+    pi, expect, relabel, trace = (_Copies.pi, _Copies.expect,
+                                  _Copies.relabel, _Copies.trace)
 
-    def one(self) -> AlgebraElement:
-        return self.D.one
+    def _renamer(self, g: dict):
+        """Slot g(j) takes slot j's entry: slot t reads slot g^-1(t)."""
+        return itemgetter(0, *sorted(g, key=g.get))
 
-    def pi(self, j: int, a: AlgebraElement) -> AlgebraElement:
-        if not 1 <= j <= self.window:
-            raise WindowExceeded(f"copy index {j} outside window {self.window}")
-        if a.parent is not self.A:
-            raise ValueError("pi expects an element of A = B(x)C")
-        out = {}
-        cu = self.C.unit
-        for (b, c), coeff in a.coeffs.items():
-            key = [b] + [cu] * self.window
-            key[j] = c
-            out[tuple(key)] = coeff
-        return AlgebraElement(self.D, out)
+    def _size(self, k: int) -> int:
+        return self.B.dim * self.C.dim ** k
 
-    def expect(self, I, x: AlgebraElement) -> AlgebraElement:
-        outside = _outside(self, I)
-        cu = self.C.unit
-        return AlgebraElement(self.D, {
-            k: c for k, c in x.coeffs.items()
-            if all(k[s] == cu for s in outside)})
-
-    def trace(self, x: AlgebraElement):
-        return x.trace()
-
-    def relabel(self, gamma: dict, x: AlgebraElement) -> AlgebraElement:
-        g = _complete_relabel(self, gamma)
-        out = {}
-        for k, c in x.coeffs.items():
-            new = [k[0]] + [None] * self.window
-            for s in range(1, self.window + 1):
-                new[g[s]] = k[s]
-            out[tuple(new)] = c
-        return AlgebraElement(self.D, out)
-
-    #: P * pi_x keyed by _closing_key(label, top)
-    close = _keyed_close
-
-    def _closing_key(self, label, top):
-        """The key map of closing label under top: it keeps a key whose
-        slot label and slots above top hold the unit, as the expectation
-        onto 1..top but label does, and moves slot label to top by
-        dropping it and appending a unit slot, which is the shifting
-        relabeling on such a key.  Injective on the keys it keeps."""
-        cu = self.C.unit
-        tail, last = (cu,) * (self.window - top), (cu,)
-
-        def key(k):
-            if k[label] == cu and k[top + 1:] == tail:
-                return k[:label] + k[label + 1:] + last
-        return key
-
-    def subalgebra_spec(self, I) -> SubalgebraSpec:
-        B, C, J = self.B, self.C, self.window
-
-        def elements(inside):
-            slots = [C.group.elements if s in inside else (C.unit,)
-                     for s in range(1, J + 1)]
-            return product(B.group.elements, *slots)
-
-        return _subalgebra_spec(self, I, lambda k: B.dim * C.dim ** k,
-                                elements)
+    def _listing(self, inside):
+        C = self.C
+        return product(self.B.group.elements,
+                       *[C.group.elements if s in inside else (C.unit,)
+                         for s in range(1, self.window + 1)])
 
     def dim_bound(self, k: int) -> int:
         return self.C.dim ** k
 
 
-def _conjugate(phi: tuple, g: tuple) -> tuple:
-    """phi g phi^-1 for permutations as image tuples: it sends phi(i) to
-    phi(g(i))."""
-    out = [0] * len(g)
-    for i, gi in enumerate(g):
-        out[phi[i]] = phi[gi]
-    return tuple(out)
-
-
-class PermGroupBackend:
+class PermGroupBackend(_Copies):
     """D = group algebra of the permutations of the integer interval
-    [-d, J], keyed by the permutations themselves, so D is never
-    enumerated; pi_1 = id and pi_j = conjugation by the transposition
-    (1 j); A_I is the subalgebra of permutations supported on [-d,0]
-    union I, which has (d+1+|I|)! elements."""
+    [-d, J], keyed by the permutations themselves as image tuples, so D is
+    never enumerated; g acts by conjugating with the permutation of the
+    points 1..J it gives, so pi_1 = id and pi_j = conjugation by the
+    transposition (1 j); A_I is the subalgebra of permutations supported
+    on [-d,0] union I, which has (d+1+|I|)! elements."""
 
     name = "perm_group"
     span_cost = 10  # measured at d = 1; 4-10x too high at d = 2
@@ -349,109 +375,41 @@ class PermGroupBackend:
     def __init__(self, d: int, window: int):
         if d < 0:
             raise ValueError("d must be >= 0")
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        check_size("window", window)
+        super().__init__(window)
         check_size("d", d)
-        self.d = d
-        self.window = window
-        self.points = list(range(-d, window + 1))  # position p <-> point p-d
+        self.d = self._offset = d  # position p <-> point p - d
+        self.points = list(range(-d, window + 1))
         self.D = group_algebra(symmetric_group(self.points))
-        self._specs = {}
-        self._relabels = {}
-        self._outside = {}
-        self._closings = {}
-        self._swaps = {}  # j -> the transposition (1 j), built on first use
-        u01 = self._transposition(0, 1)
-        self.S = {"1": self.D.one, "u01": self.D.basis_element(u01)}
-        self.A_one = self.D.one
+        u01 = list(range(len(self.points)))
+        u01[d:d + 2] = d + 1, d
+        self.S = {"1": self.D.one, "u01": self.D.basis_element(tuple(u01))}
 
-    @property
-    def B_pairs(self):
-        """(b, b) for each basis element b of B, listed on demand from the
-        spec of A_() = B, which holds the projection guard."""
-        return [(self.D.basis_element(b),) * 2
-                for b in sorted(self.subalgebra_spec(()).indices)]
+    # perfbench/spans.py wraps these in each backend class's own vars
+    pi, expect, relabel, trace = (_Copies.pi, _Copies.expect,
+                                  _Copies.relabel, _Copies.trace)
 
-    def _pos(self, point: int) -> int:
-        return point + self.d
+    def _renamer(self, g: dict):
+        """h -> phi h phi^-1, with phi the image tuple of g on the
+        points: (phi h phi^-1)(x) = phi(h(phi^-1(x))), so gather(h) lists
+        h(phi^-1(x)) for each x, and phi is read at each of those."""
+        phi = list(range(len(self.points)))
+        for j, gj in g.items():
+            phi[self._pos(j)] = self._pos(gj)
+        phi, gather = tuple(phi), itemgetter(*self.D.group.inv(phi))
+        return lambda h: itemgetter(*gather(h))(phi)
 
-    def _transposition(self, p: int, q: int) -> tuple:
-        n = len(self.points)
-        t = list(range(n))
-        t[self._pos(p)], t[self._pos(q)] = t[self._pos(q)], t[self._pos(p)]
-        return tuple(t)
+    def _size(self, k: int) -> int:
+        return factorial(self.d + 1 + k)
 
-    def _supported(self, I):
+    def _listing(self, inside):
         """The permutations moving only points of [-d,0] union I, from the
         (d+1+|I|)! permutations of those points."""
-        movable = list(range(self.d + 1)) + sorted(self._pos(j) for j in I)
+        movable = list(range(self.d + 1)) + sorted(self._pos(j) for j in inside)
         for images in permutations(movable):
             g = list(range(len(self.points)))
             for p, image in zip(movable, images):
                 g[p] = image
             yield tuple(g)
-
-    def one(self) -> AlgebraElement:
-        return self.D.one
-
-    def pi(self, j: int, a: AlgebraElement) -> AlgebraElement:
-        if not 1 <= j <= self.window:
-            raise WindowExceeded(f"copy index {j} outside window {self.window}")
-        if a.parent is not self.D:
-            raise ValueError("pi expects an element carried by D")
-        if j == 1:
-            return a
-        t = self._swaps.get(j)
-        if t is None:
-            t = self._swaps[j] = self._transposition(1, j)
-        return AlgebraElement(self.D, {_conjugate(t, g): c
-                                       for g, c in a.coeffs.items()})
-
-    def expect(self, I, x: AlgebraElement) -> AlgebraElement:
-        fixed = _outside(self, I, self.d)
-        return AlgebraElement(self.D, {
-            g: c for g, c in x.coeffs.items()
-            if all(g[p] == p for p in fixed)})
-
-    def trace(self, x: AlgebraElement):
-        return x.trace()
-
-    def relabel(self, gamma: dict, x: AlgebraElement) -> AlgebraElement:
-        g = _complete_relabel(self, gamma)
-        phi = list(range(len(self.points)))
-        for j, jg in g.items():
-            phi[self._pos(j)] = self._pos(jg)
-        return AlgebraElement(self.D, {_conjugate(phi, h): c
-                                       for h, c in x.coeffs.items()})
-
-    #: P * pi_x keyed by _closing_key(label, top)
-    close = _keyed_close
-
-    def _closing_key(self, label, top):
-        """The key map of closing label under top: it keeps a permutation
-        that fixes label and every label above top, as the expectation
-        onto 1..top but label does, and conjugates it by the shift phi of
-        label to top and of label+1..top down one, as relabel does:
-        (phi g phi^-1)(x) = phi(g(phi^-1(x))), with phi and its inverse
-        as image tuples.  Conjugation is injective."""
-        phi = list(range(len(self.points)))
-        fixed = itemgetter(*(self._pos(p) for p in
-                             (label, *range(top + 1, self.window + 1))))
-        want = fixed(phi)
-        for j, jg in _closing(label, top)[1].items():
-            phi[self._pos(j)] = self._pos(jg)
-        image = tuple(phi).__getitem__
-        inverse = self.D.group.inv(phi)
-
-        def key(g):
-            if fixed(g) == want:
-                return tuple(map(image, map(g.__getitem__, inverse)))
-        return key
-
-    def subalgebra_spec(self, I) -> SubalgebraSpec:
-        return _subalgebra_spec(self, I, lambda k: factorial(self.d + 1 + k),
-                                self._supported)
 
     def dim_bound(self, k: int) -> int:
         return (self.d + 1) ** k

@@ -161,10 +161,10 @@ def close_arc(backend, P, pi_x, label, top):
     onto the open labels 1..top but label, then relabeled onto 1..top-1
     by shifting label to top and the labels above it down one.  Each
     backend's close(P, pi_x, label, top) equals that two-pass form:
-    free Haar takes the two passes, and perm and tensor one product whose
-    key map keeps the projection's terms and relabels their keys
-    (AlgebraElement.times; tests/closing_oracle.py checks each against
-    the two passes).
+    free Haar takes the two passes, and perm and tensor one keyed product
+    (copies._Copies.close) that keeps the keys lying in A_{1..top but
+    label} and renames them by the shift (tests/closing_oracle.py checks
+    each against the two passes).
 
     Give every arc its own label and let X be the prefix pi-word; then
     P = E_L(X), where L = 1..top are the labels still open (a span scan's

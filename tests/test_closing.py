@@ -44,10 +44,16 @@ def _perm():
 def _tensor():
     z3 = group_algebra(cyclic_group(3))
     backend = TensorBackend(group_algebra(cyclic_group(2)), z3, WINDOW)
-    A = backend.A
+    D = backend.D
     g = backend.S["g"]
-    letters = [g, g.star(), A.element({(0, 1): 1, (1, 2): -2, (0, 0): 1}),
-               A.element({(1, 1): Fraction(1, 2), (1, 2): Fraction(1, 2)})]
+
+    def a(coeffs):
+        """An A-element of D, from {(b, c): coefficient}: slot 1 holds c."""
+        return D.element({(b, c) + (0,) * (WINDOW - 1): x
+                          for (b, c), x in coeffs.items()})
+
+    letters = [g, g.star(), a({(0, 1): 1, (1, 2): -2, (0, 0): 1}),
+               a({(1, 1): Fraction(1, 2), (1, 2): Fraction(1, 2)})]
     return backend, letters
 
 

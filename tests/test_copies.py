@@ -127,6 +127,14 @@ def test_perm_b_pairs_commute_with_copies(perm3):
             assert perm3.pi(j, b) == b
 
 
+def test_perm_pi_refuses_elements_outside_A(perm3):
+    # pi(2, u01) moves the point 2, so it lies outside A = A_{1}
+    x = perm3.pi(2, perm3.S["u01"])
+    for j in (1, 3):
+        with pytest.raises(ValueError, match="element of A"):
+            perm3.pi(j, x)
+
+
 # ---------------------------------------------------------------------
 # tensor backend
 
@@ -144,6 +152,13 @@ def test_tensor_expect_traces_out_slots(tensor3):
     x = tensor3.pi(2, g)
     assert tensor3.expect([1], x).is_zero()  # tau_C(g) = 0
     assert tensor3.expect([2], x) == x
+
+
+def test_tensor_pi_refuses_elements_outside_A(tensor3):
+    x = tensor3.pi(2, tensor3.S["g"])  # g in slot 2
+    for j in (1, 3):
+        with pytest.raises(ValueError, match="element of A"):
+            tensor3.pi(j, x)
 
 
 def test_tensor_independence(tensor3):
@@ -382,6 +397,13 @@ def test_relabel_completes_each_map_once(make):
     assert len(backend._relabels) == 1
 
 
+@pytest.mark.parametrize("cls", [FreeHaarBackend, PermGroupBackend,
+                                 TensorBackend])
+def test_each_backend_class_names_its_traced_methods(cls):
+    # perfbench/spans.py wraps these in each backend class's own vars
+    assert {"__init__", "pi", "expect", "relabel", "trace"} <= vars(cls).keys()
+
+
 def test_dim_bounds(free3, perm3, tensor3):
     assert [free3.dim_bound(k) for k in (1, 2, 3)] == [4, 16, 64]
     assert [perm3.dim_bound(k) for k in (1, 2, 3)] == [2, 4, 8]
@@ -482,6 +504,93 @@ def test_lazy_perm_backend_equals_enumerated_group(d, J):
                     assert as_index(backend.expect(I, x)) == ref.expect(I, want)
                 for gamma in relabelings:
                     assert as_index(backend.relabel(gamma, x)) == \
+                        ref.relabel(gamma, want)
+
+
+class EnumeratedTensor:
+    """The tensor backend slot by slot: an element is {(b, c_1, ..., c_J):
+    coefficient}, multiplied in B and in C slot by slot, and an A-element
+    is {(b, c): coefficient}."""
+
+    def __init__(self, B, C, window):
+        self.B, self.C, self.window = B, C, window
+        self.slots = range(1, window + 1)
+        self.unit = (B.unit,) + (C.unit,) * window
+
+    def times(self, x, y):
+        out = {}
+        for k, a in x.items():
+            for l, b in y.items():
+                key = (self.B.group.mul(k[0], l[0]),) + tuple(
+                    self.C.group.mul(k[s], l[s]) for s in self.slots)
+                out[key] = out.get(key, 0) + a * b
+        return {k: c for k, c in out.items() if c}
+
+    def pi(self, j, a):
+        """The C-part of each term in slot j, the unit in the others."""
+        out = {}
+        for (b, c), coeff in a.items():
+            key = [b] + [self.C.unit] * self.window
+            key[j] = c
+            out[tuple(key)] = coeff
+        return out
+
+    def pi_word(self, xs, labels):
+        prod = {self.unit: 1}
+        for x, j in zip(xs, labels):
+            prod = self.times(prod, self.pi(j, x))
+        return prod
+
+    def keeps(self, I, key):
+        return all(key[s] == self.C.unit for s in self.slots if s not in I)
+
+    def expect(self, I, x):
+        return {k: c for k, c in x.items() if self.keeps(I, k)}
+
+    def relabel(self, gamma, x):
+        """Slot s's entry moves to slot gamma(s)."""
+        out = {}
+        for k, c in x.items():
+            new = [k[0]] + [None] * self.window
+            for s in self.slots:
+                new[gamma.get(s, s)] = k[s]
+            out[tuple(new)] = c
+        return out
+
+    def trace(self, x):
+        return x.get(self.unit, 0)
+
+
+@pytest.mark.parametrize("B, C", [
+    (group_algebra(cyclic_group(2)), group_algebra(cyclic_group(3))),
+    (trivial_algebra(), group_algebra(symmetric_group(range(3))))],
+    ids=["Z2xZ3", "trivialxS3"])
+def test_tensor_backend_equals_slot_by_slot_reference(B, C):
+    J = 3
+    backend = TensorBackend(B, C, J)
+    ref = EnumeratedTensor(B, C, J)
+    c = next(c for c in C.group.elements if c != C.unit)
+    ref_letters = {"1": {(B.unit, C.unit): 1}, "g": {(B.unit, c): 1},
+                   "g*": {(B.unit, C.group.inv(c)): 1}}
+    g = backend.S["g"]
+    letters = {"1": backend.A_one, "g": g, "g*": g.star()}
+    keys = list(product(B.group.elements, *[C.group.elements] * J))
+    for I in _subsets(range(1, J + 1)):
+        spec = backend.subalgebra_spec(I)
+        assert set(keys if spec.whole else spec.indices) == \
+            {k for k in keys if ref.keeps(I, k)}
+    relabelings = [{1: 2, 2: 3, 3: 1}, {1: 3, 3: 1}]
+    for m in (1, 2, 3):
+        for names in product(letters, repeat=m):
+            for labels in product(range(1, J + 1), repeat=m):
+                x = pi_word(backend, [letters[n] for n in names], labels)
+                want = ref.pi_word([ref_letters[n] for n in names], labels)
+                assert x.coeffs == want
+                assert backend.trace(x) == ref.trace(want)
+                for I in _subsets(range(1, J + 1)):
+                    assert backend.expect(I, x).coeffs == ref.expect(I, want)
+                for gamma in relabelings:
+                    assert backend.relabel(gamma, x).coeffs == \
                         ref.relabel(gamma, want)
 
 
