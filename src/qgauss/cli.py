@@ -22,7 +22,7 @@ from .algebra import cyclic_group, group_algebra
 from .errors import QGaussError
 from .partitions import Partition12
 from .qpoly import QPoly
-from .scenario import Scenario, ScenarioError
+from .scenario import Scenario, ScenarioError, _frac
 
 
 def _emit(doc: str, out_path):
@@ -40,11 +40,7 @@ def _json(doc) -> str:
 def cmd_moment(args) -> int:
     sc = Scenario.load(args.scenario, "moment")
     if args.q:
-        try:
-            sc.q_values = [Fraction(x) for x in args.q.split(",")]
-        except (ValueError, ZeroDivisionError):
-            raise ScenarioError(f"--q must be comma-separated rationals, "
-                                f"got {args.q!r}") from None
+        sc.q_values = [_frac(x, "--q") for x in args.q.split(",")]
     result = {"word_length": len(sc.word), "backend": sc.backend.name}
     if sc.Q is not None:
         if sc.q_values:
@@ -73,20 +69,16 @@ def cmd_dims(args) -> int:
     sc = Scenario.load(args.scenario, "dims")
     report = dimensions.growth_report(sc.backend, sc.k_max,
                                       max_m_offset=sc.max_m_offset)
+    fields = ("k", "dim_scalar", "bound", "stabilized_at_m")
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["k", "dim_scalar", "bound", "stabilized_at_m"])
+        writer.writerow(fields)
         writer.writerows(report["rows"])
         _emit(buf.getvalue(), args.out)
     else:
-        doc = {"backend": report["backend"],
-               "rows": [{"k": k, "dim_scalar": d, "bound": b,
-                         "stabilized_at_m": s}
-                        for k, d, b, s in report["rows"]],
-               "fit_slope": report["fit_slope"],
-               "d_estimate": report["d_estimate"]}
-        _emit(_json(doc), args.out)
+        _emit(_json(dict(report, rows=[dict(zip(fields, r))
+                                       for r in report["rows"]])), args.out)
     return 0
 
 

@@ -4,8 +4,8 @@ Three backends share one interface: pi(j, a) embeds A-elements as the j-th
 copy inside D, expect(I, x) is the conditional expectation onto the
 algebra generated by copies with indices in I (expect(()) is E_B), trace
 is the trace of D, relabel applies the index-permutation automorphism,
-and close(P, pi_x, label, top) closes a scan's arc (moments.close_arc).
-All arithmetic is exact.
+and close(P, pi_x, label, top) closes a scan's arc (below).  All
+arithmetic is exact.
 
 Each D is a group algebra, on whose keys a permutation g of the copies
 acts by an injective renaming.  So the operations follow from which keys
@@ -19,13 +19,36 @@ lie in each A_I and how g renames a key:
   one product (AlgebraElement.times), exact because renaming is injective.
 _Copies derives them once for perm and tensor; free Haar's keys are words
 of any length, so it writes its own word maps.
+
+The arc scans of moments and dimensions close an arc by close(P, pi_x,
+label, top): P * pi_label(x) with the arc at label closed, that is, the
+product projected onto the open labels 1..top but label, then relabeled
+onto 1..top-1 by shifting label to top and the labels above it down one.
+Free Haar takes these two passes, and perm and tensor one keyed product
+(_Copies.close) that keeps the keys lying in A_{1..top but label} and
+renames them by the shift (tests/closing_oracle.py checks each against
+the two passes).
+
+Give every arc its own label and let X be the prefix pi-word; then
+P = E_L(X), where L = 1..top are the labels still open (a span scan's
+singleton labels 1..s among them, which never close).  A letter on a
+fresh label j, outside those X uses, keeps this form: E_{L+j}(X
+pi_j(x)) = E_L(X) pi_j(x) by axiom 4 (E_I E_J = E_{I cap J}).
+
+Why closing label t is exact: the rest R of the word lies in A_K, K =
+(L - t) plus fresh labels.  For I = () (a trace) or I = 1..s (a
+reduced coefficient), I lies in K, so E_I(X pi_t(x) R) =
+E_I(E_K(X pi_t(x)) R), and E_K(X pi_t(x)) = E_{L-t}(P pi_t(x)) by
+axiom 4 and because pi_t(x) lies in A_L.  The relabeling fixes 1..s,
+so by exchangeability it leaves E_I unchanged while the open labels
+stay 1..top-1 and a new arc reuses the freed label.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import permutations, product
-from math import factorial
+from math import factorial, inf
 from operator import itemgetter
 
 from .algebra import (AlgebraElement, FiniteTracialAlgebra, SubalgebraSpec,
@@ -93,8 +116,8 @@ class _Copies:
     the terms whose keys lie in A_I; relabel renames every key; and
     close(P, pi_x, label, top) is P.times(pi_x, key), whose key keeps what
     _keeps(1..top but label) keeps and renames it by the shift of label to
-    top, as moments.close_arc's two passes would.  Every cache is shared,
-    so its entries are never modified.
+    top, as the two passes of the module docstring would.  Every cache is
+    shared, so its entries are never modified.
     """
 
     def __init__(self, window: int):
@@ -257,13 +280,13 @@ class FreeHaarBackend(_Copies):
     D = L(F).  pi and relabel rename letters injectively, which keeps
     every word reduced and distinct words distinct, so neither re-reduces
     nor merges terms.  A key is a word of any length, so these word maps
-    are written here, and only the skeleton comes from _Copies."""
+    are written here, and only the skeleton and the spec of A_I (with B,
+    listed as the unit alone) come from _Copies."""
 
     name = "free_haar"
     #: Time of one unit of dimensions.growth_report's span-work estimate,
     #: relative to free Haar (see SPAN_WORK_GUARD there).
     span_cost = 1
-    B_pairs = property(lambda self: [(self.A_one,) * 2])  # B = scalars
 
     def __init__(self, window: int):
         super().__init__(window)
@@ -297,9 +320,9 @@ class FreeHaarBackend(_Copies):
         return g
 
     def close(self, P, pi_x, label, top) -> AlgebraElement:
-        """The two passes of moments.close_arc: the product projected onto
-        1..top but label, then relabeled.  Projecting first leaves fewer
-        terms to relabel."""
+        """The two passes of the module docstring: the product projected
+        onto 1..top but label, then relabeled.  Projecting first leaves
+        fewer terms to relabel."""
         keep, shift = _closing(label, top)
         R = self.expect(keep, P * pi_x)
         if label < top and R.coeffs:
@@ -308,6 +331,10 @@ class FreeHaarBackend(_Copies):
 
     # perfbench/spans.py wraps these in each backend class's own vars
     trace = _Copies.trace
+
+    # A_I is infinite once I holds a copy, so only B is ever listed
+    _size = staticmethod(lambda k: 1 if k == 0 else inf)
+    _listing = staticmethod(lambda inside: [()])
 
     def dim_bound(self, k: int) -> int:
         return 4 ** k
@@ -426,13 +453,9 @@ AXIOM4_WORD_LEN = 3
 
 
 def _words_over(items, max_len):
-    """All nonempty tuples over items up to max_len."""
-    out = []
-    level = [()]
-    for _ in range(max_len):
-        level = [w + (it,) for w in level for it in items]
-        out.extend(level)
-    return out
+    """All nonempty tuples over items up to max_len, shortest first."""
+    return [w for n in range(1, max_len + 1)
+            for w in product(items, repeat=n)]
 
 
 def axiom_check(backend, word_len: int = 4) -> dict:

@@ -14,24 +14,24 @@ element P of a state
   - places the next singleton, P * pi_{t+1}(x), while t < k;
   - opens an arc, P * pi_{k+j+1}(x), while the letters left up to max_m
     can still place the missing singletons and close every arc;
-  - or closes arc i by moments.close_arc(backend, P, pi_{k+i+1}(x),
-    k+i+1, k+j), which projects its label away and keeps the open labels
-    1..k+j-1.
+  - or closes arc i by backend.close(P, pi_{k+i+1}(x), k+i+1, k+j),
+    which projects its label away and keeps the open labels 1..k+j-1.
 After m letters the basis of state (k, 0) joins a cumulative basis, whose
 size is dims_by_m[m].
 
 Why this is exact: a word of length m with a partition of k singletons
 is one path of moves from (0, 0) to (k, 0), and the pruning drops only
 paths that cannot reach (k, 0) within max_m letters.  Along a path, a
-singleton's label and a new arc's label are fresh, and close_arc shows
-each closing exact for E_{1..k}, its relabeling fixing the singleton
-labels; so the path ends at the F_sigma of its word and partition.  Every
-transition is linear in P, so the images of a basis span the images of
-the whole state, and the value at (k, 0) after m letters is the span of
-F_sigma over the words of length m.  tau is faithful on these algebras
-and the coefficients are rational, so this linear dimension equals the
-rank of the tau-Gram matrix.  The word-length cap max_m is explicit, and
-stabilization in max_m is reported as evidence, not proof.
+singleton's label and a new arc's label are fresh, and the copies module
+docstring shows each closing exact for E_{1..k}, its relabeling fixing
+the singleton labels; so the path ends at the F_sigma of its word and
+partition.  Every transition is linear in P, so the images of a basis
+span the images of the whole state, and the value at (k, 0) after m
+letters is the span of F_sigma over the words of length m.  tau is
+faithful on these algebras and the coefficients are rational, so this
+linear dimension equals the rank of the tau-Gram matrix.  The word-length
+cap max_m is explicit, and stabilization in max_m is reported as
+evidence, not proof.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from .algebra import EchelonBasis
 from .copies import require_window
 from .errors import SizeGuard
-from .moments import close_arc
 
 #: Largest dim_bound(k_max) that growth_report accepts: k_max up to 5 on
 #: free Haar (4^5) and 10 on perm d = 1 (2^10), seconds at offset 4.
@@ -127,8 +126,8 @@ def _images(backend, k: int, left: int, t: int, j: int, P, pis: list):
         if k - t + j + 1 <= left:
             yield (t, j + 1), P * pi[k + j + 1]
         for i in range(j):
-            yield (t, j - 1), close_arc(backend, P, pi[k + i + 1], k + i + 1,
-                                        k + j)
+            yield (t, j - 1), backend.close(P, pi[k + i + 1], k + i + 1,
+                                            k + j)
 
 
 def _step(backend, k: int, left: int, states: dict, pis: list):

@@ -18,14 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
 from . import qfock
 from .copies import FreeHaarBackend
 from .errors import SizeGuard
-from .moments import coincidences, q_matrix_moment, slot_moments
+from .moments import (check_q_matrix, coincidences, q_matrix_moment,
+                      slot_moments)
 
 #: Longest word the Monte Carlo estimator accepts.
 WORD_CAP = 8
@@ -77,20 +78,16 @@ class MCEstimate:
 
 
 def _injective_assignments(blocks, colors, n):
-    """Maps block -> copy index, injective within each color class."""
+    """Maps block -> copy index, injective within each color class; the
+    first color varies fastest, and the last slowest."""
     by_color = {}
     for bi, b in enumerate(blocks):
         by_color.setdefault(colors[b[0] - 1], []).append(bi)
-    assignments = [{}]
-    for _, bis in sorted(by_color.items()):
-        new = []
-        for js in permutations(range(1, n + 1), len(bis)):
-            for base in assignments:
-                a = dict(base)
-                a.update(zip(bis, js))
-                new.append(a)
-        assignments = new
-    yield from assignments
+    classes = [bis for _, bis in sorted(by_color.items(), reverse=True)]
+    for choice in product(*[permutations(range(1, n + 1), len(bis))
+                            for bis in classes]):
+        yield {bi: j for bis, js in zip(classes, choice)
+               for bi, j in zip(bis, js)}
 
 
 def _terms(xs, colors, n, backend):
@@ -112,9 +109,9 @@ def _terms(xs, colors, n, backend):
 
 def _model_inputs(word, Qms, cfg, colors, backend):
     """(xs, hs, colors, Qms, cfg, backend) with the defaults: every letter
-    of color 0, the entries of each Q matrix as rationals, an orthonormal
-    Fock configuration deep enough for the word, and the pure word
-    resolved.  Without a backend every letter is the unit of a free Haar
+    of color 0, each Q matrix checked by moments.check_q_matrix, an
+    orthonormal Fock configuration deep enough for the word, and the pure
+    word resolved.  Without a backend every letter is the unit of a free Haar
     window of m/2 copies; with one, a None letter is its unit."""
     m = len(word)
     hs = [h for _, h in word]
@@ -126,9 +123,9 @@ def _model_inputs(word, Qms, cfg, colors, backend):
         xs = [backend.A_one] * m
     else:
         xs = [backend.A_one if x is None else x for x, _ in word]
-    return (xs, hs, [0] * m if colors is None else list(colors),
-            [[[Fraction(x) for x in row] for row in Qm] for Qm in Qms],
-            cfg, backend)
+    colors = [0] * m if colors is None else list(colors)
+    return (xs, hs, colors, [check_q_matrix(Qm, colors) for Qm in Qms], cfg,
+            backend)
 
 
 def _estimate(values, target, target_n, n, seed) -> MCEstimate:

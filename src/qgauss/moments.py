@@ -66,7 +66,7 @@ def trace_of_partition_term(sigma: Partition12, xs, hs, backend,
     return QPoly.monomial(crossing_number(sigma), ip * tr)
 
 
-def _arc_scan(xs, tags, backend, close, opens=None) -> dict:
+def _arc_scan(xs, tags, backend, close) -> dict:
     """Sum over the pair partitions sigma of the word xs of
     weight(sigma) * tau_D(pi-word of sigma), by one left-to-right scan;
     returned as a {power of q: exact rational} dict.  A weight stays an
@@ -82,20 +82,20 @@ def _arc_scan(xs, tags, backend, close, opens=None) -> dict:
 
     At each letter a state opens an arc, P * pi_{k+1}(x), while the
     letters left can still close every open arc, or closes arc i by
-    close_arc(backend, P, pi_{i+1}(x), i+1, k), which says why this is
-    exact.  close(stack, i, tag) gives the (power of q, factor) of that
-    closing; a zero factor prunes it.  Tags are small ints or tuples of
-    them (see _vector_ids), so stacks hash cheaply.  A letter is embedded
-    only at the labels a state uses.
+    backend.close(P, pi_{i+1}(x), i+1, k), which the copies module
+    docstring shows exact.  close(stack, i, tag) gives the (power of q,
+    factor) of that closing; a zero factor prunes it.  Tags are small ints
+    or tuples of them (see _vector_ids), so stacks hash cheaply.  A letter
+    is embedded only at the labels a state uses.
 
-    opens, when given, fixes each letter's move (True opens, False
-    closes), and close() may prune by tag; together they restrict the sum
-    to a family of pair partitions.  trace_pairing restricts it to the
-    convolution joins that are pair partitions.  Each partition that
+    _advance also takes opens, which fixes each letter's move (True
+    opens, False closes); with a close() that prunes by tag, it restricts
+    the sum to a family of pair partitions.  trace_pairing restricts it to
+    the convolution joins that are pair partitions.  Each partition that
     survives is summed exactly as without the restriction: closing arc i
     of k open arcs crosses exactly the k-1-i arcs opened after it and
-    still open, so the powers add up to the crossing number, and
-    close_arc (axiom 4 and exchangeability) keeps P the reduced
+    still open, so the powers add up to the crossing number, and the
+    closing (axiom 4 and exchangeability, see copies) keeps P the reduced
     coefficient of the prefix whichever arcs were closed.
 
     The states after a prefix are a function of the prefix's letters,
@@ -107,7 +107,7 @@ def _arc_scan(xs, tags, backend, close, opens=None) -> dict:
     still summed exactly once.  trace_pairing resumes that way.
     """
     return _traces(_advance({((), backend.one()): {0: 1}}, xs, tags,
-                            backend, close, opens, 0), backend)
+                            backend, close, None, 0), backend)
 
 
 def _advance(states, xs, tags, backend, close, opens, after) -> dict:
@@ -138,7 +138,7 @@ def _advance(states, xs, tags, backend, close, opens, after) -> dict:
                 power, factor = close(stack, i, tag)
                 if not factor:
                     continue
-                R = close_arc(backend, P, pi(i + 1), i + 1, k)
+                R = backend.close(P, pi(i + 1), i + 1, k)
                 _add_state(nxt, stack[:i] + stack[i + 1:], R, weight, power,
                            factor)
         states = nxt
@@ -154,33 +154,6 @@ def _traces(states, backend) -> dict:
         for p, c in weight.items():
             total[p] = total.get(p, 0) + c * tr
     return total
-
-
-def close_arc(backend, P, pi_x, label, top):
-    """P * pi_label(x) with the arc at label closed: the product projected
-    onto the open labels 1..top but label, then relabeled onto 1..top-1
-    by shifting label to top and the labels above it down one.  Each
-    backend's close(P, pi_x, label, top) equals that two-pass form:
-    free Haar takes the two passes, and perm and tensor one keyed product
-    (copies._Copies.close) that keeps the keys lying in A_{1..top but
-    label} and renames them by the shift (tests/closing_oracle.py checks
-    each against the two passes).
-
-    Give every arc its own label and let X be the prefix pi-word; then
-    P = E_L(X), where L = 1..top are the labels still open (a span scan's
-    singleton labels 1..s among them, which never close).  A letter on a
-    fresh label j, outside those X uses, keeps this form: E_{L+j}(X
-    pi_j(x)) = E_L(X) pi_j(x) by axiom 4 (E_I E_J = E_{I cap J}).
-
-    Why closing label t is exact: the rest R of the word lies in A_K, K =
-    (L - t) plus fresh labels.  For I = () (a trace) or I = 1..s (a
-    reduced coefficient), I lies in K, so E_I(X pi_t(x) R) =
-    E_I(E_K(X pi_t(x)) R), and E_K(X pi_t(x)) = E_{L-t}(P pi_t(x)) by
-    axiom 4 and because pi_t(x) lies in A_L.  The relabeling fixes 1..s,
-    so by exchangeability it leaves E_I unchanged while the open labels
-    stay 1..top-1 and a new arc reuses the freed label.
-    """
-    return backend.close(P, pi_x, label, top)
 
 
 def _add_state(states, stack, P, weight, power=0, factor=1):
@@ -360,6 +333,27 @@ def finite_n_moment(word, backend, n: int, cfg: FockConfig) -> QPoly:
 # Q-matrix moments
 
 
+def check_q_matrix(Qm, colors) -> list:
+    """Qm with exact entries (algebra.exact), once it is square, symmetric
+    with entries in [-1, 1] and has a row for every color of colors; else
+    ValueError names the first row, entry or letter at fault."""
+    Q = [[exact(x) for x in row] for row in Qm]
+    for i, row in enumerate(Q):
+        if len(row) != len(Q):
+            raise ValueError(f"Q[{i}]: has {len(row)} entries, Q has "
+                             f"{len(Q)} rows")
+    for i, row in enumerate(Q):
+        for j, x in enumerate(row):
+            if x != Q[j][i] or abs(x) > 1:
+                raise ValueError(f"Q[{i}][{j}]: {x} breaks symmetry "
+                                 "or lies outside [-1, 1]")
+    for i, c in enumerate(colors):
+        if not 0 <= c < len(Q):
+            raise ValueError(f"word[{i}].color: {c} is outside the "
+                             f"{len(Q)}x{len(Q)} Q matrix")
+    return Q
+
+
 def q_matrix_moment(word, colors, Qm, backend, cfg: FockConfig) -> Fraction:
     """Moment with the crossing weight q replaced by per-color-pair
     entries: each crossing ({a,b},{c,d}), a<c<b<d, contributes
@@ -379,18 +373,7 @@ def q_matrix_moment(word, colors, Qm, backend, cfg: FockConfig) -> Fraction:
     colors = list(colors)
     if len(colors) != m:
         raise ValueError("one color per letter required")
-    Qm = [[exact(x) for x in row] for row in Qm]
-    nt = len(Qm)
-    if any(len(row) != nt for row in Qm):
-        raise ValueError("Q matrix must be square")
-    for i in range(nt):
-        for j in range(nt):
-            if Qm[i][j] != Qm[j][i]:
-                raise ValueError("Q matrix must be symmetric")
-            if abs(Qm[i][j]) > 1:
-                raise ValueError("Q entries must lie in [-1, 1]")
-    if any(not 0 <= t < nt for t in colors):
-        raise ValueError("color out of range for the Q matrix")
+    Qm = check_q_matrix(Qm, colors)
     if m % 2:
         return Fraction(0)
     require_window(backend, m // 2, f"word of length {m}")
@@ -501,13 +484,15 @@ def reduce(sigma: Partition12, xs, hs, backend, cfg: FockConfig) -> WickWord:
     return w
 
 
-def _same_setting(w1: WickWord, w2: WickWord):
-    """Refuse to pair words under different backends or Fock configs;
-    identity first, as equality walks the configs' Fraction matrices."""
+def _same_setting(w1: WickWord, w2: WickWord) -> bool:
+    """Whether the words have one singleton degree, after refusing to
+    pair words under different backends or Fock configs; identity first,
+    as equality walks the configs' Fraction matrices."""
     if w1.backend is not w2.backend or not (w1.cfg is w2.cfg
                                             or w1.cfg == w2.cfg):
         raise ValueError("paired words need one backend and one Fock "
                          "configuration")
+    return w1.degree == w2.degree
 
 
 def wick_inner_product(w1: WickWord, w2: WickWord) -> QPoly:
@@ -522,8 +507,7 @@ def wick_inner_product(w1: WickWord, w2: WickWord) -> QPoly:
     singleton inner products are tabled once per pair of words, and each
     relabeled F2 is built once per word (w2.relabeled).
     """
-    _same_setting(w1, w2)
-    if w1.degree != w2.degree:
+    if not _same_setting(w1, w2):
         return QPoly.zero()
     F1, F2 = w1.F_sigma, w2.F_sigma
     if (F1.is_zero() or F2.is_zero() or w1.f_sigma.is_zero()
@@ -622,8 +606,7 @@ def trace_pairing(w1: WickWord, w2: WickWord) -> QPoly:
     pi-word is the starred reverse, whose tau_D is the complex conjugate;
     every coefficient, inner product and tau_D value is a real rational.
     """
-    _same_setting(w1, w2)
-    if w1.degree != w2.degree:
+    if not _same_setting(w1, w2):
         return QPoly.zero()
     m = w2.sigma.m + w1.sigma.m
     backend = w1.backend

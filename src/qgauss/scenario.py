@@ -15,6 +15,7 @@ from . import copies
 from .algebra import (cyclic_group, exact, group_algebra, symmetric_group,
                       trivial_algebra)
 from .errors import QGaussError, SizeGuard
+from .moments import check_q_matrix
 from .qfock import FockConfig
 
 
@@ -203,21 +204,6 @@ def build_word(word_spec, backend, cfg: FockConfig):
     return word, colors
 
 
-def _q_matrix(spec) -> list:
-    """A square symmetric rational matrix with entries in [-1, 1]."""
-    Q = _matrix(spec, "Q")
-    for i, row in enumerate(Q):
-        if len(row) != len(Q):
-            raise ScenarioError(f"Q[{i}]: has {len(row)} entries, Q has "
-                                f"{len(Q)} rows")
-    for i, row in enumerate(Q):
-        for j, x in enumerate(row):
-            if x != Q[j][i] or abs(x) > 1:
-                raise ScenarioError(f"Q[{i}][{j}]: {x} breaks symmetry "
-                                    "or lies outside [-1, 1]")
-    return Q
-
-
 #: The top-level keys each command reads.
 COMMAND_KEYS = {"moment": ("backend", "fock", "word", "q_values", "n", "Q"),
                 "dims": ("backend", "dims")}
@@ -246,12 +232,10 @@ class Scenario:
                 raise ScenarioError("n: a Q-matrix moment is computed only "
                                     "in the large-n limit; give n or Q, "
                                     "not both")
-            self.Q = _q_matrix(data["Q"])
-            for i, c in enumerate(self.colors):
-                if not 0 <= c < len(self.Q):
-                    raise ScenarioError(
-                        f"word[{i}].color: {c} is outside the "
-                        f"{len(self.Q)}x{len(self.Q)} Q matrix")
+            try:
+                self.Q = check_q_matrix(_matrix(data["Q"], "Q"), self.colors)
+            except ValueError as e:  # its message names the entry
+                raise ScenarioError(str(e)) from e
         dims = _object(data.get("dims", {}), "dims")
         defaults = {"k_max": 2, "max_m_offset": 4}
         _known_keys(dims, tuple(defaults), "dims")

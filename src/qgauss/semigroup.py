@@ -89,14 +89,16 @@ def doubled_config(cfg: FockConfig, c) -> FockConfig:
                       cfg.max_degree)
 
 
-def _embed_first(h, d):
-    return tuple(Fraction(x) for x in h) + (Fraction(0),) * d
+def _embed_first(h):
+    return tuple(Fraction(x) for x in h) + (Fraction(0),) * len(h)
 
 
 def _rotate(h, c):
     """alpha_theta applied to h + 0: cos(theta) h in the first block and
-    (implicitly sine-weighted) h in the second."""
-    c = Fraction(c)
+    (implicitly sine-weighted) h in the second, which stays zero at c = 1,
+    where the rotation is the identity (see doubled_config)."""
+    if c == 1:
+        return _embed_first(h)
     return tuple(c * Fraction(x) for x in h) + tuple(Fraction(x) for x in h)
 
 
@@ -106,14 +108,15 @@ def alpha_theta_projected_moment(w: WickWord, c, test_words) -> dict:
     tau(y* alpha_theta(x_sigma)) must equal c^s tau(y* x_sigma), computed
     exactly on the doubled coefficient space.
 
+    The right-hand side pairs w and y themselves, so every y needs w's
+    backend and Fock configuration (else ValueError).
+
     Returns the eigenfactor and the certificate.
     """
     c = Fraction(c)
     if not 0 < c <= 1:
         raise ValueError("cos(theta) must lie in (0, 1]")
-    cfg = w.cfg
-    d = cfg.dim_H
-    cfg2 = doubled_config(cfg, c)
+    cfg2 = doubled_config(w.cfg, c)
     s = w.degree
     factor = c ** s
 
@@ -123,14 +126,12 @@ def alpha_theta_projected_moment(w: WickWord, c, test_words) -> dict:
                         word.backend, cfg2)
 
     w_rot = lift(w, lambda h: _rotate(h, c))
-    w_emb = lift(w, lambda h: _embed_first(h, d))
     checked = 0
     certified = True
     witness = None
     for y in test_words:
-        y_emb = lift(y, lambda h: _embed_first(h, d))
-        lhs = trace_pairing(w_rot, y_emb)
-        rhs = trace_pairing(w_emb, y_emb).scale(factor)
+        rhs = trace_pairing(w, y).scale(factor)
+        lhs = trace_pairing(w_rot, lift(y, _embed_first))
         checked += 1
         if lhs != rhs:
             certified = False

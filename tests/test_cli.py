@@ -266,6 +266,8 @@ def _tensor_backend(C):
     ({"n": 0}, "n"),
     ({"n": -1}, "n"),
     ({"Q": [["1/2"]], "n": 1}, "n"),
+    ({"Q": [["1", "1/2"], ["0", "1"]]}, "Q[0][1]"),
+    ({"Q": [["3/2"]]}, "Q[0][0]"),
 ])
 def test_malformed_scenario_names_the_field(tmp_path, capsys, change, field):
     path = write_scenario(tmp_path, dict(BASE, **change))

@@ -203,7 +203,8 @@ def test_axiom_check_builds_each_word_and_expectation_once(monkeypatch):
     # tag every element with the letters ((j, name), ...) it was built
     # from, and count each product and each E_K by those tags
     backend = FreeHaarBackend(3)
-    name_of = {id(x): n for n, x in backend.S.items()}
+    # by value: axiom 1 embeds B's unit, an element equal to S["1"]
+    name_of = {x: n for n, x in backend.S.items()}
     key = {}
     alive = []  # holding every element keeps ids unique
     products, expectations = Counter(), Counter()
@@ -225,7 +226,7 @@ def test_axiom_check_builds_each_word_and_expectation_once(monkeypatch):
 
     monkeypatch.setattr(AlgebraElement, "__mul__", counted_mul)
     backend.one = lambda: tag(one(), ())
-    backend.pi = lambda j, a: tag(pi(j, a), ((j, name_of[id(a)]),))
+    backend.pi = lambda j, a: tag(pi(j, a), ((j, name_of[a]),))
     backend.expect = counted_expect
     assert axiom_check(backend, word_len=3)["passed"]
     assert products and max(products.values()) == 1
@@ -625,6 +626,19 @@ def test_subalgebra_specs_are_cached_and_guarded():
     whole = backend.subalgebra_spec(range(1, 7))
     x = pi_word(backend, [backend.S["u01"]] * 2, [3, 6])
     assert conditional_expectation(x, whole) is x
+
+
+def test_free_haar_derives_B_and_refuses_a_proper_A_I():
+    backend = FreeHaarBackend(3)
+    with pytest.raises(SizeGuard, match="projection guard"):
+        backend.subalgebra_spec({1})
+    B = backend.subalgebra_spec(())
+    u = backend.S["u"]
+    for x in (backend.one().scale(Fraction(2, 3)) + backend.pi(2, u),
+              pi_word(backend, [u, u.star()], [1, 1]),
+              pi_word(backend, [u, u, u.star()], [1, 2, 1])):
+        assert conditional_expectation(x, B) == backend.expect((), x)
+    assert backend.B_pairs == [(backend.one(),) * 2]
 
 
 def _spec_backends():

@@ -207,13 +207,13 @@ def _exact_coeffs(x):
 def test_no_float_after_a_scan_a_span_or_a_projection(name, monkeypatch):
     backend, alphabet = BACKENDS[name]
     closed = []
-    close_arc = moments.close_arc
+    close = type(backend).close
 
-    def recording(*args):
-        closed.append(close_arc(*args))
+    def recording(self, *args):
+        closed.append(close(self, *args))
         return closed[-1]
 
-    monkeypatch.setattr(moments, "close_arc", recording)
+    monkeypatch.setattr(type(backend), "close", recording)
     for word in _words(alphabet, (4, 6), 4, 5):
         moments.moment(word, backend, CFG)
     assert closed and all(_exact_coeffs(R) for R in closed)

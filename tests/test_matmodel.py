@@ -125,6 +125,19 @@ def test_exact_model_converges_to_q_matrix_moment(free8, cfg1):
     assert errs[2] <= Fraction(1, 32)
 
 
+def test_exact_model_checks_its_q_matrix():
+    with pytest.raises(ValueError, match=r"^Q\[0\]\[1\]:"):
+        matmodel.model_moment_exact(pure_word(2), [[1, 0], [1, 1]], 2,
+                                    colors=[0, 1])
+
+
+def test_injective_assignments_vary_the_first_colour_fastest():
+    # mc_moment adds its float sums in this order
+    assert list(matmodel._injective_assignments(
+        ((1, 2), (3, 4)), [0, 0, 1, 1], 2)) == [
+            {0: 1, 1: 1}, {0: 2, 1: 1}, {0: 1, 1: 2}, {0: 2, 1: 2}]
+
+
 def test_exact_model_pins_a_two_colour_non_orthonormal_word():
     # distinct vectors that are neither orthogonal nor of unit length, on
     # the perm backend: the values the Fock-space Wick factor gave before

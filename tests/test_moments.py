@@ -150,6 +150,23 @@ def test_q_matrix_validation(free8, cfg1):
         moments.q_matrix_moment(word, [0, 1], [[0]], free8, cfg1)
 
 
+def test_check_q_matrix_gives_exact_entries_and_names_the_fault():
+    Q = moments.check_q_matrix([["1", "1/2"], [Fraction(1, 2), 1.0]],
+                               [0, 1, 1])
+    assert Q == [[1, Fraction(1, 2)], [Fraction(1, 2), 1]]
+    assert [type(x) for row in Q for x in row] == [int, Fraction, Fraction,
+                                                   int]
+    for Qm, colors, message in [
+            ([[0, 0], [0]], [], r"^Q\[1\]: has 1 entries, Q has 2 rows$"),
+            ([[1, Fraction(1, 2)], [0, 1]], [],
+             r"^Q\[0\]\[1\]: 1/2 breaks symmetry or lies outside"),
+            ([["3/2"]], [], r"^Q\[0\]\[0\]: 3/2 breaks symmetry"),
+            ([[0]], [0, 1], r"^word\[1\]\.color: 1 is outside the 1x1 Q "
+                            r"matrix$")]:
+        with pytest.raises(ValueError, match=message):
+            moments.check_q_matrix(Qm, colors)
+
+
 # ---------------------------------------------------------------------
 # structured word reduction and pairings
 

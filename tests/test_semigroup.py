@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from qgauss import moments, semigroup
-from qgauss.copies import FreeHaarBackend
+from qgauss.algebra import cyclic_group, group_algebra
+from qgauss.copies import FreeHaarBackend, PermGroupBackend, TensorBackend
 from qgauss.partitions import Partition12
 from qgauss.qfock import FockConfig
 from qgauss.qpoly import QPoly
@@ -104,6 +105,38 @@ def test_rotation_eigenfactor(free4, cfg1, s, c):
     assert rep["factor"] == c ** s
     assert rep["degree"] == s
     assert rep["pairings_checked"] == len(tests)
+
+
+def _words_with_inner_pairs():
+    z2, z3 = group_algebra(cyclic_group(2)), group_algebra(cyclic_group(3))
+    pair_then_singleton = Partition12.make(3, [(1, 2)], [3])
+    singleton_then_pair = Partition12.make(3, [(2, 3)], [1])
+    return [(FreeHaarBackend(4), pair_then_singleton, ["u", "u*", "u"]),
+            (PermGroupBackend(1, 4), singleton_then_pair, ["u01"] * 3),
+            (TensorBackend(z2, z3, 4), singleton_then_pair, ["g", "1", "1"])]
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(3, 5), Fraction(1, 2)])
+@pytest.mark.parametrize("case", _words_with_inner_pairs(),
+                         ids=["free_haar", "perm_group", "tensor"])
+def test_rotation_certifies_words_with_a_pair_inside(cfg1, case, c):
+    # a pair inside the rotated word keeps <h, h> at every angle, c = 1
+    # (the identity) included
+    backend, sigma, names = case
+    w = moments.reduce(sigma, [backend.S[n] for n in names],
+                       [(Fraction(1),)] * 3, backend, cfg1)
+    assert moments.trace_pairing(w, w) == QPoly.one()
+    rep = semigroup.alpha_theta_projected_moment(w, c, [w])
+    assert rep["certified"], rep["witness"]
+    assert rep["factor"] == c
+
+
+def test_rotation_refuses_a_test_word_of_another_configuration(free4, cfg1):
+    w = degree_s_word(free4, cfg1, 1)
+    # before, y's vectors were read under w's inner product
+    y = degree_s_word(free4, FockConfig(1, ((Fraction(2),),), 4), 1)
+    with pytest.raises(ValueError, match="one Fock configuration"):
+        semigroup.alpha_theta_projected_moment(w, Fraction(1, 2), [y])
 
 
 def test_rotation_rejects_bad_angle(free4, cfg1):
