@@ -17,8 +17,7 @@ lie in each A_I and how g renames a key:
   u_h of a subgroup H, and tau(u_g* u_h) = [g = h] makes them orthonormal;
 - relabel renames every key, and close filters and renames the keys of
   one product (AlgebraElement.times), exact because renaming is injective.
-_Copies derives them once for perm and tensor; free Haar's keys are words
-of any length, so it writes its own word maps.
+_Copies derives them once for all three backends.
 
 The arc scans of moments and dimensions close an arc by close(P, pi_x,
 label, top): P * pi_label(x) with the arc at label closed, that is, the
@@ -104,12 +103,12 @@ def pi_word(backend, xs, labels):
 class _Copies:
     """A backend over copies 1..window, D keyed by its group elements.
 
-    A subclass sets D, its generators S, which lie in A = A_{1} inside D,
-    and _offset, lists each A_I for its spec (_size, _listing), and gives
-    _renamer.  The two key maps, built once per index set or permutation
-    and cached, are then:
-    - _keeps(I): a key lies in A_I when its entries at the copies outside
-      I are the unit's; copy j's entry sits at index j + _offset;
+    A subclass sets D and its generators S, which lie in A = A_{1} inside
+    D, lists each A_I for its spec (_size, _listing), and gives the two key
+    maps, built once per index set or permutation and cached:
+    - _key_test(I): (get, want), where a key k lies in A_I when get(k) ==
+      want.  The default reads the entries at the copies outside I, copy
+      j's at index j + _offset, and wants the unit's;
     - _renamer(g): the key under g, given as {j: g(j)} for every j.
     The operations follow (the module docstring says why): pi(j, a)
     checks that a lies in A and renames it by (1 j); expect(I, x) keeps
@@ -137,10 +136,10 @@ class _Copies:
         return self.S["1"]
 
     @property
-    def B_pairs(self):
-        """(b in A, b in D), one element, for each basis element b of B,
-        listed from the spec of A_() = B, which holds the guard."""
-        return [(self.D.basis_element(b),) * 2
+    def B_basis(self):
+        """The basis elements of B, listed from the spec of A_() = B, which
+        holds the guard."""
+        return [self.D.basis_element(b)
                 for b in sorted(self.subalgebra_spec(()).indices)]
 
     def one(self) -> AlgebraElement:
@@ -153,15 +152,17 @@ class _Copies:
         return j + self._offset
 
     def _keeps(self, I) -> tuple:
-        """(get, want): a key k lies in A_I when get(k) == want."""
+        """_key_test(I), built once per index set."""
         I = frozenset(I)
         kept = self._kept.get(I)
         if kept is None:
-            at = [self._pos(j) for j in range(1, self.window + 1)
-                  if j not in I]
-            get = itemgetter(*at) if at else lambda k: ()
-            kept = self._kept[I] = (get, get(self.D.unit))
+            kept = self._kept[I] = self._key_test(I)
         return kept
+
+    def _key_test(self, I) -> tuple:
+        at = [self._pos(j) for j in range(1, self.window + 1) if j not in I]
+        get = itemgetter(*at) if at else lambda k: ()
+        return get, get(self.D.unit)
 
     def _relabeling(self, gamma: dict):
         """The _renamer of the permutation of 1..window that extends the
@@ -277,11 +278,10 @@ D = FiniteTracialAlgebra(free_group(), name="L(F)")
 
 class FreeHaarBackend(_Copies):
     """B = scalars, A generated by one Haar unitary, pi_j(u_1) = u_j in
-    D = L(F).  pi and relabel rename letters injectively, which keeps
-    every word reduced and distinct words distinct, so neither re-reduces
-    nor merges terms.  A key is a word of any length, so these word maps
-    are written here, and only the skeleton and the spec of A_I (with B,
-    listed as the unit alone) come from _Copies."""
+    D = L(F).  A key is a reduced word of letters (j, +-1): it lies in A_I
+    when every letter's copy j does, and g renames each letter's copy.
+    Renaming letters injectively keeps every word reduced and distinct
+    words distinct, so neither pi nor relabel re-reduces or merges terms."""
 
     name = "free_haar"
     #: Time of one unit of dimensions.growth_report's span-work estimate,
@@ -294,30 +294,19 @@ class FreeHaarBackend(_Copies):
         u = D.basis_element(((1, 1),))
         self.S = {"1": D.one, "u": u, "u*": u.star()}
 
-    def pi(self, j: int, a: AlgebraElement) -> AlgebraElement:
-        if not 1 <= j <= self.window:
-            raise WindowExceeded(f"copy index {j} outside window {self.window}")
-        if a.parent is not D:
-            raise ValueError("pi expects an element of D = L(F)")
-        if any(l != 1 for w in a.coeffs for l, _ in w):
-            raise ValueError("A-elements use only the first letter")
-        return AlgebraElement(D, {tuple([(j, e) for _, e in w]): c
-                                  for w, c in a.coeffs.items()})
-
-    def expect(self, I, x: AlgebraElement) -> AlgebraElement:
-        allowed = set(I)
-        return AlgebraElement(D, {w: c for w, c in x.coeffs.items()
-                                  if allowed.issuperset([l for l, _ in w])})
-
-    def relabel(self, gamma: dict, x: AlgebraElement) -> AlgebraElement:
-        g = self._relabeling(gamma)
-        return AlgebraElement(D, {tuple([(g.get(l, l), e) for l, e in w]): c
-                                  for w, c in x.coeffs.items()})
+    # perfbench/spans.py wraps these in each backend class's own vars
+    pi, expect, relabel, trace = (_Copies.pi, _Copies.expect,
+                                  _Copies.relabel, _Copies.trace)
 
     @staticmethod
-    def _renamer(g: dict) -> dict:
-        """relabel reads the permutation itself, letter by letter."""
-        return g
+    def _key_test(I) -> tuple:
+        return frozenset((j, e) for j in I for e in (1, -1)).issuperset, True
+
+    @staticmethod
+    def _renamer(g: dict):
+        """A letter outside the window keeps its copy: D is shared by
+        backends of every window."""
+        return lambda w: tuple([(g.get(l, l), e) for l, e in w])
 
     def close(self, P, pi_x, label, top) -> AlgebraElement:
         """The two passes of the module docstring: the product projected
@@ -328,9 +317,6 @@ class FreeHaarBackend(_Copies):
         if label < top and R.coeffs:
             R = self.relabel(shift, R)
         return R
-
-    # perfbench/spans.py wraps these in each backend class's own vars
-    trace = _Copies.trace
 
     # A_I is infinite once I holds a copy, so only B is ever listed
     _size = staticmethod(lambda k: 1 if k == 0 else inf)
@@ -511,11 +497,10 @@ def axiom_check(backend, word_len: int = 4) -> dict:
         return e
 
     # (1) pi_j restricts to the identity on B
-    B_pairs = backend.B_pairs
+    B_basis = backend.B_basis
     report["axiom1"] = _first_failure(
-        None if backend.pi(j, a) == embedded
-        else f"pi({j}, b) != b for b={a!r}"
-        for j in range(1, AXIOM_INDICES + 1) for a, embedded in B_pairs)
+        None if backend.pi(j, b) == b else f"pi({j}, b) != b for b={b!r}"
+        for j in range(1, AXIOM_INDICES + 1) for b in B_basis)
 
     # (2) exchangeability of E_B under index permutations; the first
     # relabeling is the identity.  For each length, moved[p][r] is the

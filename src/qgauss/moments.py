@@ -486,12 +486,13 @@ def reduce(sigma: Partition12, xs, hs, backend, cfg: FockConfig) -> WickWord:
 
 def _same_setting(w1: WickWord, w2: WickWord) -> bool:
     """Whether the words have one singleton degree, after refusing to
-    pair words under different backends or Fock configs; identity first,
-    as equality walks the configs' Fraction matrices."""
-    if w1.backend is not w2.backend or not (w1.cfg is w2.cfg
-                                            or w1.cfg == w2.cfg):
+    pair words under different backends or inner products, which fix
+    dim_H; no pairing reads max_degree.  Identity first, as equality walks
+    the Fraction matrices."""
+    if w1.backend is not w2.backend or not (
+            w1.cfg is w2.cfg or w1.cfg.inner == w2.cfg.inner):
         raise ValueError("paired words need one backend and one Fock "
-                         "configuration")
+                         "configuration, up to max_degree")
     return w1.degree == w2.degree
 
 

@@ -109,7 +109,7 @@ def alpha_theta_projected_moment(w: WickWord, c, test_words) -> dict:
     exactly on the doubled coefficient space.
 
     The right-hand side pairs w and y themselves, so every y needs w's
-    backend and Fock configuration (else ValueError).
+    backend and inner product (else ValueError); its max_degree may differ.
 
     Returns the eigenfactor and the certificate.
     """

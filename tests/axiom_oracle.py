@@ -44,9 +44,9 @@ def axiom_reports(backend, word_len):
 
     def axiom1():
         for j in INDICES:
-            for a, embedded in backend.B_pairs:
-                yield None if backend.pi(j, a) == embedded else \
-                    f"pi({j}, b) != b for b={a!r}"
+            for b in backend.B_basis:
+                yield None if backend.pi(j, b) == b else \
+                    f"pi({j}, b) != b for b={b!r}"
 
     def axiom2():
         for w in _words(names, word_len):

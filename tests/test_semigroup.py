@@ -139,6 +139,29 @@ def test_rotation_refuses_a_test_word_of_another_configuration(free4, cfg1):
         semigroup.alpha_theta_projected_moment(w, Fraction(1, 2), [y])
 
 
+def test_pairings_ignore_the_truncation_depth(free4):
+    """Words whose configurations differ only in max_degree, which no
+    pairing reads, pair as under one configuration; a different inner
+    product is still refused."""
+    sigma = Partition12.make(3, [(1, 2)], [3])
+    u = free4.S["u"]
+
+    def word(cfg):
+        return moments.reduce(sigma, [u, u.star(), u], [(Fraction(1),)] * 3,
+                              free4, cfg)
+
+    w, y = word(FockConfig(1, max_degree=4)), word(FockConfig(1, max_degree=5))
+    other = word(FockConfig(1, ((Fraction(2),),), 5))
+    c = Fraction(1, 2)
+    for pairing in (moments.trace_pairing, moments.wick_inner_product):
+        assert pairing(w, y) == pairing(y, w) == pairing(w, w) != QPoly.zero()
+        with pytest.raises(ValueError, match="Fock configuration"):
+            pairing(w, other)
+    assert semigroup.alpha_theta_projected_moment(w, c, [y])["certified"]
+    with pytest.raises(ValueError, match="Fock configuration"):
+        semigroup.alpha_theta_projected_moment(w, c, [other])
+
+
 def test_rotation_rejects_bad_angle(free4, cfg1):
     w = degree_s_word(free4, cfg1, 1)
     with pytest.raises(ValueError):
