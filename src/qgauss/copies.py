@@ -100,12 +100,18 @@ def pi_word(backend, xs, labels):
     return prod
 
 
+#: The caches of the backends' key maps, one set per class and the
+#: parameters the maps depend on (see _Copies._share_caches).
+_CACHES = {}
+
+
 class _Copies:
     """A backend over copies 1..window, D keyed by its group elements.
 
     A subclass sets D and its generators S, which lie in A = A_{1} inside
-    D, lists each A_I for its spec (_size, _listing), and gives the two key
-    maps, built once per index set or permutation and cached:
+    D, lists each A_I for its spec (_size, _listing), takes its caches by
+    _share_caches, and gives the two key maps, built once per index set
+    or permutation and cached:
     - _key_test(I): (get, want), where a key k lies in A_I when get(k) ==
       want.  The default reads the entries at the copies outside I, copy
       j's at index j + _offset, and wants the unit's;
@@ -124,12 +130,19 @@ class _Copies:
             raise ValueError("window must be >= 1")
         check_size("window", window)
         self.window = window
-        self._specs = {}
-        self._kept = {}
-        self._relabels = {}
-        self._pis = {}  # j -> the renamer of (1 j)
-        self._closings = {}
-        self._in_A = set()  # keys found to lie in A
+        self._specs = {}  # each spec is bound to this backend's D
+
+    def _share_caches(self, *params):
+        """Take the caches of every backend of this class and params:
+        _kept, _relabels, _pis (j -> the renamer of (1 j)), _closings and
+        _in_A (the keys found to lie in A).  Each entry is a function of
+        the window, the layout of the keys and the unit alone, which
+        params fix, so equal backends build it once."""
+        caches = _CACHES.get((type(self), params))
+        if caches is None:
+            caches = _CACHES[type(self), params] = ({}, {}, {}, {}, set())
+        (self._kept, self._relabels, self._pis, self._closings,
+         self._in_A) = caches
 
     @property
     def A_one(self) -> AlgebraElement:
@@ -290,6 +303,7 @@ class FreeHaarBackend(_Copies):
 
     def __init__(self, window: int):
         super().__init__(window)
+        self._share_caches(window)
         self.D = D
         u = D.basis_element(((1, 1),))
         self.S = {"1": D.one, "u": u, "u*": u.star()}
@@ -345,6 +359,7 @@ class TensorBackend(_Copies):
         super().__init__(window)
         self.B, self.C = B, C
         self.D = tensor_algebra(B, *[C] * window)
+        self._share_caches(window, self.D.unit)
         self.S = {"1": self.D.one}
         # the generator: unit-B tensor the first non-unit C element
         for c in C.group.elements:
@@ -393,6 +408,7 @@ class PermGroupBackend(_Copies):
         self.d = self._offset = d  # position p <-> point p - d
         self.points = list(range(-d, window + 1))
         self.D = group_algebra(symmetric_group(self.points))
+        self._share_caches(d, window)
         u01 = list(range(len(self.points)))
         u01[d:d + 2] = d + 1, d
         self.S = {"1": self.D.one, "u01": self.D.basis_element(tuple(u01))}

@@ -86,7 +86,7 @@ def _arc_scan(xs, tags, backend, close) -> dict:
     docstring shows exact.  close(stack, i, tag) gives the (power of q,
     factor) of that closing; a zero factor prunes it.  Tags are small ints
     or tuples of them (see _vector_ids), so stacks hash cheaply.  A letter
-    is embedded only at the labels a state uses.
+    is embedded only at the labels a state uses, and once per label.
 
     _advance also takes opens, which fixes each letter's move (True
     opens, False closes); with a close() that prunes by tag, it restricts
@@ -113,14 +113,19 @@ def _arc_scan(xs, tags, backend, close) -> dict:
 def _advance(states, xs, tags, backend, close, opens, after) -> dict:
     """The scan states of _arc_scan after the letters xs, from the states
     before them, when after more letters follow xs; states and its
-    weights are left unmodified."""
+    weights are left unmodified.
+
+    Each letter object is embedded once per label for the whole call,
+    through a memo keyed by its id: xs holds every letter until the call
+    returns, so no id is reused meanwhile."""
     m = len(xs) + after
+    embedded = {}  # id(x) -> {j: pi_j(x)}
     for pos, (x, tag) in enumerate(zip(xs, tags)):
         left = m - pos - 1
         move = None if opens is None else opens[pos]
         # it opens a label <= min(pos + 1, left) or closes one <= min(pos,
         # m - pos), so labels stay within m/2 <= window
-        pis = {}
+        pis = embedded.setdefault(id(x), {})
 
         def pi(j):
             if j not in pis:
@@ -367,6 +372,13 @@ def q_matrix_moment(word, colors, Qm, backend, cfg: FockConfig) -> Fraction:
     projecting each closed arc away is exact): closing arc i weighs in
     Q[t_i][t_j] for every arc j opened after it and still open, and is
     pruned when its legs differ in color.
+
+    The weights stay ints, as in moment(): the scan pairs vectors by the
+    inner products times their common denominator L, and crosses arcs by
+    the entries of Q times theirs, LQ.  A closing returns the number of
+    Q factors it takes as its power, so the scan's coefficient c_p sums
+    the terms with p factors in all, each scaled by L^(m/2) * LQ^p, and
+    the moment is the Fraction sum of c_p / (L^(m/2) * LQ^p).
     """
     word = list(word)
     m = len(word)
@@ -378,6 +390,10 @@ def q_matrix_moment(word, colors, Qm, backend, cfg: FockConfig) -> Fraction:
         return Fraction(0)
     require_window(backend, m // 2, f"word of length {m}")
     vids, ip = _vector_ids([h for _, h in word], cfg)
+    L = common_denominator(c for row in ip for c in row)
+    ip = [[exact(c * L) for c in row] for row in ip]
+    LQ = common_denominator(x for row in Qm for x in row)
+    Qm = [[exact(x * LQ) for x in row] for row in Qm]
 
     def close(stack, i, tag):
         color, h = tag
@@ -386,10 +402,13 @@ def q_matrix_moment(word, colors, Qm, backend, cfg: FockConfig) -> Fraction:
         weight = ip[stack[i][1]][h]
         for above, _ in stack[i + 1:]:
             weight *= Qm[color][above]
-        return 0, weight
+        return len(stack) - 1 - i, weight
 
-    return Fraction(_arc_scan([x for x, _ in word], list(zip(colors, vids)),
-                              backend, close).get(0, 0))
+    total = _arc_scan([x for x, _ in word], list(zip(colors, vids)), backend,
+                      close)
+    top = max(total, default=0)
+    return Fraction(sum(c * LQ ** (top - p) for p, c in total.items()),
+                    L ** (m // 2) * LQ ** top)
 
 
 # ---------------------------------------------------------------------

@@ -34,13 +34,16 @@ def _frac(x, path: str):
         raise ScenarioError(f"{path}: not a rational number: {x!r}") from e
 
 
+def _field(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
 def _int(spec: dict, key: str, path: str, default=None) -> int:
     """spec[key] as an integer (an int, an integral float, or a string of
     digits); missing is allowed only with a default."""
-    where = f"{path}.{key}" if path else key
     if key not in spec:
         if default is None:
-            raise ScenarioError(f"{where}: missing")
+            raise ScenarioError(f"{_field(path, key)}: missing")
         return default
     v = spec[key]
     if isinstance(v, float) and v.is_integer():
@@ -52,7 +55,7 @@ def _int(spec: dict, key: str, path: str, default=None) -> int:
             return int(v)
         except ValueError:
             pass
-    raise ScenarioError(f"{where}: not an integer: {v!r}")
+    raise ScenarioError(f"{_field(path, key)}: not an integer: {v!r}")
 
 
 def _object(spec, path: str) -> dict:
@@ -73,8 +76,7 @@ def _known_keys(spec: dict, accepted, path: str):
     dropped without a word."""
     for key in spec:
         if key not in accepted:
-            where = f"{path}.{key}" if path else key
-            raise ScenarioError(f"{where}: unknown key (accepted: "
+            raise ScenarioError(f"{_field(path, key)}: unknown key (accepted: "
                                 f"{', '.join(accepted)})")
 
 
@@ -182,25 +184,44 @@ def _coefficient(spec, backend, path: str):
     raise ScenarioError(f"{path}: bad coefficient spec {spec!r}")
 
 
+#: The keys a letter of a word accepts.
+LETTER_KEYS = ("coeff", "vector", "color")
+_LETTER_KEY_SET = frozenset(LETTER_KEYS)
+
+
 def build_word(word_spec, backend, cfg: FockConfig):
-    """Returns (word, colors): word a list of (x, h) letters."""
+    """Returns (word, colors): word a list of (x, h) letters.  A field's
+    path is formatted only when the field is refused, or is read by the
+    general reader (a coefficient combination, a color given otherwise
+    than as an int)."""
     word = []
     colors = []
     for i, letter in enumerate(_list(word_spec, "word")):
-        path = f"word[{i}]"
-        letter = _object(letter, path)
-        _known_keys(letter, ("coeff", "vector", "color"), path)
-        x = _coefficient(letter.get("coeff", "1"), backend, f"{path}.coeff")
+        if type(letter) is not dict or not letter.keys() <= _LETTER_KEY_SET:
+            _known_keys(_object(letter, f"word[{i}]"), LETTER_KEYS,
+                        f"word[{i}]")
+        coeff = letter.get("coeff", "1")
+        x = backend.S.get(coeff) if type(coeff) is str else None
+        if x is None:
+            x = _coefficient(coeff, backend, f"word[{i}].coeff")
         if "vector" not in letter:
-            raise ScenarioError(f"{path}.vector: missing")
-        h = tuple(_frac(v, f"{path}.vector[{j}]")
-                  for j, v in enumerate(_list(letter["vector"], f"{path}.vector")))
+            raise ScenarioError(f"word[{i}].vector: missing")
+        vector = letter["vector"]
+        if type(vector) is not list:
+            vector = _list(vector, f"word[{i}].vector")
+        try:
+            h = tuple([_frac(v, "") for v in vector])
+        except ScenarioError:  # refuse again, naming the coordinate
+            h = tuple([_frac(v, f"word[{i}].vector[{j}]")
+                       for j, v in enumerate(vector)])
         if len(h) != cfg.dim_H:
             raise ScenarioError(
-                f"{path}.vector: has {len(h)} coordinates, "
+                f"word[{i}].vector: has {len(h)} coordinates, "
                 f"dim_H is {cfg.dim_H}")
         word.append((x, h))
-        colors.append(_int(letter, "color", path, 0))
+        color = letter.get("color", 0)
+        colors.append(color if type(color) is int
+                      else _int(letter, "color", f"word[{i}]", 0))
     return word, colors
 
 
@@ -253,11 +274,14 @@ class Scenario:
 
     @staticmethod
     def load(path: str, command=None) -> "Scenario":
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             try:
                 data = json.load(f)
-            except json.JSONDecodeError as e:
+            except (json.JSONDecodeError, UnicodeDecodeError) as e:
                 raise ScenarioError(f"scenario is not valid JSON: {e}") from e
+            except RecursionError:
+                raise ScenarioError("scenario nests too deeply to "
+                                    "parse") from None
         if not isinstance(data, dict):
             raise ScenarioError("scenario must be a JSON object")
         return Scenario(data, command)

@@ -213,6 +213,22 @@ def test_bad_scenario_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_scenario_that_is_not_utf8_exits_2(tmp_path, capsys):
+    p = tmp_path / "utf16.json"
+    p.write_bytes(b"\xff\xfe{}")
+    assert main(["moment", "--scenario", str(p)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: scenario is not valid JSON: 'utf-8' codec can't decode")
+
+
+def test_scenario_nested_too_deeply_exits_2(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100000 + "]" * 100000)
+    assert main(["dims", "--scenario", str(p)]) == 2
+    assert capsys.readouterr().err == \
+        "error: scenario nests too deeply to parse\n"
+
+
 def test_unknown_generator_exit_code(tmp_path, capsys):
     doc = dict(BASE)
     doc["word"] = [{"coeff": "nope", "vector": ["1"]}]

@@ -115,23 +115,57 @@ Q3 = [[Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5)],
 
 
 def test_q_matrix_moment_matches_pairing_oracle(backends):
+    """Orthonormal unit vectors, then MIXED, whose inner products and Q
+    entries have unrelated denominators, so that the scan's int weights
+    scale by both common denominators at once; every value a Fraction."""
     free, (one, u, us), _ = backends["free_haar"]
     tensor, (_, g, gs), _ = backends["tensor"]
     rng = random.Random(3)
+    vrng = random.Random(12)  # the MIXED vectors; rng draws as before
     cases = []
     for m in (2, 4, 6):
         for colors in product(range(2), repeat=m):
-            cases.append((Q2, colors, [(one, H1)] * m, free))
-            cases.append((Q2, colors, [(u, H1), (us, H1)] * (m // 2), free))
+            cases.append((Q2, colors, [(one, H1)] * m, free, CFG1))
+            cases.append((Q2, colors, [(u, H1), (us, H1)] * (m // 2), free,
+                          CFG1))
+            hs = [vrng.choice(MIXED_VECTORS) for _ in range(m)]
+            cases.append((Q2, colors, list(zip([one] * m, hs)), free, MIXED))
+            cases.append((Q2, colors, list(zip([u, us] * (m // 2), hs)),
+                          free, MIXED))
     for colors in product(range(3), repeat=4):
-        cases.append((Q3, colors, [(one, H1)] * 4, free))
+        cases.append((Q3, colors, [(one, H1)] * 4, free, CFG1))
     for _ in range(30):
         colors = [rng.randrange(3) for _ in range(8)]
-        cases.append((Q3, colors, [(one, H1)] * 8, free))
-        cases.append((Q3, colors, [(g, H1), (gs, H1)] * 4, tensor))
-    for Qm, colors, word, backend in cases:
-        assert moments.q_matrix_moment(word, colors, Qm, backend, CFG1) == \
-            pairing_q_matrix_moment(word, colors, Qm, backend, CFG1), colors
+        cases.append((Q3, colors, [(one, H1)] * 8, free, CFG1))
+        cases.append((Q3, colors, [(g, H1), (gs, H1)] * 4, tensor, CFG1))
+        hs = [vrng.choice(MIXED_VECTORS) for _ in range(8)]
+        cases.append((Q3, colors, list(zip([one] * 8, hs)), free, MIXED))
+        cases.append((Q3, colors, list(zip([g, gs] * 4, hs)), tensor, MIXED))
+    for Qm, colors, word, backend, cfg in cases:
+        value = moments.q_matrix_moment(word, colors, Qm, backend, cfg)
+        assert value == pairing_q_matrix_moment(word, colors, Qm, backend,
+                                                cfg), (colors, word)
+        assert type(value) is Fraction
+
+
+def test_each_letter_is_embedded_once_per_label():
+    # u,u* at m = 12 on six copies: u and u* at labels 1..6 each, where
+    # embedding per position made 42 calls
+    backend = FreeHaarBackend(6)
+    u, us = backend.S["u"], backend.S["u*"]
+    calls = []
+    pi = backend.pi
+
+    def counted(j, x):
+        calls.append((j, x))
+        return pi(j, x)
+
+    backend.pi = counted
+    word = [(u, H1), (us, H1)] * 6
+    assert moments.moment(word, backend, CFG1).coeffs == (catalan(6),)
+    assert len(calls) == 12
+    assert sorted((j, x is u) for j, x in calls) == \
+        [(j, x) for j in range(1, 7) for x in (False, True)]
 
 
 # ---------------------------------------------------------------------
