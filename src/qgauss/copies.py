@@ -137,7 +137,13 @@ class _Copies:
         _kept, _relabels, _pis (j -> the renamer of (1 j)), _closings and
         _in_A (the keys found to lie in A).  Each entry is a function of
         the window, the layout of the keys and the unit alone, which
-        params fix, so equal backends build it once."""
+        params fix, so equal backends build it once.  The entries stay
+        for the life of the process.  _kept, _pis and _closings are
+        bounded by the window, but _relabels gains an entry for each
+        map's items and _in_A for each key of A that a caller passes, so
+        a long-lived process grows with each new map or element it is
+        asked about (a benchmark round repeats its requests, and stops
+        adding entries after its first round)."""
         caches = _CACHES.get((type(self), params))
         if caches is None:
             caches = _CACHES[type(self), params] = ({}, {}, {}, {}, set())

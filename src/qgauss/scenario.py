@@ -23,7 +23,20 @@ class ScenarioError(QGaussError):
     """A scenario violated a module precondition; the message names it."""
 
 
-def _frac(x, path: str):
+def _field(path: str, *keys) -> str:
+    """The path of the field that keys reach from path: .key for a name
+    (the bare name at the top level), [key] for an index.  The readers
+    below take (path, *keys) and call it only when they refuse, so a
+    field that is read formats no path."""
+    for key in keys:
+        if type(key) is int:
+            path = f"{path}[{key}]"
+        else:
+            path = f"{path}.{key}" if path else key
+    return path
+
+
+def _frac(x, path: str, *keys):
     """x as an exact rational, an int when integral (algebra.exact); a
     string of ASCII digits is read by int, not by Fraction's parser."""
     if type(x) is str and x.isascii() and x.isdigit():
@@ -31,11 +44,8 @@ def _frac(x, path: str):
     try:
         return exact(x)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as e:
-        raise ScenarioError(f"{path}: not a rational number: {x!r}") from e
-
-
-def _field(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
+        raise ScenarioError(f"{_field(path, *keys)}: not a rational "
+                            f"number: {x!r}") from e
 
 
 def _int(spec: dict, key: str, path: str, default=None) -> int:
@@ -64,9 +74,10 @@ def _object(spec, path: str) -> dict:
     return spec
 
 
-def _list(spec, path: str) -> list:
+def _list(spec, path: str, *keys) -> list:
     if not isinstance(spec, list):
-        raise ScenarioError(f"{path}: expected a JSON list, got {spec!r}")
+        raise ScenarioError(f"{_field(path, *keys)}: expected a JSON list, "
+                            f"got {spec!r}")
     return spec
 
 
@@ -81,8 +92,7 @@ def _known_keys(spec: dict, accepted, path: str):
 
 
 def _matrix(spec, path: str) -> list:
-    return [[_frac(x, f"{path}[{i}][{j}]")
-             for j, x in enumerate(_list(row, f"{path}[{i}]"))]
+    return [[_frac(x, path, i, j) for j, x in enumerate(_list(row, path, i))]
             for i, row in enumerate(_list(spec, path))]
 
 
@@ -164,64 +174,52 @@ def build_cfg(spec) -> FockConfig:
         raise SizeGuard(f"fock.{e}") from None
 
 
-def _coefficient(spec, backend, path: str):
+def _coefficient(spec, backend, path: str, *keys):
+    """The coefficient spec at the field that keys reach from path: the
+    name of a generator in backend.S, or a {name: coefficient}
+    combination of them."""
     if isinstance(spec, str):
         try:
             return backend.S[spec]
         except KeyError:
             raise ScenarioError(
-                f"{path}: unknown generator {spec!r}; backend offers "
-                f"{sorted(backend.S)}") from None
+                f"{_field(path, *keys)}: unknown generator {spec!r}; "
+                f"backend offers {sorted(backend.S)}") from None
     if isinstance(spec, dict):
         out = None
         for name, c in spec.items():
-            term = _coefficient(name, backend, path).scale(
-                _frac(c, f"{path}.{name}"))
+            term = _coefficient(name, backend, path, *keys).scale(
+                _frac(c, path, *keys, name))
             out = term if out is None else out + term
         if out is None:
-            raise ScenarioError(f"{path}: empty coefficient combination")
+            raise ScenarioError(f"{_field(path, *keys)}: empty coefficient "
+                                "combination")
         return out
-    raise ScenarioError(f"{path}: bad coefficient spec {spec!r}")
-
-
-#: The keys a letter of a word accepts.
-LETTER_KEYS = ("coeff", "vector", "color")
-_LETTER_KEY_SET = frozenset(LETTER_KEYS)
+    raise ScenarioError(f"{_field(path, *keys)}: bad coefficient spec "
+                        f"{spec!r}")
 
 
 def build_word(word_spec, backend, cfg: FockConfig):
-    """Returns (word, colors): word a list of (x, h) letters.  A field's
-    path is formatted only when the field is refused, or is read by the
-    general reader (a coefficient combination, a color given otherwise
-    than as an int)."""
+    """Returns (word, colors): word a list of (x, h) letters.  Each
+    letter's path is formatted once; the path of a field in it only if
+    the field is refused."""
     word = []
     colors = []
     for i, letter in enumerate(_list(word_spec, "word")):
-        if type(letter) is not dict or not letter.keys() <= _LETTER_KEY_SET:
-            _known_keys(_object(letter, f"word[{i}]"), LETTER_KEYS,
-                        f"word[{i}]")
-        coeff = letter.get("coeff", "1")
-        x = backend.S.get(coeff) if type(coeff) is str else None
-        if x is None:
-            x = _coefficient(coeff, backend, f"word[{i}].coeff")
+        path = f"word[{i}]"
+        letter = _object(letter, path)
+        _known_keys(letter, ("coeff", "vector", "color"), path)
+        x = _coefficient(letter.get("coeff", "1"), backend, path, "coeff")
         if "vector" not in letter:
-            raise ScenarioError(f"word[{i}].vector: missing")
-        vector = letter["vector"]
-        if type(vector) is not list:
-            vector = _list(vector, f"word[{i}].vector")
-        try:
-            h = tuple([_frac(v, "") for v in vector])
-        except ScenarioError:  # refuse again, naming the coordinate
-            h = tuple([_frac(v, f"word[{i}].vector[{j}]")
-                       for j, v in enumerate(vector)])
+            raise ScenarioError(f"{path}.vector: missing")
+        h = tuple(_frac(v, path, "vector", j) for j, v in
+                  enumerate(_list(letter["vector"], path, "vector")))
         if len(h) != cfg.dim_H:
             raise ScenarioError(
-                f"word[{i}].vector: has {len(h)} coordinates, "
+                f"{path}.vector: has {len(h)} coordinates, "
                 f"dim_H is {cfg.dim_H}")
         word.append((x, h))
-        color = letter.get("color", 0)
-        colors.append(color if type(color) is int
-                      else _int(letter, "color", f"word[{i}]", 0))
+        colors.append(_int(letter, "color", path, 0))
     return word, colors
 
 
@@ -242,7 +240,7 @@ class Scenario:
         self.cfg = build_cfg(data.get("fock", {}))
         self.word, self.colors = build_word(data.get("word", []),
                                             self.backend, self.cfg)
-        self.q_values = [_frac(x, f"q_values[{i}]") for i, x in
+        self.q_values = [_frac(x, "q_values", i) for i, x in
                          enumerate(_list(data.get("q_values", []), "q_values"))]
         self.n = _int(data, "n", "") if "n" in data else None
         if self.n is not None and self.n < 1:

@@ -386,12 +386,14 @@ def test_axiom_check_expect_calls_on_free_haar():
 def test_relabel_completes_each_map_once(make):
     # equal maps share one completed permutation, kept in the caches
     # that equal backends share, so only the maps this test adds are
-    # counted: {2: 1, 1: 2} lists its items in an order no other caller
-    # uses.  A map that is not injective on the window is refused on
-    # every call and adds nothing.
+    # counted: pi(2, .) builds the map of {1: 2, 2: 1} before the count
+    # starts, and {2: 1, 1: 2} lists its items in an order no other
+    # caller uses.  A map that is not injective on the window is refused
+    # on every call and adds nothing.
     backend = make()
-    before = set(backend._relabels)
     a = backend.S[next(name for name in backend.S if name != "1")]
+    backend.pi(2, a)
+    before = set(backend._relabels)
     for _ in range(3):
         assert backend.relabel({2: 1, 1: 2}, backend.pi(1, a)) == \
             backend.pi(2, a)
