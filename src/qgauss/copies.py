@@ -303,9 +303,6 @@ class FreeHaarBackend(_Copies):
     words distinct, so neither pi nor relabel re-reduces or merges terms."""
 
     name = "free_haar"
-    #: Time of one unit of dimensions.growth_report's span-work estimate,
-    #: relative to free Haar (see SPAN_WORK_GUARD there).
-    span_cost = 1
 
     def __init__(self, window: int):
         super().__init__(window)
@@ -357,7 +354,6 @@ class TensorBackend(_Copies):
     expect traces out the slots outside I, since tau_C(u_c) = [c = e]."""
 
     name = "tensor"
-    span_cost = 1  # measured on Z2 (x) Z3; 2-4x too high there
     _offset = 0
 
     def __init__(self, B: FiniteTracialAlgebra, C: FiniteTracialAlgebra,
@@ -404,7 +400,6 @@ class PermGroupBackend(_Copies):
     on [-d,0] union I, which has (d+1+|I|)! elements."""
 
     name = "perm_group"
-    span_cost = 10  # measured at d = 1; 4-10x too high at d = 2
 
     def __init__(self, d: int, window: int):
         if d < 0:
@@ -447,7 +442,10 @@ class PermGroupBackend(_Copies):
             yield tuple(g)
 
     def dim_bound(self, k: int) -> int:
-        return (self.d + 1) ** k
+        """(d+1)^k, raised to 2^k at d = 0: S moves only point 0 and the
+        copy points, so D_k does not depend on d, and at d = 0 it has the
+        2^k dimensions of d = 1."""
+        return max(self.d + 1, 2) ** k
 
 
 # ---------------------------------------------------------------------

@@ -53,18 +53,12 @@ SPAN_GUARD = 1024
 WORD_GUARD = 12
 
 #: Most span work over k = 0..k_max that growth_report accepts, estimated
-#: as span_cost * (k+1) * dim_bound(k) * |S|^(max_m - k), which follows the
-#: growth of span_Dk's generators_considered in k and in the length
-#: together.  On free Haar the estimate is 1.7-3.3x the count, where a
-#: transition takes 3.6-6 us.  The backend's span_cost weighs one
-#: estimate unit by its time relative to free Haar, from span_Dk timed
-#: over k 0-5 and offsets 4-8 (CPU time, best of 3, 2-core container,
-#: Python 3.11): at estimates of 2e4 to 2e6 a unit took 1.4-3.3 us on
-#: free Haar, 0.4-1.3 us on tensor Z2 (x) Z3, 1.4-3.4 us on perm d = 2,
-#: and 13-16 us on perm d = 1, whose count runs 2.4-2.8x the estimate.
-#: Free Haar k_max 3 at offset 8 (2.1e6, 3.8 s) passes; k_max 5 at offset
-#: 6 (5.6e6) and k_max 4 at offset 8 (1.0e7), which take 8 and 11 s, do
-#: not, nor does perm d = 1 k_max 5 at offset 12 (1.3e7), 18 s.
+#: as (k+1) * dim_bound(k) * |S|^(max_m - k), which follows the growth of
+#: span_Dk's generators_considered in k and in the length together.  On
+#: free Haar the estimate is 1.7-3.3x the count, where a transition takes
+#: 3.6-6 us.  Free Haar k_max 3 at offset 8 (2.1e6, 3.8 s) passes; k_max 5
+#: at offset 6 (5.6e6) and k_max 4 at offset 8 (1.0e7), which take 8 and
+#: 11 s, do not.
 SPAN_WORK_GUARD = 4_000_000
 
 
@@ -161,7 +155,7 @@ def growth_report(backend, k_max: int, max_m_offset: int = 4) -> dict:
         raise SizeGuard(f"dims.max_m_offset: {max_m_offset} with k_max "
                         f"{k_max} spans words of length "
                         f"{k_max + max_m_offset}, over {WORD_GUARD}")
-    work = backend.span_cost * sum(
+    work = sum(
         (k + 1) * backend.dim_bound(k) * len(backend.S) ** max_m_offset
         for k in range(k_max + 1))
     if work > SPAN_WORK_GUARD:

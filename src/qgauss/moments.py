@@ -66,51 +66,56 @@ def trace_of_partition_term(sigma: Partition12, xs, hs, backend,
     return QPoly.monomial(crossing_number(sigma), ip * tr)
 
 
-def _arc_scan(xs, tags, backend, close) -> dict:
+def _arc_scan(xs, tags, backend, ip, Q=None) -> dict:
     """Sum over the pair partitions sigma of the word xs of
     weight(sigma) * tau_D(pi-word of sigma), by one left-to-right scan;
-    returned as a {power of q: exact rational} dict.  A weight stays an
-    int while every factor is integral (see algebra.exact); int and
-    Fraction arithmetic mix exactly, so the form changes only the cost.
+    returned as a {power: exact rational} dict.  A weight stays an int
+    while every factor is integral (see algebra.exact); int and Fraction
+    arithmetic mix exactly, so the form changes only the cost.
 
-    A state is the stack of open arcs, oldest first, and P.  Arc i carries
-    copy label i+1 and keeps only the tag of its left leg (its vector, or
-    color and vector): its letter is already in P, so states that differ
-    only in where their arcs opened merge.  P is the prefix pi-word
-    projected onto the open labels 1..k, the reduced coefficient of the
-    prefix.  States with equal (stack, P) are merged by adding weights.
+    Each letter carries a tag (key, vector id).  A state is the stack of
+    open arcs, oldest first, and P.  Arc i carries copy label i+1 and
+    keeps only the tag of its left leg: its letter is already in P, so
+    states that differ only in where their arcs opened merge.  P is the
+    prefix pi-word projected onto the open labels 1..k, the reduced
+    coefficient of the prefix.  States with equal (stack, P) are merged by
+    adding weights; a tag is a pair of small ints (a singleton's key in a
+    trace pairing is None), so stacks hash cheaply.
 
     At each letter a state opens an arc, P * pi_{k+1}(x), while the
     letters left can still close every open arc, or closes arc i by
     backend.close(P, pi_{i+1}(x), i+1, k), which the copies module
-    docstring shows exact.  close(stack, i, tag) gives the (power of q,
-    factor) of that closing; a zero factor prunes it.  Tags are small ints
-    or tuples of them (see _vector_ids), so stacks hash cheaply.  A letter
-    is embedded only at the labels a state uses, and once per label.
+    docstring shows exact.  Every scan of the module closes by one rule:
+    the letter closes arc i only if the arc has the letter's key; the
+    factor is ip[arc's vector][letter's vector], times Q[key][key']
+    for each arc still open above arc i when a matrix Q is given; the
+    power is k-1-i; and a zero factor prunes the closing.  A letter is
+    embedded only at the labels a state uses, and once per label.
 
     _advance also takes opens, which fixes each letter's move (True
-    opens, False closes); with a close() that prunes by tag, it restricts
-    the sum to a family of pair partitions.  trace_pairing restricts it to
-    the convolution joins that are pair partitions.  Each partition that
-    survives is summed exactly as without the restriction: closing arc i
-    of k open arcs crosses exactly the k-1-i arcs opened after it and
-    still open, so the powers add up to the crossing number, and the
-    closing (axiom 4 and exchangeability, see copies) keeps P the reduced
-    coefficient of the prefix whichever arcs were closed.
+    opens, False closes); with the keys, it restricts the sum to a family
+    of pair partitions.  trace_pairing restricts it to the convolution
+    joins that are pair partitions.  Each partition that survives is
+    summed exactly as without the restriction: closing arc i of k open
+    arcs crosses exactly the k-1-i arcs opened after it and still open,
+    so the powers add up to the crossing number (the number of Q factors
+    when Q is given), and the closing (axiom 4 and exchangeability, see
+    copies) keeps P the reduced coefficient of the prefix whichever arcs
+    were closed.
 
     The states after a prefix are a function of the prefix's letters,
     tags and moves, of the number of letters after it (which the opening
-    rule reads), of the factors close() gives on the prefix's own tags,
-    and of the backend; nothing else reaches them.  So _advance may stop
+    rule reads), of the entries of ip and Q at the prefix's own tags, and
+    of the backend; nothing else reaches them.  So _advance may stop
     after a prefix and later resume from its states with the rest of the
     word, and the result is the one scan's, term by term: each join is
     still summed exactly once.  trace_pairing resumes that way.
     """
     return _traces(_advance({((), backend.one()): {0: 1}}, xs, tags,
-                            backend, close, None, 0), backend)
+                            backend, ip, Q, None, 0), backend)
 
 
-def _advance(states, xs, tags, backend, close, opens, after) -> dict:
+def _advance(states, xs, tags, backend, ip, Q, opens, after) -> dict:
     """The scan states of _arc_scan after the letters xs, from the states
     before them, when after more letters follow xs; states and its
     weights are left unmodified.
@@ -123,6 +128,7 @@ def _advance(states, xs, tags, backend, close, opens, after) -> dict:
     for pos, (x, tag) in enumerate(zip(xs, tags)):
         left = m - pos - 1
         move = None if opens is None else opens[pos]
+        key, h = tag
         # it opens a label <= min(pos + 1, left) or closes one <= min(pos,
         # m - pos), so labels stay within m/2 <= window
         pis = embedded.setdefault(id(x), {})
@@ -139,13 +145,18 @@ def _advance(states, xs, tags, backend, close, opens, after) -> dict:
                 _add_state(nxt, stack + (tag,), P * pi(k + 1), weight)
             if move is True:
                 continue
-            for i in range(k):
-                power, factor = close(stack, i, tag)
+            for i, (arc_key, v) in enumerate(stack):
+                if arc_key != key:
+                    continue
+                factor = ip[v][h]
+                if Q is not None:
+                    for above, _ in stack[i + 1:]:
+                        factor *= Q[key][above]
                 if not factor:
                     continue
                 R = backend.close(P, pi(i + 1), i + 1, k)
-                _add_state(nxt, stack[:i] + stack[i + 1:], R, weight, power,
-                           factor)
+                _add_state(nxt, stack[:i] + stack[i + 1:], R, weight,
+                           k - 1 - i, factor)
         states = nxt
     return states
 
@@ -172,14 +183,18 @@ def _add_state(states, stack, P, weight, power=0, factor=1):
         acc[p] = acc.get(p, 0) + (c * factor if scaled else c)
 
 
-def _vector_ids(hs, cfg: FockConfig):
+def _int_pairings(hs, cfg: FockConfig):
     """Each distinct vector of hs as a small int id, in order of first
-    appearance, and the table ip[a][b] of the exact inner products of the
-    vectors with ids a and b (algebra.exact: an int when integral), so
-    that a scan closes an arc by one lookup."""
+    appearance; the table ip[a][b] of the inner products of the vectors
+    with ids a and b times L; and L, their common denominator, so that
+    every entry is an int.  A scan that pairs m vectors by this table
+    closes m/2 arcs on every pair partition, so its sum is L^(m/2) times
+    the exact one."""
     ids = {}
-    tags = [ids.setdefault(tuple(h), len(ids)) for h in hs]
-    return tags, _ip_table(ids, cfg)
+    vids = [ids.setdefault(tuple(h), len(ids)) for h in hs]
+    ip = _ip_table(ids, cfg)
+    L = common_denominator(c for row in ip for c in row)
+    return vids, [[exact(c * L) for c in row] for row in ip], L
 
 
 def _ip_table(vectors, cfg: FockConfig):
@@ -192,14 +207,9 @@ def moment(word, backend, cfg: FockConfig) -> QPoly:
 
     The sum over pair partitions of q^cr * prod<h_l,h_r> * tau_D(pi-word),
     zero for odd m, computed by a transfer-matrix scan over the reduced
-    coefficients (see _arc_scan): closing arc i of k open arcs crosses the
-    k-1-i arcs opened after it and still open, and pairs the vectors of
-    its two legs.
-
-    The scan pairs the vectors by the inner products times their common
-    denominator L, which are ints, and the sum is divided by L^(m/2) once:
-    every pair partition closes exactly m/2 arcs, so each of its terms
-    carries exactly that factor.
+    coefficients (see _arc_scan), every letter of one key.  The scan
+    pairs the vectors by ints (_int_pairings), and the sum is divided by
+    L^(m/2) once.
     """
     word = list(word)
     m = len(word)
@@ -207,17 +217,12 @@ def moment(word, backend, cfg: FockConfig) -> QPoly:
         return QPoly.zero()
     require_window(backend, m // 2, f"word of length {m}")
 
-    tags, ip = _vector_ids([h for _, h in word], cfg)
-    L = common_denominator(c for row in ip for c in row)
-    ip = [[exact(c * L) for c in row] for row in ip]
-
-    def close(stack, i, h):
-        return len(stack) - 1 - i, ip[stack[i]][h]
-
+    vids, ip, L = _int_pairings([h for _, h in word], cfg)
     scale = L ** (m // 2)
     return QPoly.from_powers({
         p: Fraction(c, scale) for p, c in
-        _arc_scan([x for x, _ in word], tags, backend, close).items()})
+        _arc_scan([x for x, _ in word], [(0, v) for v in vids], backend,
+                  ip).items()})
 
 
 # ---------------------------------------------------------------------
@@ -291,19 +296,21 @@ def slot_moments(hs, cfg: FockConfig):
     That moment is the q-Wick sum of q^cr * prod <e_l (x) h_l, e_r (x) h_r>
     over the pair partitions (Bozejko-Speicher), and the factor is
     [slot_l = slot_r] <h_l, h_r>.  So it is the scan of _arc_scan over
-    unit letters, every trace 1, with trace_pairing's closing rule keyed
-    by slot: a letter closes only an arc of its own slot, and crosses
-    every arc opened after that one and still open, whatever its slot.
+    unit letters, every trace 1, keyed by slot: a letter closes only an
+    arc of its own slot, and crosses every arc opened after that one and
+    still open, whatever its slot.  As in moment(), the scan pairs the
+    vectors by ints and its sum is divided by L^(m/2) once.
     """
     m = len(hs)
     units = FreeHaarBackend(max(1, m // 2))
     letters = [units.A_one] * m
-    vids, ip = _vector_ids(hs, cfg)
-    close = _pairing_close(ip)
+    vids, ip, L = _int_pairings(hs, cfg)
+    scale = L ** (m // 2)
 
     def vacuum_moment(slots):
-        return QPoly.from_powers(_arc_scan(letters, list(zip(slots, vids)),
-                                           units, close))
+        return QPoly.from_powers({
+            p: Fraction(c, scale) for p, c in
+            _arc_scan(letters, list(zip(slots, vids)), units, ip).items()})
 
     return vacuum_moment
 
@@ -368,17 +375,14 @@ def q_matrix_moment(word, colors, Qm, backend, cfg: FockConfig) -> Fraction:
     with constant Qm = q0 this reduces to moment() evaluated at q0.
     Exact when Qm is rational.
 
-    Computed by the same scan as moment() (see _arc_scan, which says why
-    projecting each closed arc away is exact): closing arc i weighs in
-    Q[t_i][t_j] for every arc j opened after it and still open, and is
-    pruned when its legs differ in color.
-
-    The weights stay ints, as in moment(): the scan pairs vectors by the
-    inner products times their common denominator L, and crosses arcs by
-    the entries of Q times theirs, LQ.  A closing returns the number of
-    Q factors it takes as its power, so the scan's coefficient c_p sums
-    the terms with p factors in all, each scaled by L^(m/2) * LQ^p, and
-    the moment is the Fraction sum of c_p / (L^(m/2) * LQ^p).
+    Computed by the same scan as moment(), keyed by color and given Q
+    (see _arc_scan, which says why projecting each closed arc away is
+    exact).  The weights stay ints: the scan pairs vectors by ints
+    (_int_pairings), and crosses arcs by the entries of Q times their
+    common denominator LQ.  A closing's power is the number of Q factors
+    it takes, so the scan's coefficient c_p sums the terms with p factors
+    in all, each scaled by L^(m/2) * LQ^p, and the moment is the Fraction
+    sum of c_p / (L^(m/2) * LQ^p).
     """
     word = list(word)
     m = len(word)
@@ -389,23 +393,11 @@ def q_matrix_moment(word, colors, Qm, backend, cfg: FockConfig) -> Fraction:
     if m % 2:
         return Fraction(0)
     require_window(backend, m // 2, f"word of length {m}")
-    vids, ip = _vector_ids([h for _, h in word], cfg)
-    L = common_denominator(c for row in ip for c in row)
-    ip = [[exact(c * L) for c in row] for row in ip]
+    vids, ip, L = _int_pairings([h for _, h in word], cfg)
     LQ = common_denominator(x for row in Qm for x in row)
     Qm = [[exact(x * LQ) for x in row] for row in Qm]
-
-    def close(stack, i, tag):
-        color, h = tag
-        if stack[i][0] != color:
-            return 0, 0
-        weight = ip[stack[i][1]][h]
-        for above, _ in stack[i + 1:]:
-            weight *= Qm[color][above]
-        return len(stack) - 1 - i, weight
-
     total = _arc_scan([x for x, _ in word], list(zip(colors, vids)), backend,
-                      close)
+                      ip, Qm)
     top = max(total, default=0)
     return Fraction(sum(c * LQ ** (top - p) for p, c in total.items()),
                     L ** (m // 2) * LQ ** top)
@@ -475,8 +467,7 @@ class WickWord:
         xs, tags, opens, ids = _pairing_side(self, True)
         ip = _ip_table(ids, self.cfg)
         return _advance({((), self.backend.one()): {0: 1}}, xs, tags,
-                        self.backend, _pairing_close(ip), opens,
-                        self.degree), ids, ip
+                        self.backend, ip, None, opens, self.degree), ids, ip
 
     def singleton_vectors(self):
         return [self.hs[k - 1] for k in self.sigma.sorted_singletons()]
@@ -586,19 +577,6 @@ def _pairing_side(w: WickWord, adjoint: bool):
     return src.xs, tags, opens, ids
 
 
-def _pairing_close(ip):
-    """trace_pairing's closing rule over the inner-product table ip: a
-    letter closes only an arc of its own key, and pairs its vector with
-    the arc's."""
-    def close(stack, i, tag):
-        key, h = tag
-        if stack[i][0] != key:
-            return 0, 0
-        return len(stack) - 1 - i, ip[stack[i][1]][h]
-
-    return close
-
-
 def trace_pairing(w1: WickWord, w2: WickWord) -> QPoly:
     """tau(w2* w1), an independent path to the Wick Gram: the sum over the
     convolution joins of adj(w2) and w1 that are pair partitions of
@@ -640,6 +618,5 @@ def trace_pairing(w1: WickWord, w2: WickWord) -> QPoly:
     tags = [(key, joint[v]) for key, v in tags]
     if len(ids) > len(ip):  # w1 brings vectors of its own
         ip = _ip_table(ids, w1.cfg)
-    states = _advance(states, xs, tags, backend, _pairing_close(ip), opens,
-                      0)
+    states = _advance(states, xs, tags, backend, ip, None, opens, 0)
     return QPoly.from_powers(_traces(states, backend))

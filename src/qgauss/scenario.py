@@ -38,9 +38,14 @@ def _field(path: str, *keys) -> str:
 
 def _frac(x, path: str, *keys):
     """x as an exact rational, an int when integral (algebra.exact); a
-    string of ASCII digits is read by int, not by Fraction's parser."""
+    string of ASCII digits is read by int, not by Fraction's parser.  A
+    JSON number must be an integer: true would read as 1, and 0.1 as its
+    binary value, not 1/10."""
     if type(x) is str and x.isascii() and x.isdigit():
         return int(x)
+    if type(x) is bool or type(x) is float and not x.is_integer():
+        raise ScenarioError(f"{_field(path, *keys)}: not a rational number: "
+                            f"{x!r}; give a \"p/q\" string or an integer")
     try:
         return exact(x)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as e:

@@ -284,6 +284,9 @@ def _tensor_backend(C):
     ({"Q": [["1/2"]], "n": 1}, "n"),
     ({"Q": [["1", "1/2"], ["0", "1"]]}, "Q[0][1]"),
     ({"Q": [["3/2"]]}, "Q[0][0]"),
+    ({"word": [{"vector": [True]}]}, "word[0].vector[0]"),
+    ({"word": [{"vector": [0.1]}]}, "word[0].vector[0]"),
+    ({"q_values": [0.1]}, "q_values[0]"),
 ])
 def test_malformed_scenario_names_the_field(tmp_path, capsys, change, field):
     path = write_scenario(tmp_path, dict(BASE, **change))

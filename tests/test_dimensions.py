@@ -2,7 +2,6 @@
 
 import pytest
 
-from qgauss import dimensions
 from qgauss.copies import FreeHaarBackend, PermGroupBackend
 from qgauss.dimensions import growth_report, span_Dk
 from qgauss.errors import SizeGuard
@@ -62,16 +61,25 @@ def test_growth_to_degree_five(backend, base):
     assert report["d_estimate"] == pytest.approx(base, rel=1e-12)
 
 
-def test_perm_span_work_is_weighed_by_its_cost(monkeypatch):
-    """perm d = 1 k_max 5 at offset 12: 1.3e6 estimate units, under the
-    work guard unweighed, but a unit costs about 10x free Haar's there.
-    With the word-length guard out of the way it is refused, by the field
-    that makes it large, before any span."""
-    spans = []
-    monkeypatch.setattr(dimensions, "WORD_GUARD", 100)
-    monkeypatch.setattr(dimensions, "span_Dk",
-                        lambda *args, **kw: spans.append(args))
+def test_perm_span_work_is_not_weighed_by_backend():
+    """The work estimate counts the same units on every backend: perm d = 2
+    k_max 6 at offset 6 (4.5e5 units) is spanned, and perm d = 1 k_max 5
+    at offset 12 is refused by its word length before any span."""
+    report = growth_report(PermGroupBackend(2, 12), 6, max_m_offset=6)
+    assert [(dim, bound) for _, dim, bound, _ in report["rows"]] == [
+        (2 ** k, 3 ** k) for k in range(7)]
     with pytest.raises(SizeGuard, match=r"^dims\.max_m_offset: 12 with "
-                                        r"k_max 5 needs an estimated"):
+                                        r"k_max 5 spans words of length 17"):
         growth_report(PermGroupBackend(1, 11), 5, max_m_offset=12)
-    assert not spans
+
+
+def test_perm_bound_holds_at_d_zero():
+    """S moves only point 0 and the copy points, so D_k at d = 0 is the
+    2^k-dimensional span of d = 1, and the bound says so."""
+    backend = PermGroupBackend(0, 8)
+    for k in range(6):
+        rep = span_Dk(backend, k, k + 2)
+        assert rep.dim_scalar == rep.bound == 2 ** k
+    with pytest.raises(SizeGuard, match=r"^dims\.k_max: 11 allows spans of "
+                                        r"dimension up to 2048"):
+        growth_report(PermGroupBackend(0, 12), 11, max_m_offset=0)

@@ -191,12 +191,14 @@ def test_exact_keeps_integral_values_as_ints():
 
 def test_scenario_rationals_are_ints_when_integral():
     values = [scenario._frac(x, "x")
-              for x in ("2", "-1", "4/2", "1/3", " 3", 2, 0.5, "\u0661")]
-    assert values == [2, -1, 2, Fraction(1, 3), 3, 2, Fraction(1, 2), 1]
-    assert [type(v) for v in values] == [int] * 3 + [Fraction] + [int] * 2 \
-        + [Fraction, int]
-    with pytest.raises(scenario.ScenarioError, match="x: not a rational"):
-        scenario._frac("\u00b2", "x")
+              for x in ("2", "-1", "4/2", "1/3", " 3", 2, 2.0, "\u0661")]
+    assert values == [2, -1, 2, Fraction(1, 3), 3, 2, 2, 1]
+    assert [type(v) for v in values] == [int] * 3 + [Fraction] + [int] * 4
+    # a JSON number must be an integer: 0.5 as a float is refused, as are
+    # booleans, which Fraction would read as 0 and 1
+    for bad in ("\u00b2", 0.5, True, False):
+        with pytest.raises(scenario.ScenarioError, match="x: not a rational"):
+            scenario._frac(bad, "x")
 
 
 def _exact_coeffs(x):
