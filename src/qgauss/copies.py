@@ -4,8 +4,8 @@ Three backends share one interface: pi(j, a) embeds A-elements as the j-th
 copy inside D, expect(I, x) is the conditional expectation onto the
 algebra generated by copies with indices in I (expect(()) is E_B), trace
 is the trace of D, relabel applies the index-permutation automorphism,
-and close(P, pi_x, label, top) closes a scan's arc (below).  All
-arithmetic is exact.
+and closing(label, top) and close(P, pi_x, label, top) close a scan's arc
+(below).  All arithmetic is exact.
 
 Each D is a group algebra, on whose keys a permutation g of the copies
 acts by an injective renaming.  So the operations follow from which keys
@@ -19,14 +19,17 @@ lie in each A_I and how g renames a key:
   one product (AlgebraElement.times), exact because renaming is injective.
 _Copies derives them once for all three backends.
 
-The arc scans of moments and dimensions close an arc by close(P, pi_x,
-label, top): P * pi_label(x) with the arc at label closed, that is, the
-product projected onto the open labels 1..top but label, then relabeled
-onto 1..top-1 by shifting label to top and the labels above it down one.
-Free Haar takes these two passes, and perm and tensor one keyed product
-(_Copies.close) that keeps the keys lying in A_{1..top but label} and
-renames them by the shift (tests/closing_oracle.py checks each against
-the two passes).
+The arc scans of moments and dimensions close the arc at label of a
+state P by a letter x: P * pi_label(x) projected onto the open labels
+1..top but label, then relabeled onto 1..top-1 by shifting label to top
+and the labels above it down one.  closing(label, top) is that closing
+on one key: a key lying in A_{1..top but label} goes to its image under
+the shift, any other to None.  The moment scans close by it alone: a
+one-term P and letter by mapping their product key, any other P by the
+keyed product P.times(pi_x, closing(label, top)).  close(P, pi_x, label,
+top) serves the span scan of dimensions: perm and tensor take that keyed
+product (_Copies.close), free Haar the two passes.  tests/closing_oracle.py
+checks both against the two passes.
 
 Give every arc its own label and let X be the prefix pi-word; then
 P = E_L(X), where L = 1..top are the labels still open (a span scan's
@@ -228,20 +231,23 @@ class _Copies:
                                        for k, c in x.coeffs.items()})
 
     def close(self, P, pi_x, label, top) -> AlgebraElement:
+        return P.times(pi_x, self.closing(label, top))
+
+    def closing(self, label, top):
+        """The key map of closing label under top, built once per pair
+        and cached: a key that lies in A_{1..top but label} goes to its
+        image under the shift of label to top, any other to None.  On one
+        key it is the two passes of the module docstring."""
         key = self._closings.get((label, top))
         if key is None:
-            key = self._closings[label, top] = self._closing_key(label, top)
-        return P.times(pi_x, key)
+            keep, shift = _closing(label, top)
+            get, want = self._keeps(keep)
+            rename = self._relabeling(shift)
 
-    def _closing_key(self, label, top):
-        """The key map of closing label under top."""
-        keep, shift = _closing(label, top)
-        get, want = self._keeps(keep)
-        rename = self._relabeling(shift)
-
-        def key(k):
-            if get(k) == want:
-                return rename(k)
+            def key(k):
+                if get(k) == want:
+                    return rename(k)
+            self._closings[label, top] = key
         return key
 
     def subalgebra_spec(self, I) -> SubalgebraSpec:

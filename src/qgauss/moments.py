@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 
-from .algebra import common_denominator, exact
+from .algebra import AlgebraElement, common_denominator, exact
 from .copies import FreeHaarBackend, pi_word, require_window
 from .partitions import (Partition12, _check_cap, crossing_number,
                          encoding_map)
@@ -71,26 +71,40 @@ def _arc_scan(xs, tags, backend, ip, Q=None) -> dict:
     weight(sigma) * tau_D(pi-word of sigma), by one left-to-right scan;
     returned as a {power: exact rational} dict.  A weight stays an int
     while every factor is integral (see algebra.exact); int and Fraction
-    arithmetic mix exactly, so the form changes only the cost.
+    arithmetic mix exactly, so the form changes only the cost.  The
+    callers that start from an empty word make every factor an int
+    (_int_word): they scale each distinct letter by the common
+    denominator of its coefficients and the inner products by theirs, and
+    divide the sum by the product of those scales once.
 
     Each letter carries a tag (key, vector id).  A state is the stack of
     open arcs, oldest first, and P.  Arc i carries copy label i+1 and
     keeps only the tag of its left leg: its letter is already in P, so
     states that differ only in where their arcs opened merge.  P is the
     prefix pi-word projected onto the open labels 1..k, the reduced
-    coefficient of the prefix.  States with equal (stack, P) are merged by
-    adding weights; a tag is a pair of small ints (a singleton's key in a
-    trace pairing is None), so stacks hash cheaply.
+    coefficient of the prefix, in one of two forms.  Where it has one
+    term c * u_g, the state is keyed by the group element g itself and c
+    is taken into the state's {power: coefficient} weight; otherwise P is
+    an AlgebraElement, and a result with one term is put back in key form.
+    The sum of weight * P over the states is what the scan carries, and
+    every step below is linear in P, so the two forms give one sum and
+    states with equal (stack, P) merge by adding weights; a tag is a pair
+    of small ints (a singleton's key in a trace pairing is None), so
+    stacks hash cheaply, and a key state hashes no element.
 
     At each letter a state opens an arc, P * pi_{k+1}(x), while the
-    letters left can still close every open arc, or closes arc i by
-    backend.close(P, pi_{i+1}(x), i+1, k), which the copies module
-    docstring shows exact.  Every scan of the module closes by one rule:
-    the letter closes arc i only if the arc has the letter's key; the
-    factor is ip[arc's vector][letter's vector], times Q[key][key']
-    for each arc still open above arc i when a matrix Q is given; the
-    power is k-1-i; and a zero factor prunes the closing.  A letter is
-    embedded only at the labels a state uses, and once per label.
+    letters left can still close every open arc, or closes arc i: P *
+    pi_{i+1}(x) with its keys mapped by backend.closing(i+1, k), which
+    the copies module docstring shows exact.  On a key state g and a
+    letter with one term c * u_h, an opening is the key gh and a closing
+    its image under the map (none prunes the closing), each times c; an
+    element state takes the keyed product P.times.  Every scan of the
+    module closes by one rule: the letter closes arc i only if the arc
+    has the letter's key; the factor is ip[arc's vector][letter's
+    vector], times Q[key][key'] for each arc still open above arc i when
+    a matrix Q is given; the power is k-1-i; and a zero factor prunes the
+    closing.  A letter is embedded only at the labels a state uses, and
+    once per label.
 
     _advance also takes opens, which fixes each letter's move (True
     opens, False closes); with the keys, it restricts the sum to a family
@@ -111,7 +125,7 @@ def _arc_scan(xs, tags, backend, ip, Q=None) -> dict:
     word, and the result is the one scan's, term by term: each join is
     still summed exactly once.  trace_pairing resumes that way.
     """
-    return _traces(_advance({((), backend.one()): {0: 1}}, xs, tags,
+    return _traces(_advance({((), backend.D.unit): {0: 1}}, xs, tags,
                             backend, ip, Q, None, 0), backend)
 
 
@@ -124,7 +138,9 @@ def _advance(states, xs, tags, backend, ip, Q, opens, after) -> dict:
     through a memo keyed by its id: xs holds every letter until the call
     returns, so no id is reused meanwhile."""
     m = len(xs) + after
-    embedded = {}  # id(x) -> {j: pi_j(x)}
+    D = backend.D
+    mul = D.group.mul
+    embedded = {}  # id(x) -> {j: (pi_j(x), its term (h, c) if it has one)}
     for pos, (x, tag) in enumerate(zip(xs, tags)):
         left = m - pos - 1
         move = None if opens is None else opens[pos]
@@ -135,14 +151,23 @@ def _advance(states, xs, tags, backend, ip, Q, opens, after) -> dict:
 
         def pi(j):
             if j not in pis:
-                pis[j] = backend.pi(j, x)
+                y = backend.pi(j, x)
+                pis[j] = y, (next(iter(y.coeffs.items()))
+                             if len(y.coeffs) == 1 else None)
             return pis[j]
 
         nxt = {}
         for (stack, P), weight in states.items():
             k = len(stack)
+            keyed = type(P) is not AlgebraElement
             if k < left and move is not False:
-                _add_state(nxt, stack + (tag,), P * pi(k + 1), weight)
+                y, term = pi(k + 1)
+                if keyed and term:
+                    _add_state(nxt, stack + (tag,), mul(P, term[0]), weight,
+                               0, term[1])
+                else:
+                    _add_element(nxt, stack + (tag,), (
+                        D.basis_element(P) if keyed else P).times(y), weight)
             if move is True:
                 continue
             for i, (arc_key, v) in enumerate(stack):
@@ -154,28 +179,37 @@ def _advance(states, xs, tags, backend, ip, Q, opens, after) -> dict:
                         factor *= Q[key][above]
                 if not factor:
                     continue
-                R = backend.close(P, pi(i + 1), i + 1, k)
-                _add_state(nxt, stack[:i] + stack[i + 1:], R, weight,
-                           k - 1 - i, factor)
+                y, term = pi(i + 1)
+                closing = backend.closing(i + 1, k)
+                rest = stack[:i] + stack[i + 1:]
+                if keyed and term:
+                    g = closing(mul(P, term[0]))
+                    if g is not None:
+                        _add_state(nxt, rest, g, weight, k - 1 - i,
+                                   factor * term[1])
+                else:
+                    _add_element(nxt, rest, (
+                        D.basis_element(P) if keyed else P).times(y, closing),
+                        weight, k - 1 - i, factor)
         states = nxt
     return states
 
 
 def _traces(states, backend) -> dict:
     """The {power of q: exact rational} sum of weight * tau_D(P) over the
-    final scan states."""
+    final scan states: tau(u_g) = [g = e] on a key state."""
+    unit = backend.D.unit
     total = {}
     for (_, P), weight in states.items():
-        tr = backend.trace(P)
-        for p, c in weight.items():
-            total[p] = total.get(p, 0) + c * tr
+        tr = backend.trace(P) if type(P) is AlgebraElement else int(P == unit)
+        if tr:
+            for p, c in weight.items():
+                total[p] = total.get(p, 0) + c * tr
     return total
 
 
 def _add_state(states, stack, P, weight, power=0, factor=1):
     """Add q^power * factor * weight to the weight of state (stack, P)."""
-    if P.is_zero():
-        return
     acc = states.setdefault((stack, P), {})
     scaled = factor != 1
     for p, c in weight.items():
@@ -183,18 +217,53 @@ def _add_state(states, stack, P, weight, power=0, factor=1):
         acc[p] = acc.get(p, 0) + (c * factor if scaled else c)
 
 
-def _int_pairings(hs, cfg: FockConfig):
-    """Each distinct vector of hs as a small int id, in order of first
-    appearance; the table ip[a][b] of the inner products of the vectors
-    with ids a and b times L; and L, their common denominator, so that
-    every entry is an int.  A scan that pairs m vectors by this table
-    closes m/2 arcs on every pair partition, so its sum is L^(m/2) times
-    the exact one."""
+def _add_element(states, stack, R, weight, power=0, factor=1):
+    """_add_state for an element R: none for zero; for one term, the key
+    of the term, its coefficient taken into the factor; and for more, R
+    divided by the gcd of its coefficients when they are ints, the gcd
+    taken into the factor, so that elements equal up to an int multiple
+    share a state."""
+    coeffs = R.coeffs
+    if len(coeffs) == 1:
+        (g, c), = coeffs.items()
+        _add_state(states, stack, g, weight, power, factor * c)
+    elif coeffs:
+        try:
+            d = math.gcd(*coeffs.values())
+        except TypeError:  # a Fraction among them
+            d = 1
+        if d != 1:
+            R = AlgebraElement(R.parent, {g: c // d for g, c in coeffs.items()})
+        _add_state(states, stack, R, weight, power, factor * d)
+
+
+def _int_word(word, cfg: FockConfig):
+    """A scan's int set-up for the word's (x, h) letters: its letters,
+    each distinct one (by value) one object, scaled by the common
+    denominator of its coefficients; each distinct vector of the word as
+    a small int id, in order of first appearance; the table ip[a][b] of
+    the inner products of the vectors with ids a and b times L, their
+    common denominator, so that every entry is an int; and the scale, the
+    product of L^(m/2) and the letters' denominators.  tau of a pi-word is
+    linear in each letter, and a scan that pairs m vectors by this table
+    closes m/2 arcs on every pair partition, so its sum is the scale
+    times the exact one."""
+    scaled = {}
+    xs, scale = [], 1
+    for x, _ in word:
+        if x not in scaled:
+            d = common_denominator(x.coeffs.values())
+            scaled[x] = (x if d == 1 else x.parent.element(
+                {g: c * d for g, c in x.coeffs.items()})), d
+        y, d = scaled[x]
+        xs.append(y)
+        scale *= d
     ids = {}
-    vids = [ids.setdefault(tuple(h), len(ids)) for h in hs]
+    vids = [ids.setdefault(tuple(h), len(ids)) for _, h in word]
     ip = _ip_table(ids, cfg)
     L = common_denominator(c for row in ip for c in row)
-    return vids, [[exact(c * L) for c in row] for row in ip], L
+    return (xs, vids, [[exact(c * L) for c in row] for row in ip],
+            scale * L ** (len(word) // 2))
 
 
 def _ip_table(vectors, cfg: FockConfig):
@@ -208,8 +277,8 @@ def moment(word, backend, cfg: FockConfig) -> QPoly:
     The sum over pair partitions of q^cr * prod<h_l,h_r> * tau_D(pi-word),
     zero for odd m, computed by a transfer-matrix scan over the reduced
     coefficients (see _arc_scan), every letter of one key.  The scan
-    pairs the vectors by ints (_int_pairings), and the sum is divided by
-    L^(m/2) once.
+    runs on int letters and inner products (_int_word), and the sum is
+    divided by their scale once.
     """
     word = list(word)
     m = len(word)
@@ -217,12 +286,10 @@ def moment(word, backend, cfg: FockConfig) -> QPoly:
         return QPoly.zero()
     require_window(backend, m // 2, f"word of length {m}")
 
-    vids, ip, L = _int_pairings([h for _, h in word], cfg)
-    scale = L ** (m // 2)
+    xs, vids, ip, scale = _int_word(word, cfg)
     return QPoly.from_powers({
         p: Fraction(c, scale) for p, c in
-        _arc_scan([x for x, _ in word], [(0, v) for v in vids], backend,
-                  ip).items()})
+        _arc_scan(xs, [(0, v) for v in vids], backend, ip).items()})
 
 
 # ---------------------------------------------------------------------
@@ -298,14 +365,13 @@ def slot_moments(hs, cfg: FockConfig):
     [slot_l = slot_r] <h_l, h_r>.  So it is the scan of _arc_scan over
     unit letters, every trace 1, keyed by slot: a letter closes only an
     arc of its own slot, and crosses every arc opened after that one and
-    still open, whatever its slot.  As in moment(), the scan pairs the
-    vectors by ints and its sum is divided by L^(m/2) once.
+    still open, whatever its slot.  As in moment(), the scan runs on int
+    letters and inner products, and its sum is divided by their scale
+    once.
     """
     m = len(hs)
     units = FreeHaarBackend(max(1, m // 2))
-    letters = [units.A_one] * m
-    vids, ip, L = _int_pairings(hs, cfg)
-    scale = L ** (m // 2)
+    letters, vids, ip, scale = _int_word([(units.A_one, h) for h in hs], cfg)
 
     def vacuum_moment(slots):
         return QPoly.from_powers({
@@ -377,12 +443,12 @@ def q_matrix_moment(word, colors, Qm, backend, cfg: FockConfig) -> Fraction:
 
     Computed by the same scan as moment(), keyed by color and given Q
     (see _arc_scan, which says why projecting each closed arc away is
-    exact).  The weights stay ints: the scan pairs vectors by ints
-    (_int_pairings), and crosses arcs by the entries of Q times their
-    common denominator LQ.  A closing's power is the number of Q factors
-    it takes, so the scan's coefficient c_p sums the terms with p factors
-    in all, each scaled by L^(m/2) * LQ^p, and the moment is the Fraction
-    sum of c_p / (L^(m/2) * LQ^p).
+    exact).  The weights stay ints: the scan runs on int letters and
+    inner products (_int_word, whose scale s covers both), and crosses
+    arcs by the entries of Q times their common denominator LQ.  A
+    closing's power is the number of Q factors it takes, so the scan's
+    coefficient c_p sums the terms with p factors in all, each scaled by
+    s * LQ^p, and the moment is the Fraction sum of c_p / (s * LQ^p).
     """
     word = list(word)
     m = len(word)
@@ -393,14 +459,13 @@ def q_matrix_moment(word, colors, Qm, backend, cfg: FockConfig) -> Fraction:
     if m % 2:
         return Fraction(0)
     require_window(backend, m // 2, f"word of length {m}")
-    vids, ip, L = _int_pairings([h for _, h in word], cfg)
+    xs, vids, ip, scale = _int_word(word, cfg)
     LQ = common_denominator(x for row in Qm for x in row)
     Qm = [[exact(x * LQ) for x in row] for row in Qm]
-    total = _arc_scan([x for x, _ in word], list(zip(colors, vids)), backend,
-                      ip, Qm)
+    total = _arc_scan(xs, list(zip(colors, vids)), backend, ip, Qm)
     top = max(total, default=0)
     return Fraction(sum(c * LQ ** (top - p) for p, c in total.items()),
-                    L ** (m // 2) * LQ ** top)
+                    scale * LQ ** top)
 
 
 # ---------------------------------------------------------------------
@@ -466,7 +531,7 @@ class WickWord:
         to follow."""
         xs, tags, opens, ids = _pairing_side(self, True)
         ip = _ip_table(ids, self.cfg)
-        return _advance({((), self.backend.one()): {0: 1}}, xs, tags,
+        return _advance({((), self.backend.D.unit): {0: 1}}, xs, tags,
                         self.backend, ip, None, opens, self.degree), ids, ip
 
     def singleton_vectors(self):
@@ -474,9 +539,15 @@ class WickWord:
 
     def adjoint(self) -> "WickWord":
         """The Wick word of the adjoint: reversed partition, reversed
-        starred coefficients, reversed vectors."""
+        starred coefficients, reversed vectors.  Each distinct letter
+        object is starred once, so equal letters stay one object, which
+        _advance embeds once per label."""
+        stars = {}
+        for x in self.xs:
+            if id(x) not in stars:
+                stars[id(x)] = x.star()
         return WickWord(self.sigma.reversed(),
-                        tuple(x.star() for x in reversed(self.xs)),
+                        tuple(stars[id(x)] for x in reversed(self.xs)),
                         tuple(reversed(self.hs)),
                         self.backend, self.cfg)
 

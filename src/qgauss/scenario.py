@@ -164,6 +164,16 @@ def build_backend(spec):
                         "(expected free_haar, perm_group, or tensor)")
 
 
+#: The Fock configurations build_cfg has validated, keyed by (dim_H,
+#: inner, max_degree), which fix a configuration: equal requests share
+#: one, its checks run once and its ip memo serves them all.  The entries
+#: stay for the life of the process, and each configuration's memo gains
+#: an entry for each new pair of vectors, so a long-lived process grows
+#: with each new configuration or vector it is asked about (a benchmark
+#: round repeats its requests, and adds nothing after its first round).
+_CFGS = {}
+
+
 def build_cfg(spec) -> FockConfig:
     spec = _object(spec, "fock")
     _known_keys(spec, ("dim_H", "inner", "max_degree"), "fock")
@@ -171,12 +181,16 @@ def build_cfg(spec) -> FockConfig:
     inner = spec.get("inner")
     if inner is not None:
         inner = tuple(map(tuple, _matrix(inner, "fock.inner")))
-    try:
-        return FockConfig(dim_H, inner, _int(spec, "max_degree", "fock", 6))
-    except ValueError as e:
-        raise ScenarioError(f"invalid Fock configuration: {e}") from e
-    except SizeGuard as e:
-        raise SizeGuard(f"fock.{e}") from None
+    key = dim_H, inner, _int(spec, "max_degree", "fock", 6)
+    cfg = _CFGS.get(key)
+    if cfg is None:
+        try:
+            cfg = _CFGS[key] = FockConfig(*key)
+        except ValueError as e:
+            raise ScenarioError(f"invalid Fock configuration: {e}") from e
+        except SizeGuard as e:
+            raise SizeGuard(f"fock.{e}") from None
+    return cfg
 
 
 def _coefficient(spec, backend, path: str, *keys):

@@ -3,11 +3,12 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgauss import algebra, dimensions, matmodel
+from qgauss import algebra, dimensions, matmodel, scenario
 from qgauss.cli import MATMODEL_Z, main
 
 
@@ -227,6 +228,29 @@ def test_scenario_nested_too_deeply_exits_2(tmp_path, capsys):
     assert main(["dims", "--scenario", str(p)]) == 2
     assert capsys.readouterr().err == \
         "error: scenario nests too deeply to parse\n"
+
+
+def test_equal_fock_configurations_are_shared():
+    """Requests with one (dim_H, inner, max_degree) share one validated
+    configuration, its inner products memoized for all of them, however
+    the entries are written; another max_degree or inner matrix gets its
+    own, and a refused one is refused again."""
+    inner = {"dim_H": 2, "inner": [["1", "1/3"], ["1/3", "2"]]}
+    spellings = [dict(inner), dict(inner, max_degree=6),
+                 dict(inner, inner=[[1, "2/6"], ["1/3", "4/2"]])]
+    cfgs = [scenario.build_cfg(spec) for spec in spellings]
+    assert all(cfg is cfgs[0] for cfg in cfgs)
+    cfgs[0].ip((1, 0), (0, 1))
+    fresh = scenario.build_cfg(dict(inner))
+    assert fresh._ip_memo[(1, 0), (0, 1)] == Fraction(1, 3)
+    assert scenario.build_cfg(dict(inner, max_degree=5)) is not fresh
+    assert scenario.build_cfg(
+        dict(inner, inner=[["1", "1/3"], ["1/3", "3"]])) is not fresh
+    assert scenario.build_cfg({}) is scenario.build_cfg({"dim_H": 1})
+    for _ in range(2):
+        with pytest.raises(scenario.ScenarioError,
+                           match="not positive definite"):
+            scenario.build_cfg({"dim_H": 2, "inner": [[1, 2], [2, 1]]})
 
 
 def test_unknown_generator_exit_code(tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""Arc closings: each backend's close against the two-pass oracle, the
-keyed product AlgebraElement.times against the plain product, and the
-perm and tensor scans closing without expect or relabel."""
+"""Arc closings: each backend's close and its closing key map against the
+two-pass oracle, the keyed product AlgebraElement.times against the plain
+product, and the moment scans closing by the key map alone, without
+close, expect or relabel."""
 
 import random
 from collections import Counter
@@ -118,6 +119,35 @@ def test_close_equals_the_two_pass_oracle(name):
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_closing_on_basis_elements_is_the_two_pass_close(name):
+    """closing(label, top), the key map a scan applies to a key state,
+    sends the product key gh of basis elements u_g and u_h to the key of
+    the two-pass closing of u_g * u_h, and to None where that is zero;
+    the keys g and h are the terms of seeded elements and of each
+    letter's embedding."""
+    backend, letters = BACKENDS[name]()
+    D = backend.D
+    mul = D.group.mul
+    gs = {g for P in _elements(backend, letters, random.Random(41))
+          for g in P.coeffs}
+    seen = set()
+    for label in range(1, WINDOW + 1):
+        hs = {h for x in letters for h in backend.pi(label, x).coeffs}
+        for top in range(label, WINDOW + 1):
+            closing = backend.closing(label, top)
+            assert closing is backend.closing(label, top)  # cached
+            for g in gs:
+                for h in hs:
+                    want = two_pass_close(backend, D.basis_element(g),
+                                          D.basis_element(h), label, top)
+                    k = closing(mul(g, h))
+                    seen.add(k is None)
+                    assert want == (D.element({}) if k is None
+                                    else D.basis_element(k)), (g, h)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_times_without_a_key_is_the_product(name):
     backend, letters = BACKENDS[name]()
     xs = _elements(backend, letters, random.Random(5), count=8)
@@ -137,11 +167,11 @@ def _mapped(x, key):
     return x.parent.element(out)
 
 
-@pytest.mark.parametrize("name", ["perm_group", "tensor"])
+@pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_times_with_a_closing_key_maps_the_product(name):
     backend, letters = BACKENDS[name]()
     xs = _elements(backend, letters, random.Random(9), count=8)
-    keys = [backend._closing_key(label, top)
+    keys = [backend.closing(label, top)
             for label in range(1, WINDOW + 1)
             for top in range(label, WINDOW + 1)]
     for a in xs:
@@ -168,31 +198,28 @@ def test_times_with_a_key_on_a_cyclic_group():
             assert a.times(b, key) == _mapped(a * b, key)
 
 
-def _counting(monkeypatch, cls):
-    calls = {"expect": 0, "relabel": 0}
-    for attr in calls:
-        raw = getattr(cls, attr)
-
-        def counted(self, *args, attr=attr, raw=raw):
-            calls[attr] += 1
-            return raw(self, *args)
-
-        monkeypatch.setattr(cls, attr, counted)
-    return calls
-
-
-def test_perm_and_tensor_moments_close_without_expect_or_relabel(monkeypatch):
+def test_moment_scans_close_by_the_key_map_alone(monkeypatch):
+    """On every backend, plain and combination letters: the scan closes
+    arcs by closing(label, top), with no close, expect or relabel."""
     perm, _ = _perm()
     tensor, _ = _tensor()
     g = tensor.S["g"]
     cases = [(perm, [(perm.S["u01"], H1)] * 8),
              (tensor, [(g if i % 2 == 0 else g.star(), H1) for i in range(8)])]
+    for name, make in sorted(BACKENDS.items()):
+        backend, letters = make()
+        rng = random.Random(6)
+        cases += [(backend, [(rng.choice(letters), H1) for _ in range(6)])
+                  for _ in range(4)]
     want = [pairing_moment(word, backend, CFG) for backend, word in cases]
-    counts = [_counting(monkeypatch, PermGroupBackend),
-              _counting(monkeypatch, TensorBackend)]
+    calls = []
+    for cls in (FreeHaarBackend, PermGroupBackend, TensorBackend):
+        for attr in ("close", "expect", "relabel"):
+            monkeypatch.setattr(cls, attr, lambda *args, attr=attr:
+                                calls.append(attr))
     assert [moments.moment(word, backend, CFG)
             for backend, word in cases] == want
-    assert counts == [{"expect": 0, "relabel": 0}] * 2
-    # the counters count: an expectation is seen
+    assert calls == []
+    # the patches are live: an expectation is seen
     perm.expect((), perm.one())
-    assert counts[0]["expect"] == 1
+    assert calls == ["expect"]

@@ -13,10 +13,10 @@ import pytest
 from pairing_oracle import (pairing_moment, pairing_q_matrix_moment,
                             pairing_trace_pairing)
 from qgauss import moments, qfock, scenario
-from qgauss.algebra import (EchelonBasis, FiniteTracialAlgebra,
-                            conditional_expectation, cyclic_group, exact,
-                            free_group, group_algebra, symmetric_group,
-                            tensor_algebra)
+from qgauss.algebra import (AlgebraElement, EchelonBasis,
+                            FiniteTracialAlgebra, conditional_expectation,
+                            cyclic_group, exact, free_group, group_algebra,
+                            symmetric_group, tensor_algebra)
 from qgauss.copies import FreeHaarBackend, PermGroupBackend, TensorBackend
 from qgauss.dimensions import span_Dk
 from qgauss.partitions import Partition12, enumerate_pair_singleton
@@ -207,18 +207,29 @@ def _exact_coeffs(x):
 
 @pytest.mark.parametrize("name", ["free_haar", "perm_group", "tensor"])
 def test_no_float_after_a_scan_a_span_or_a_projection(name, monkeypatch):
+    """Every state of every step of the moment scans, in either form: the
+    weights, and the coefficients of an element state, are ints, since
+    moment scans int letters by int inner products."""
     backend, alphabet = BACKENDS[name]
-    closed = []
-    close = type(backend).close
+    steps = {}
+    add_state = moments._add_state
 
-    def recording(self, *args):
-        closed.append(close(self, *args))
-        return closed[-1]
+    def recording(states, *args):
+        steps[id(states)] = states
+        return add_state(states, *args)
 
-    monkeypatch.setattr(type(backend), "close", recording)
+    monkeypatch.setattr(moments, "_add_state", recording)
     for word in _words(alphabet, (4, 6), 4, 5):
         moments.moment(word, backend, CFG)
-    assert closed and all(_exact_coeffs(R) for R in closed)
+    forms = set()
+    for states in steps.values():
+        for (_, P), weight in states.items():
+            element = isinstance(P, AlgebraElement)
+            forms.add(element)
+            assert all(type(c) is int for c in weight.values())
+            assert not element or all(type(c) is int
+                                      for c in P.coeffs.values())
+    assert forms == {False, True}
 
     report = span_Dk(backend, 1, 3, gens=alphabet)
     assert report.vectors and all(_exact_coeffs(v) for v in report.vectors)

@@ -11,7 +11,7 @@ import pytest
 
 from pairing_oracle import pairing_moment, pairing_q_matrix_moment
 from qgauss import moments, qfock
-from qgauss.algebra import cyclic_group, group_algebra
+from qgauss.algebra import cyclic_group, group_algebra, symmetric_group
 from qgauss.copies import FreeHaarBackend, PermGroupBackend, TensorBackend
 from qgauss.errors import WindowExceeded
 from qgauss.qfock import FockConfig
@@ -145,6 +145,53 @@ def test_q_matrix_moment_matches_pairing_oracle(backends):
         value = moments.q_matrix_moment(word, colors, Qm, backend, cfg)
         assert value == pairing_q_matrix_moment(word, colors, Qm, backend,
                                                 cfg), (colors, word)
+        assert type(value) is Fraction
+
+
+def _combination_backends():
+    """name -> (backend, alphabet): a combination letter with Fraction
+    coefficients beside the plain letters, so that the scan carries
+    element states and int-scaled letters; tensor on S3 (x) Z3 with a
+    B-part that is not the unit."""
+    free = FreeHaarBackend(5)
+    u, us = free.S["u"], free.S["u*"]
+    perm = PermGroupBackend(1, 5)
+    u01 = perm.S["u01"]
+    s3 = group_algebra(symmetric_group(range(3)))
+    tensor = TensorBackend(s3, group_algebra(cyclic_group(3)), 5)
+    g = tensor.S["g"]
+    b = tensor.D.basis_element(((1, 0, 2),) + (0,) * 5)  # a transposition
+    return {
+        "free_haar": (free, [u.scale(Fraction(1, 2)) + us.scale(Fraction(1, 3)),
+                             u, us]),
+        "perm_group": (perm, [u01.scale(Fraction(2, 3))
+                              + perm.A_one.scale(Fraction(-1, 4)), u01]),
+        "tensor": (tensor, [g + b.scale(Fraction(1, 2)), g.star(), b]),
+    }
+
+
+@pytest.mark.parametrize("name", ["free_haar", "perm_group", "tensor"])
+def test_combination_letters_match_pairing_oracle(name):
+    """Every word up to length 6 over the alphabet, and seeded words of
+    length 8 under MIXED, against the pairing oracle, by moment and by
+    q_matrix_moment; every value exact."""
+    backend, alphabet = _combination_backends()[name]
+    words = [[(x, H1) for x in xs] for m in range(0, 7, 2)
+             for xs in product(alphabet, repeat=m)]
+    rng = random.Random(30)
+    mixed = [[(rng.choice(alphabet), rng.choice(MIXED_VECTORS))
+              for _ in range(8)] for _ in range(6)]
+    for word in words:
+        assert moments.moment(word, backend, CFG1) == \
+            pairing_moment(word, backend, CFG1), word
+    for word in mixed:
+        poly = moments.moment(word, backend, MIXED)
+        assert poly == pairing_moment(word, backend, MIXED), word
+        assert all(type(c) is Fraction for c in poly.coeffs)
+        colors = [rng.randrange(2) for _ in word]
+        value = moments.q_matrix_moment(word, colors, Q2, backend, MIXED)
+        assert value == pairing_q_matrix_moment(word, colors, Q2, backend,
+                                                MIXED), (colors, word)
         assert type(value) is Fraction
 
 

@@ -165,6 +165,31 @@ def test_cached_adjoint_prefix_matches_a_fresh_word(name, monkeypatch):
     assert extra_scans == sum(m % 2 for m in lengths) - 1
 
 
+def test_an_adjoint_prefix_embeds_each_letter_once_per_label():
+    """adj(w) stars each distinct letter object of w once, so the scan of
+    its prefix embeds equal letters once per label: a tensor g,g* word of
+    12 letters, five pairs and two singletons, takes 7 pi calls, where
+    starring each letter anew took 12, embedding equal letters again."""
+    z2, z3 = group_algebra(cyclic_group(2)), group_algebra(cyclic_group(3))
+    backend = TensorBackend(z2, z3, 6)
+    g = backend.S["g"]
+    gs = g.star()
+    sigma = Partition12.make(12, [(1, 4), (2, 3), (5, 8), (6, 9), (10, 11)],
+                             [7, 12])
+    w = moments.WickWord(sigma, (g, gs) * 6, (H1,) * 12, backend, CFG1)
+    assert len({id(x) for x in w.adjoint().xs}) == 2
+    calls = []
+    pi = backend.pi
+
+    def counted(j, x):
+        calls.append((j, x))
+        return pi(j, x)
+
+    backend.pi = counted
+    assert w.adjoint_prefix[0]
+    assert len(calls) == len(set(calls)) == 7
+
+
 def test_pairings_across_configurations_are_refused():
     """Both Gram paths refuse words under different Fock configurations
     or backends, in either order and whatever their degrees, where they
