@@ -24,11 +24,11 @@ state P by a letter x: P * pi_label(x) projected onto the open labels
 1..top but label, then relabeled onto 1..top-1 by shifting label to top
 and the labels above it down one.  closing(label, top) is that closing
 on one key: a key lying in A_{1..top but label} goes to its image under
-the shift, any other to None.  The moment scans close by it alone: a
-one-term P and letter by mapping their product key, any other P by the
-keyed product P.times(pi_x, closing(label, top)).  close(P, pi_x, label,
-top) serves the span scan of dimensions: perm and tensor take that keyed
-product (_Copies.close), free Haar the two passes.  tests/closing_oracle.py
+the shift, any other to None.  The moment scans close by it alone,
+mapping the product of a state's key and each key of pi_x.  close(P,
+pi_x, label, top) serves the span scan of dimensions: perm and tensor
+take the keyed product P.times(pi_x, closing(label, top))
+(_Copies.close), free Haar the two passes.  tests/closing_oracle.py
 checks both against the two passes.
 
 Give every arc its own label and let X be the prefix pi-word; then

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 
-from .algebra import AlgebraElement, common_denominator, exact
+from .algebra import common_denominator, exact
 from .copies import FreeHaarBackend, pi_word, require_window
 from .partitions import (Partition12, _check_cap, crossing_number,
                          encoding_map)
@@ -78,33 +78,32 @@ def _arc_scan(xs, tags, backend, ip, Q=None) -> dict:
     divide the sum by the product of those scales once.
 
     Each letter carries a tag (key, vector id).  A state is the stack of
-    open arcs, oldest first, and P.  Arc i carries copy label i+1 and
-    keeps only the tag of its left leg: its letter is already in P, so
-    states that differ only in where their arcs opened merge.  P is the
-    prefix pi-word projected onto the open labels 1..k, the reduced
-    coefficient of the prefix, in one of two forms.  Where it has one
-    term c * u_g, the state is keyed by the group element g itself and c
-    is taken into the state's {power: coefficient} weight; otherwise P is
-    an AlgebraElement, and a result with one term is put back in key form.
-    The sum of weight * P over the states is what the scan carries, and
-    every step below is linear in P, so the two forms give one sum and
-    states with equal (stack, P) merge by adding weights; a tag is a pair
-    of small ints (a singleton's key in a trace pairing is None), so
-    stacks hash cheaply, and a key state hashes no element.
+    open arcs, oldest first, and a group key g.  Arc i carries copy label
+    i+1 and keeps only the tag of its left leg: its letter is already in
+    the prefix, so states that differ only in where their arcs opened
+    merge.  The scan carries P, the prefix pi-word projected onto the
+    open labels 1..k (the reduced coefficient of the prefix), as the sum
+    of weight * u_g over the states with a given stack, a weight being a
+    {power: coefficient} dict.  Every step below is linear in P and in
+    each letter, so it is taken term by term, and states with equal
+    (stack, g) merge by adding weights; a tag is a pair of small ints (a
+    singleton's key in a trace pairing is None), so stacks hash cheaply,
+    and no state holds an element.
 
     At each letter a state opens an arc, P * pi_{k+1}(x), while the
     letters left can still close every open arc, or closes arc i: P *
     pi_{i+1}(x) with its keys mapped by backend.closing(i+1, k), which
-    the copies module docstring shows exact.  On a key state g and a
-    letter with one term c * u_h, an opening is the key gh and a closing
-    its image under the map (none prunes the closing), each times c; an
-    element state takes the keyed product P.times.  Every scan of the
-    module closes by one rule: the letter closes arc i only if the arc
-    has the letter's key; the factor is ip[arc's vector][letter's
-    vector], times Q[key][key'] for each arc still open above arc i when
-    a matrix Q is given; the power is k-1-i; and a zero factor prunes the
-    closing.  A letter is embedded only at the labels a state uses, and
-    once per label.
+    the copies module docstring shows exact.  On a state g, each term
+    c * u_h of the embedded letter gives an opening of key gh and a
+    closing of the image of gh under the map (none prunes the term),
+    each times c; so a letter of several terms, such as u + u*, spreads
+    a state over several keys, and keys reached from different states
+    merge.  Every scan of the module closes by one rule: the letter
+    closes arc i only if the arc has the letter's key; the factor is
+    ip[arc's vector][letter's vector], times Q[key][key'] for each arc
+    still open above arc i when a matrix Q is given; the power is k-1-i;
+    and a zero factor prunes the closing.  A letter is embedded only at
+    the labels a state uses, and once per label.
 
     _advance also takes opens, which fixes each letter's move (True
     opens, False closes); with the keys, it restricts the sum to a family
@@ -138,9 +137,8 @@ def _advance(states, xs, tags, backend, ip, Q, opens, after) -> dict:
     through a memo keyed by its id: xs holds every letter until the call
     returns, so no id is reused meanwhile."""
     m = len(xs) + after
-    D = backend.D
-    mul = D.group.mul
-    embedded = {}  # id(x) -> {j: (pi_j(x), its term (h, c) if it has one)}
+    mul = backend.D.group.mul
+    embedded = {}  # id(x) -> {j: the (key, coefficient) terms of pi_j(x)}
     for pos, (x, tag) in enumerate(zip(xs, tags)):
         left = m - pos - 1
         move = None if opens is None else opens[pos]
@@ -150,24 +148,18 @@ def _advance(states, xs, tags, backend, ip, Q, opens, after) -> dict:
         pis = embedded.setdefault(id(x), {})
 
         def pi(j):
-            if j not in pis:
-                y = backend.pi(j, x)
-                pis[j] = y, (next(iter(y.coeffs.items()))
-                             if len(y.coeffs) == 1 else None)
-            return pis[j]
+            terms = pis.get(j)
+            if terms is None:
+                terms = pis[j] = list(backend.pi(j, x).coeffs.items())
+            return terms
 
         nxt = {}
-        for (stack, P), weight in states.items():
+        for (stack, g), weight in states.items():
             k = len(stack)
-            keyed = type(P) is not AlgebraElement
             if k < left and move is not False:
-                y, term = pi(k + 1)
-                if keyed and term:
-                    _add_state(nxt, stack + (tag,), mul(P, term[0]), weight,
-                               0, term[1])
-                else:
-                    _add_element(nxt, stack + (tag,), (
-                        D.basis_element(P) if keyed else P).times(y), weight)
+                opened = stack + (tag,)
+                for t, c in pi(k + 1):
+                    _add_state(nxt, opened, mul(g, t), weight, 0, c)
             if move is True:
                 continue
             for i, (arc_key, v) in enumerate(stack):
@@ -179,62 +171,36 @@ def _advance(states, xs, tags, backend, ip, Q, opens, after) -> dict:
                         factor *= Q[key][above]
                 if not factor:
                     continue
-                y, term = pi(i + 1)
                 closing = backend.closing(i + 1, k)
                 rest = stack[:i] + stack[i + 1:]
-                if keyed and term:
-                    g = closing(mul(P, term[0]))
-                    if g is not None:
-                        _add_state(nxt, rest, g, weight, k - 1 - i,
-                                   factor * term[1])
-                else:
-                    _add_element(nxt, rest, (
-                        D.basis_element(P) if keyed else P).times(y, closing),
-                        weight, k - 1 - i, factor)
+                for t, c in pi(i + 1):
+                    closed = closing(mul(g, t))
+                    if closed is not None:
+                        _add_state(nxt, rest, closed, weight, k - 1 - i,
+                                   factor * c)
         states = nxt
     return states
 
 
 def _traces(states, backend) -> dict:
-    """The {power of q: exact rational} sum of weight * tau_D(P) over the
-    final scan states: tau(u_g) = [g = e] on a key state."""
+    """The {power of q: exact rational} sum of weight * tau_D(u_g) over
+    the final scan states (stack, g): tau(u_g) = [g = e]."""
     unit = backend.D.unit
     total = {}
-    for (_, P), weight in states.items():
-        tr = backend.trace(P) if type(P) is AlgebraElement else int(P == unit)
-        if tr:
+    for (_, g), weight in states.items():
+        if g == unit:
             for p, c in weight.items():
-                total[p] = total.get(p, 0) + c * tr
+                total[p] = total.get(p, 0) + c
     return total
 
 
-def _add_state(states, stack, P, weight, power=0, factor=1):
-    """Add q^power * factor * weight to the weight of state (stack, P)."""
-    acc = states.setdefault((stack, P), {})
+def _add_state(states, stack, g, weight, power=0, factor=1):
+    """Add q^power * factor * weight to the weight of state (stack, g)."""
+    acc = states.setdefault((stack, g), {})
     scaled = factor != 1
     for p, c in weight.items():
         p += power
         acc[p] = acc.get(p, 0) + (c * factor if scaled else c)
-
-
-def _add_element(states, stack, R, weight, power=0, factor=1):
-    """_add_state for an element R: none for zero; for one term, the key
-    of the term, its coefficient taken into the factor; and for more, R
-    divided by the gcd of its coefficients when they are ints, the gcd
-    taken into the factor, so that elements equal up to an int multiple
-    share a state."""
-    coeffs = R.coeffs
-    if len(coeffs) == 1:
-        (g, c), = coeffs.items()
-        _add_state(states, stack, g, weight, power, factor * c)
-    elif coeffs:
-        try:
-            d = math.gcd(*coeffs.values())
-        except TypeError:  # a Fraction among them
-            d = 1
-        if d != 1:
-            R = AlgebraElement(R.parent, {g: c // d for g, c in coeffs.items()})
-        _add_state(states, stack, R, weight, power, factor * d)
 
 
 def _int_word(word, cfg: FockConfig):

@@ -120,7 +120,7 @@ def test_close_equals_the_two_pass_oracle(name):
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_closing_on_basis_elements_is_the_two_pass_close(name):
-    """closing(label, top), the key map a scan applies to a key state,
+    """closing(label, top), the key map a scan applies to a state's key,
     sends the product key gh of basis elements u_g and u_h to the key of
     the two-pass closing of u_g * u_h, and to None where that is zero;
     the keys g and h are the terms of seeded elements and of each

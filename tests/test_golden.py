@@ -15,8 +15,8 @@ from qgauss.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-MOMENTS = ("free_uu", "nonorth", "perm_d2", "tensor_z2z3",
-           "qmatrix_two_colour", "finite_n")
+MOMENTS = ("free_uu", "nonorth", "perm_d2", "perm_combination",
+           "tensor_z2z3", "qmatrix_two_colour", "finite_n")
 DIMS = ("dims_free", "dims_perm")
 
 CASES = ([(f"{s}.moment.json", ["moment", "--scenario", f"{s}.json"])

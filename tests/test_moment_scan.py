@@ -150,9 +150,9 @@ def test_q_matrix_moment_matches_pairing_oracle(backends):
 
 def _combination_backends():
     """name -> (backend, alphabet): a combination letter with Fraction
-    coefficients beside the plain letters, so that the scan carries
-    element states and int-scaled letters; tensor on S3 (x) Z3 with a
-    B-part that is not the unit."""
+    coefficients beside the plain letters, so that the scan spreads a
+    state over several keys and scales letters to ints; tensor on
+    S3 (x) Z3 with a B-part that is not the unit."""
     free = FreeHaarBackend(5)
     u, us = free.S["u"], free.S["u*"]
     perm = PermGroupBackend(1, 5)

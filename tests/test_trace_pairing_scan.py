@@ -16,7 +16,8 @@ import pytest
 
 from pairing_oracle import pairing_trace_pairing
 from qgauss import moments
-from qgauss.algebra import AlgebraElement, cyclic_group, group_algebra
+from qgauss.algebra import (AlgebraElement, cyclic_group, group_algebra,
+                            symmetric_group)
 from qgauss.copies import FreeHaarBackend, PermGroupBackend, TensorBackend
 from qgauss.partitions import Partition12, enumerate_pair_singleton
 from qgauss.qfock import FockConfig
@@ -65,6 +66,36 @@ def _assert_all_pairs_agree(words):
 @pytest.mark.parametrize("name", ["free_haar", "perm_group", "tensor"])
 def test_every_pair_of_short_words_matches_join_oracle(name):
     backend, alphabet = BACKENDS[name]
+    _assert_all_pairs_agree(_all_words(backend, alphabet, 3))
+
+
+def _combination_alphabets():
+    """name -> (backend, alphabet): the unit and one letter of several
+    terms with Fraction coefficients; tensor on S3 (x) Z3 with a B-part
+    that is not the unit."""
+    free = FreeHaarBackend(4)
+    u = free.S["u"]
+    perm = PermGroupBackend(1, 4)
+    tensor = TensorBackend(group_algebra(symmetric_group(range(3))),
+                           group_algebra(cyclic_group(3)), 4)
+    b = tensor.D.basis_element(((1, 0, 2),) + (0,) * 4)  # a transposition
+    return {
+        "free_haar": (free, [free.A_one, u.scale(Fraction(1, 2))
+                             + u.star().scale(Fraction(1, 3))]),
+        "perm_group": (perm, [perm.A_one,
+                              perm.S["u01"].scale(Fraction(2, 3))
+                              + perm.A_one.scale(Fraction(-1, 4))]),
+        "tensor": (tensor, [tensor.A_one,
+                            tensor.S["g"] + b.scale(Fraction(1, 2))]),
+    }
+
+
+@pytest.mark.parametrize("name", ["free_haar", "perm_group", "tensor"])
+def test_every_pair_of_short_combination_words_matches_join_oracle(name):
+    """Letters of several terms through adjoint_prefix and the resumed
+    scan: each spreads a state over several keys, on either side of the
+    join."""
+    backend, alphabet = _combination_alphabets()[name]
     _assert_all_pairs_agree(_all_words(backend, alphabet, 3))
 
 
