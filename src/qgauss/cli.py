@@ -230,7 +230,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, QGaussError, OSError) as e:
+    except (QGaussError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

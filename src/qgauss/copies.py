@@ -103,18 +103,12 @@ def pi_word(backend, xs, labels):
     return prod
 
 
-#: The caches of the backends' key maps, one set per class and the
-#: parameters the maps depend on (see _Copies._share_caches).
-_CACHES = {}
-
-
 class _Copies:
     """A backend over copies 1..window, D keyed by its group elements.
 
     A subclass sets D and its generators S, which lie in A = A_{1} inside
-    D, lists each A_I for its spec (_size, _listing), takes its caches by
-    _share_caches, and gives the two key maps, built once per index set
-    or permutation and cached:
+    D, lists each A_I for its spec (_size, _listing), and gives the two
+    key maps, built once per index set or permutation and cached:
     - _key_test(I): (get, want), where a key k lies in A_I when get(k) ==
       want.  The default reads the entries at the copies outside I, copy
       j's at index j + _offset, and wants the unit's;
@@ -124,8 +118,12 @@ class _Copies:
     the terms whose keys lie in A_I; relabel renames every key; and
     close(P, pi_x, label, top) is P.times(pi_x, key), whose key keeps what
     _keeps(1..top but label) keeps and renames it by the shift of label to
-    top, as the two passes of the module docstring would.  Every cache is
-    shared, so its entries are never modified.
+    top, as the two passes of the module docstring would.  Each backend
+    caches its own maps for its life: _kept (the key test per index set),
+    _pis (pi_j's renamer per j) and _closings (per pair) are bounded by
+    the window, while _relabels gains an entry for each map's items and
+    _in_A for each key of A that a caller passes.  scenario reuses equal
+    backends across requests, and with them their maps.
     """
 
     def __init__(self, window: int):
@@ -134,24 +132,8 @@ class _Copies:
         check_size("window", window)
         self.window = window
         self._specs = {}  # each spec is bound to this backend's D
-
-    def _share_caches(self, *params):
-        """Take the caches of every backend of this class and params:
-        _kept, _relabels, _pis (j -> the renamer of (1 j)), _closings and
-        _in_A (the keys found to lie in A).  Each entry is a function of
-        the window, the layout of the keys and the unit alone, which
-        params fix, so equal backends build it once.  The entries stay
-        for the life of the process.  _kept, _pis and _closings are
-        bounded by the window, but _relabels gains an entry for each
-        map's items and _in_A for each key of A that a caller passes, so
-        a long-lived process grows with each new map or element it is
-        asked about (a benchmark round repeats its requests, and stops
-        adding entries after its first round)."""
-        caches = _CACHES.get((type(self), params))
-        if caches is None:
-            caches = _CACHES[type(self), params] = ({}, {}, {}, {}, set())
-        (self._kept, self._relabels, self._pis, self._closings,
-         self._in_A) = caches
+        self._kept, self._relabels, self._pis, self._closings = {}, {}, {}, {}
+        self._in_A = set()
 
     @property
     def A_one(self) -> AlgebraElement:
@@ -312,7 +294,6 @@ class FreeHaarBackend(_Copies):
 
     def __init__(self, window: int):
         super().__init__(window)
-        self._share_caches(window)
         self.D = D
         u = D.basis_element(((1, 1),))
         self.S = {"1": D.one, "u": u, "u*": u.star()}
@@ -367,7 +348,6 @@ class TensorBackend(_Copies):
         super().__init__(window)
         self.B, self.C = B, C
         self.D = tensor_algebra(B, *[C] * window)
-        self._share_caches(window, self.D.unit)
         self.S = {"1": self.D.one}
         # the generator: unit-B tensor the first non-unit C element
         for c in C.group.elements:
@@ -415,7 +395,6 @@ class PermGroupBackend(_Copies):
         self.d = self._offset = d  # position p <-> point p - d
         self.points = list(range(-d, window + 1))
         self.D = group_algebra(symmetric_group(self.points))
-        self._share_caches(d, window)
         u01 = list(range(len(self.points)))
         u01[d:d + 2] = d + 1, d
         self.S = {"1": self.D.one, "u01": self.D.basis_element(tuple(u01))}
@@ -448,10 +427,9 @@ class PermGroupBackend(_Copies):
             yield tuple(g)
 
     def dim_bound(self, k: int) -> int:
-        """(d+1)^k, raised to 2^k at d = 0: S moves only point 0 and the
-        copy points, so D_k does not depend on d, and at d = 0 it has the
-        2^k dimensions of d = 1."""
-        return max(self.d + 1, 2) ** k
+        """2^k for every d: S moves only point 0 and the copy points, so
+        D_k does not depend on d, and d = 1 bounds it by 2^k."""
+        return 2 ** k
 
 
 # ---------------------------------------------------------------------

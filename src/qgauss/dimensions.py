@@ -43,7 +43,7 @@ from .copies import require_window
 from .errors import SizeGuard
 
 #: Largest dim_bound(k_max) that growth_report accepts: k_max up to 5 on
-#: free Haar (4^5) and 10 on perm d = 1 (2^10), seconds at offset 4.
+#: free Haar (4^5) and 10 on perm of every d (2^10), seconds at offset 4.
 SPAN_GUARD = 1024
 
 #: Longest word, k_max + max_m_offset, that growth_report spans.  At 12

@@ -128,50 +128,76 @@ def _kind(spec: dict, keys: dict, path: str):
     return kind
 
 
-def build_algebra(spec, path: str):
+def _algebra_values(spec, path: str) -> tuple:
+    """The validated (kind, n) of an algebra B or C; the trivial one reads
+    no n and gives None."""
     spec = _object(spec, path)
     kind = _kind(spec, ALGEBRA_KEYS, path)
     if kind == "trivial":
-        return trivial_algebra()
-    if kind == "cyclic":
-        return group_algebra(cyclic_group(_group_size(spec, path)))
-    if kind == "symmetric":
-        return group_algebra(symmetric_group(range(_group_size(spec, path))))
+        return kind, None
+    if kind == "cyclic" or kind == "symmetric":
+        return kind, _group_size(spec, path)
     raise ScenarioError(f"{path}.kind: unknown algebra kind {kind!r} "
                         "(expected trivial, cyclic, or symmetric)")
+
+
+def _algebra(kind, n):
+    """The algebra B or C of a validated kind and n."""
+    if kind == "trivial":
+        return trivial_algebra()
+    return group_algebra(cyclic_group(n) if kind == "cyclic"
+                         else symmetric_group(range(n)))
+
+
+def _tensor(B, C, window: int):
+    """The tensor backend of validated (kind, n) pairs B and C."""
+    return copies.TensorBackend(_algebra(*B), _algebra(*C), window)
+
+
+#: The backends and Fock configurations built so far, keyed by their
+#: builder and the validated values it takes, which fix them: equal
+#: requests share one object, so its checks run once and its caches (a
+#: backend's key maps, a configuration's ip memo) serve them all.  A
+#: refused request stores nothing.  The entries stay for the life of the
+#: process, and the caches of each gain an entry for each new map,
+#: element or pair of vectors, so a long-lived process grows with each
+#: new request it is asked about (a benchmark round repeats its
+#: requests, and adds nothing after its first round).
+_BUILT = {}
+
+
+def _reuse(field: str, build, *values, refused=None):
+    """build(*values), built once per equal values and kept in _BUILT.
+    Its ValueError is refused as "refused: ..." (refused defaults to
+    field), and its SizeGuard, whose message starts with the parameter's
+    name, as "field.name: ..."."""
+    built = _BUILT.get((build, values))
+    if built is None:
+        try:
+            built = _BUILT[build, values] = build(*values)
+        except ValueError as e:
+            raise ScenarioError(f"{refused or field}: {e}") from e
+        except SizeGuard as e:
+            raise SizeGuard(f"{field}.{e}") from None
+    return built
 
 
 def build_backend(spec):
     spec = _object(spec, "backend")
     kind = _kind(spec, BACKEND_KEYS, "backend")
     window = _int(spec, "window", "backend", 4)
+    if kind == "free_haar":
+        return _reuse("backend", copies.FreeHaarBackend, window)
+    if kind == "perm_group":
+        return _reuse("backend", copies.PermGroupBackend,
+                      _int(spec, "d", "backend", 1), window)
     if kind == "tensor":
-        B = build_algebra(spec.get("B", {"kind": "trivial"}), "backend.B")
-        C = build_algebra(spec.get("C", {"kind": "cyclic", "n": 2}),
-                          "backend.C")
-    try:
-        if kind == "free_haar":
-            return copies.FreeHaarBackend(window)
-        if kind == "perm_group":
-            return copies.PermGroupBackend(_int(spec, "d", "backend", 1), window)
-        if kind == "tensor":
-            return copies.TensorBackend(B, C, window)
-    except ValueError as e:
-        raise ScenarioError(f"backend: {e}") from e
-    except SizeGuard as e:  # its message starts with the field's name
-        raise SizeGuard(f"backend.{e}") from None
+        B = _algebra_values(spec.get("B", {"kind": "trivial"}), "backend.B")
+        C = _algebra_values(spec.get("C", {"kind": "cyclic", "n": 2}),
+                            "backend.C")
+        return _reuse("backend", _tensor, B, C, window)
     raise ScenarioError(f"backend.kind: unknown backend kind {kind!r} "
                         "(expected free_haar, perm_group, or tensor)")
-
-
-#: The Fock configurations build_cfg has validated, keyed by (dim_H,
-#: inner, max_degree), which fix a configuration: equal requests share
-#: one, its checks run once and its ip memo serves them all.  The entries
-#: stay for the life of the process, and each configuration's memo gains
-#: an entry for each new pair of vectors, so a long-lived process grows
-#: with each new configuration or vector it is asked about (a benchmark
-#: round repeats its requests, and adds nothing after its first round).
-_CFGS = {}
 
 
 def build_cfg(spec) -> FockConfig:
@@ -181,16 +207,9 @@ def build_cfg(spec) -> FockConfig:
     inner = spec.get("inner")
     if inner is not None:
         inner = tuple(map(tuple, _matrix(inner, "fock.inner")))
-    key = dim_H, inner, _int(spec, "max_degree", "fock", 6)
-    cfg = _CFGS.get(key)
-    if cfg is None:
-        try:
-            cfg = _CFGS[key] = FockConfig(*key)
-        except ValueError as e:
-            raise ScenarioError(f"invalid Fock configuration: {e}") from e
-        except SizeGuard as e:
-            raise SizeGuard(f"fock.{e}") from None
-    return cfg
+    return _reuse("fock", FockConfig, dim_H, inner,
+                  _int(spec, "max_degree", "fock", 6),
+                  refused="invalid Fock configuration")
 
 
 def _coefficient(spec, backend, path: str, *keys):

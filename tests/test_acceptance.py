@@ -97,7 +97,7 @@ def test_criterion_3_copy_axioms_exhaustive():
 
 
 def test_criterion_4_dimension_bounds():
-    """dim D_k <= 4^k (free) and <= (d+1)^k (perm), k <= 3."""
+    """dim D_k <= 4^k (free) and <= 2^k (perm), k <= 3."""
     free = FreeHaarBackend(6)
     perm = PermGroupBackend(1, 6)
     rows = []

@@ -253,6 +253,47 @@ def test_equal_fock_configurations_are_shared():
             scenario.build_cfg({"dim_H": 2, "inner": [[1, 2], [2, 1]]})
 
 
+def test_equal_backends_are_shared():
+    """Requests with equal validated backend values share one backend, its
+    key maps built once for all of them, however the values are written."""
+    perm = {"kind": "perm_group", "window": 5, "d": 2}
+    assert scenario.build_backend(perm) is scenario.build_backend(
+        {"kind": "perm_group", "window": "5", "d": 2.0})
+    tensor = {"kind": "tensor", "window": 3, "B": {"kind": "cyclic", "n": 2},
+              "C": {"kind": "cyclic", "n": 3}}
+    built = scenario.build_backend(tensor)
+    assert scenario.build_backend(dict(tensor)) is built
+    assert scenario.build_backend({"kind": "free_haar"}) is \
+        scenario.build_backend({"kind": "free_haar", "window": 4})
+    others = [{"kind": "free_haar", "window": 5},
+              {"kind": "perm_group", "window": 5, "d": 1},
+              {"kind": "perm_group", "window": 6, "d": 2},
+              dict(tensor, window=4),
+              dict(tensor, B={"kind": "trivial"}),
+              dict(tensor, B={"kind": "cyclic", "n": 3}),
+              dict(tensor, C={"kind": "symmetric", "n": 3}),
+              dict(tensor, C={"kind": "cyclic", "n": 2})]
+    backends = [scenario.build_backend(spec) for spec in [perm, tensor] + others]
+    assert len({id(b) for b in backends}) == len(backends)
+
+
+@pytest.mark.parametrize("spec, error", [
+    ({"kind": "perm_group", "d": -1}, "d must be >= 0"),
+    ({"kind": "free_haar", "window": 0}, "window must be >= 1"),
+    ({"kind": "free_haar", "window": 2000}, "window: 2000 exceeds"),
+    ({"kind": "tensor", "C": {"kind": "cyclic", "n": 0}}, "needs n >= 1"),
+    # values that JSON cannot give, from a library caller
+    ({"kind": ["tensor"]}, "unknown backend kind"),
+    ({"kind": "tensor", "B": {"kind": {"cyclic"}}}, "unknown algebra kind"),
+    ({"kind": "perm_group", "d": [1]}, "d: not an integer")])
+def test_a_refused_backend_is_refused_again_and_not_kept(spec, error):
+    before = dict(scenario._BUILT)
+    for _ in range(2):
+        with pytest.raises(scenario.QGaussError, match=error):
+            scenario.build_backend(spec)
+    assert scenario._BUILT == before
+
+
 def test_unknown_generator_exit_code(tmp_path, capsys):
     doc = dict(BASE)
     doc["word"] = [{"coeff": "nope", "vector": ["1"]}]

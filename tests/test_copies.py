@@ -384,12 +384,11 @@ def test_axiom_check_expect_calls_on_free_haar():
     lambda: FreeHaarBackend(3), lambda: PermGroupBackend(1, 3), _z2_z2],
     ids=["free", "perm", "tensor"])
 def test_relabel_completes_each_map_once(make):
-    # equal maps share one completed permutation, kept in the caches
-    # that equal backends share, so only the maps this test adds are
-    # counted: pi(2, .) builds the map of {1: 2, 2: 1} before the count
-    # starts, and {2: 1, 1: 2} lists its items in an order no other
-    # caller uses.  A map that is not injective on the window is refused
-    # on every call and adds nothing.
+    # equal maps share one completed permutation, so only the maps this
+    # test adds are counted: pi(2, .) builds the map of {1: 2, 2: 1}
+    # before the count starts, and {2: 1, 1: 2} lists its items in
+    # another order.  A map that is not injective on the window is
+    # refused on every call and adds nothing.
     backend = make()
     a = backend.S[next(name for name in backend.S if name != "1")]
     backend.pi(2, a)
@@ -402,37 +401,9 @@ def test_relabel_completes_each_map_once(make):
         with pytest.raises(ValueError, match="not injective"):
             backend.relabel({1: 2}, backend.pi(1, a))
     assert set(backend._relabels) - before == {((2, 1), (1, 2))}
-    del backend._relabels[(2, 1), (1, 2)]  # leave the shared caches as found
-
-
-CACHES = ("_kept", "_relabels", "_pis", "_closings", "_in_A")
-
-
-def test_equal_backends_share_their_caches():
-    z2, z3 = group_algebra(cyclic_group(2)), group_algebra(cyclic_group(3))
-    pairs = [(FreeHaarBackend(6), FreeHaarBackend(6)),
-             (PermGroupBackend(2, 6), PermGroupBackend(2, 6)),
-             (TensorBackend(z2, z3, 6), TensorBackend(z2, z3, 6))]
-    for a, b in pairs:
-        assert a is not b and a._specs is not b._specs
-        for name in CACHES:
-            assert getattr(a, name) is getattr(b, name), (a.name, name)
-        x, y = (pi_word(c, [c.S[n] for n in c.S] * 2, [1, 2] * len(c.S))
-                for c in (a, b))
-        assert x.parent is a.D and y.parent is b.D
-        assert b.expect((1,), y).coeffs == a.expect((1,), x).coeffs
 
 
 def test_backends_with_other_parameters_keep_their_own_caches():
-    z2, z3 = group_algebra(cyclic_group(2)), group_algebra(cyclic_group(3))
-    s3 = group_algebra(symmetric_group(range(3)))
-    for a, b in [(FreeHaarBackend(3), FreeHaarBackend(6)),
-                 (PermGroupBackend(1, 4), PermGroupBackend(2, 4)),
-                 (PermGroupBackend(1, 4), PermGroupBackend(1, 5)),
-                 (TensorBackend(z2, z3, 4), TensorBackend(z2, s3, 4)),
-                 (TensorBackend(z2, z3, 4), TensorBackend(z2, z3, 5))]:
-        for name in CACHES:
-            assert getattr(a, name) is not getattr(b, name), (a.name, name)
     # d moves the copies' positions: each backend conjugates its own u01
     for d in (1, 2):
         backend = PermGroupBackend(d, 4)
@@ -441,7 +412,7 @@ def test_backends_with_other_parameters_keep_their_own_caches():
         assert backend.expect((1, 2), x).is_zero()
 
 
-def test_a_shared_renamer_keeps_each_window_check():
+def test_each_window_refuses_a_copy_outside_it():
     u6 = FreeHaarBackend(6).S["u"]
     assert FreeHaarBackend(6).pi(5, u6) == FreeHaarBackend(6).pi(5, u6)
     small = FreeHaarBackend(3)
@@ -459,6 +430,9 @@ def test_each_backend_class_names_its_traced_methods(cls):
 def test_dim_bounds(free3, perm3, tensor3):
     assert [free3.dim_bound(k) for k in (1, 2, 3)] == [4, 16, 64]
     assert [perm3.dim_bound(k) for k in (1, 2, 3)] == [2, 4, 8]
+    for d in (0, 2, 5):  # D_k does not depend on d
+        assert [PermGroupBackend(d, 3).dim_bound(k)
+                for k in (1, 2, 3)] == [2, 4, 8]
     assert tensor3.dim_bound(2) == 4  # |C| = 2 per slot
 
 

@@ -63,11 +63,11 @@ def test_growth_to_degree_five(backend, base):
 
 def test_perm_span_work_is_not_weighed_by_backend():
     """The work estimate counts the same units on every backend: perm d = 2
-    k_max 6 at offset 6 (4.5e5 units) is spanned, and perm d = 1 k_max 5
+    k_max 6 at offset 6 (4.9e4 units) is spanned, and perm d = 1 k_max 5
     at offset 12 is refused by its word length before any span."""
     report = growth_report(PermGroupBackend(2, 12), 6, max_m_offset=6)
     assert [(dim, bound) for _, dim, bound, _ in report["rows"]] == [
-        (2 ** k, 3 ** k) for k in range(7)]
+        (2 ** k, 2 ** k) for k in range(7)]
     with pytest.raises(SizeGuard, match=r"^dims\.max_m_offset: 12 with "
                                         r"k_max 5 spans words of length 17"):
         growth_report(PermGroupBackend(1, 11), 5, max_m_offset=12)
